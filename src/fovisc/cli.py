@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import fitting, glkernel, impedance, models, passivity, simloop
+from . import fitting, glkernel, impedance, models, passivity, simloop, util
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -228,8 +228,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] < 2:
-        raise ValueError(f"{path}: expected columns time_s,value")
+    if data.shape[0] < 2 or data.shape[1] < 2:
+        raise ValueError(f"{path}: expected at least two rows of columns time_s,value")
     return data[:, 0], data[:, 1]
 
 
@@ -237,7 +237,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     experiments = []
     if args.creep:
         t, v = _read_series_csv(args.creep)
-        t_rec = max(float(t[-1]) - args.t_hold, 0.0)
+        # recovery sized from the record's sample count, not from float times
+        t_samp = float(t[1] - t[0])
+        t_rec = max(t.size - util.n_samples(args.t_hold, t_samp) - 1, 0) * t_samp
         proto = fitting.CreepProtocol(
             f_hold=args.f_hold, t_hold=args.t_hold, f_recover=args.f_recover, t_recover=t_rec
         )

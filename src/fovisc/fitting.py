@@ -1,13 +1,15 @@
 """Passivity-constrained identification from creep and relaxation records.
 
-The four constitutive parameters are fit by multi-start Nelder-Mead on a
-smooth reparameterization (log branch stiffness/damping, logit order,
-unconstrained parallel stiffness), minimizing the mean normalized RMSE over
-the supplied experiments with a quadratic penalty whenever the closed-form
-minimum damping exceeds the available plant damping.  The penalty weight is
-ramped tenfold over a few outer rounds so the interior optimum is not
-distorted; feasibility of the returned set is re-verified against the bound
-afterwards, never trusted from the penalty.
+The odd-memory closed-form bound b_min = K0*T/2 + branch(K1, B1, alpha) is
+affine in K0, so the search never leaves the passive set: it varies
+(slack >= 0, log K1, log B1, logit alpha) and takes
+
+    K0 = (2/T) * (b_plant - branch(K1, B1, alpha)) - slack,
+
+the largest parallel stiffness the plant damping admits, less the slack.
+Each start runs one trust-region-reflective least-squares solve (box bounds
+kept exactly) on the residuals of all experiments, each scaled by its NRMSE
+scale.  The returned set is re-verified against the bound afterwards.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-from .glkernel import build_kernel
+from .glkernel import GLKernel, build_kernel
 from .models import FoSlsParams, creep_response, relaxation_response
-from .passivity import bound_closed_form
+from .passivity import _nyquist_value, bound_closed_form
 from .util import worker_count
 
 __all__ = [
@@ -40,10 +42,17 @@ NORMALIZATIONS = ("range", "mean", "rms")
 _ALPHA_LO = 0.01  # logit floor keeps the order away from the degenerate spring
 
 # Search box: wide enough for any plausible material in {N, mm, s} units,
-# finite so the penalty cannot push candidates into degenerate corners
-# (astronomical stiffness with vanishing damping still "satisfies" the bound).
+# finite so candidates cannot reach degenerate corners (astronomical
+# stiffness with vanishing damping still satisfies the bound).  The slack
+# spans the width of the K0 box.
 _K0_BOX = 1e3
 _LOG_BOX = math.log(1e3)
+_U_BOX = 50.0
+_N_VARS = 4
+
+# Cap on a single residual.  Unstable creep inverse filters and undefined
+# predictions land on it, so the Jacobian handed to the SVD stays finite.
+_WALL = 1e3
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,8 @@ class ExperimentData:
         t = np.asarray(self.time, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two samples")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+            raise ValueError("time and values must be finite (no NaN or inf)")
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise ValueError("time stamps must be strictly increasing")
@@ -107,15 +118,15 @@ class FitResult:
 class FitConfig:
     b_plant: float = 0.0025  # N*s/mm available for dissipation
     n_starts: int = 8
-    max_evals_per_start: int = 20000
-    penalty_rounds: int = 3
-    penalty_weight: float = 10.0  # first-round weight, ramped x10 per round
+    max_evals_per_start: int = 20000  # residual evaluations, Jacobian probes included
     normalization: str = "range"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("need at least one start")
+        if self.max_evals_per_start < _N_VARS + 1:  # one residual and one Jacobian
+            raise ValueError(f"max_evals_per_start must be at least {_N_VARS + 1}")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -130,6 +141,10 @@ def nrmse(predicted, measured, normalization: str = "range") -> float:
     measured = np.asarray(measured, dtype=float)
     if predicted.shape != measured.shape or measured.size < 2:
         raise ValueError("series must have equal length >= 2")
+    return float(np.sqrt(np.mean((predicted - measured) ** 2))) / _scale(measured, normalization)
+
+
+def _scale(measured: np.ndarray, normalization: str) -> float:
     if normalization == "range":
         scale = float(np.max(measured) - np.min(measured))
     elif normalization == "mean":
@@ -140,7 +155,7 @@ def nrmse(predicted, measured, normalization: str = "range") -> float:
         raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
     if scale <= 0.0:
         raise ValueError("measured series has zero scale; NRMSE undefined")
-    return float(np.sqrt(np.mean((predicted - measured) ** 2))) / scale
+    return scale
 
 
 def synth_experiment(
@@ -173,10 +188,23 @@ def synth_experiment(
     return ExperimentData(kind=kind, time=t, values=values, stimulus=protocol)
 
 
-def _theta_to_params(theta: np.ndarray) -> FoSlsParams:
-    k0, log_k1, log_b1, u = theta
+def _passive_params(
+    theta, n_mem: int, t_samp: float, b_plant: float
+) -> tuple[FoSlsParams, GLKernel]:
+    """Candidate for theta = (slack, log K1, log B1, logit alpha) whose
+    closed-form bound does not exceed b_plant."""
+    slack, log_k1, log_b1, u = (float(v) for v in theta)
+    k1, b1 = math.exp(log_k1), math.exp(log_b1)
     alpha = _ALPHA_LO + (1.0 - _ALPHA_LO) / (1.0 + math.exp(-u))
-    return FoSlsParams(k0=float(k0), k1=math.exp(log_k1), b1=math.exp(log_b1), alpha=alpha)
+    kern = build_kernel(alpha, n_mem, t_samp)
+    k0 = 2.0 / t_samp * (b_plant - _nyquist_value(FoSlsParams(0.0, k1, b1, alpha), kern)) - slack
+    while True:
+        params = FoSlsParams(k0=k0, k1=k1, b1=b1, alpha=alpha)
+        excess = bound_closed_form(params, kern).b_min - b_plant
+        if excess <= 0.0:
+            return params, kern
+        # roundoff can leave the recomputed bound a few ulps above b_plant
+        k0 = min(float(np.nextafter(k0, -math.inf)), k0 - 2.0 * excess / t_samp)
 
 
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
@@ -185,10 +213,7 @@ def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
         _, pred = relaxation_response(params, kernel, s.x0, s.duration)
     else:
         _, pred = creep_response(params, kernel, s.f_hold, s.t_hold, s.f_recover, s.t_recover)
-    n = exp.values.size
-    if pred.size < n:
-        raise ValueError("protocol shorter than the measured record")
-    return pred[:n]
+    return pred[: exp.values.size]
 
 
 def fit(
@@ -198,8 +223,10 @@ def fit(
 ) -> FitResult:
     """Identify the constitutive parameters from one or more experiments.
 
-    Deterministic given config.seed.  Returns the best candidate even when
-    the evaluation budget runs out, with converged = False in that case.
+    Deterministic given config.seed.  Every candidate, the returned one
+    included, satisfies the closed-form bound at config.b_plant.  Returns the
+    best candidate even when the evaluation budget runs out, with
+    converged = False in that case.
     """
     experiments = [data] if isinstance(data, ExperimentData) else list(data)
     if not experiments:
@@ -211,90 +238,59 @@ def fit(
         if abs(exp.t_samp - t_samp) > 1e-9 * t_samp:
             raise ValueError("experiments must share one sampling period")
 
-    def make_objective():
-        counter = [0]
-
-        def objective(theta: np.ndarray, weight: float) -> float:
-            counter[0] += 1
-            k0, log_k1, log_b1, u = (float(v) for v in theta)
-            outside = (
-                max(0.0, abs(k0) - _K0_BOX)
-                + max(0.0, abs(log_k1) - _LOG_BOX)
-                + max(0.0, abs(log_b1) - _LOG_BOX)
-                + max(0.0, abs(u) - 50.0)
-            )
-            if outside > 0.0:
-                return 1e9 * (1.0 + outside)  # sloped wall so the simplex walks back
-            try:
-                params = _theta_to_params(theta)
-            except (ValueError, OverflowError):
-                return 1e9
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    kern = build_kernel(params.alpha, n_mem, t_samp)
-                    errs = [
-                        nrmse(_predict(params, kern, exp), exp.values, config.normalization)
-                        for exp in experiments
-                    ]
-                    cost = float(np.mean(errs))
-                    excess = bound_closed_form(params, kern).b_min - config.b_plant
-            except (ValueError, FloatingPointError):
-                return 1e9
-            if not math.isfinite(cost):
-                return 1e9
-            if excess > 0.0:
-                cost += weight * (excess / max(config.b_plant, 1e-12)) ** 2
-            return cost
-
-        return objective, counter
+    def candidate(theta):
+        return _passive_params(theta, n_mem, t_samp, config.b_plant)
 
     rng = np.random.default_rng(config.seed)
-    starts = [np.array([0.0, 0.0, 0.0, 0.0])]  # k0=0, k1=b1=1, alpha~0.5
-    while len(starts) < config.n_starts:
-        starts.append(
-            np.array(
-                [
-                    rng.uniform(-5.0, 5.0),
-                    rng.uniform(math.log(0.1), math.log(50.0)),
-                    rng.uniform(math.log(0.1), math.log(50.0)),
-                    rng.uniform(-3.0, 3.0),
-                ]
-            )
-        )
+    lo = np.array([-5.0, math.log(0.1), math.log(0.1), -3.0])
+    hi = np.array([5.0, math.log(50.0), math.log(50.0), 3.0])
+    # (k0, log k1, log b1, logit alpha); the first is k0=0, k1=b1=1, alpha~0.5
+    starts = [np.zeros(_N_VARS)] + [rng.uniform(lo, hi) for _ in range(config.n_starts - 1)]
+    lower = np.array([0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX])
+    upper = np.array([2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, _U_BOX])
+    for x in starts:  # k0 becomes the slack below its cap, clipped to the box
+        x[0] = min(max(candidate([0.0, *x[1:]])[0].k0 - x[0], 0.0), upper[0])
 
-    budget = max(config.max_evals_per_start // config.penalty_rounds, 100)
-    weights = [config.penalty_weight * 10.0**r for r in range(config.penalty_rounds)]
+    probe = candidate(starts[0])  # a prediction's length depends only on protocol and T
+    for exp in experiments:
+        if _predict(*probe, exp).size < exp.values.size:
+            raise ValueError(f"{exp.kind} protocol shorter than the measured record")
+    measured = np.concatenate([exp.values for exp in experiments])
+    # 1 / (scale * sqrt(n)): the squared residual norm sums the squared NRMSEs
+    scales = [_scale(e.values, config.normalization) * e.values.size**0.5 for e in experiments]
+    weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
 
-    def run_start(theta0: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
-        objective, counter = make_objective()
-        theta = theta0
-        success = False
-        for w in weights:
-            res = minimize(
-                objective,
-                theta,
-                args=(w,),
-                method="Nelder-Mead",
-                options={"maxfev": budget, "xatol": 1e-8, "fatol": 1e-12},
-            )
-            theta, success = res.x, bool(res.success)
-        return objective(theta, weights[-1]), theta, success, counter[0]
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        try:
+            params, kern = candidate(theta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred = np.concatenate([_predict(params, kern, exp) for exp in experiments])
+                r = (pred - measured) * weight
+        except ValueError:  # e.g. zero instantaneous stiffness: creep has no inverse
+            return np.full(measured.size, _WALL)
+        return np.clip(np.nan_to_num(r, nan=_WALL), -_WALL, _WALL)
+
+    # each accepted step costs one residual plus _N_VARS Jacobian probes
+    max_nfev = config.max_evals_per_start // (_N_VARS + 1)
+
+    def run_start(x0: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
+        counter = [0]
+
+        def counted(theta: np.ndarray) -> np.ndarray:
+            counter[0] += 1
+            return residuals(theta)
+
+        res = least_squares(counted, x0, bounds=(lower, upper), method="trf", max_nfev=max_nfev)
+        return float(res.cost), res.x, bool(res.status > 0), counter[0]
 
     with ThreadPoolExecutor(max_workers=worker_count(len(starts))) as pool:
         outcomes = list(pool.map(run_start, starts))
     evals = sum(o[3] for o in outcomes)
-    _, best_theta, best_ok, _ = min(outcomes, key=lambda o: o[0])
+    _, best_x, best_ok, _ = min(outcomes, key=lambda o: o[0])
 
-    params = _theta_to_params(best_theta)
-    kern = build_kernel(params.alpha, n_mem, t_samp)
-    final_err = float(
-        np.mean(
-            [
-                nrmse(_predict(params, kern, exp), exp.values, config.normalization)
-                for exp in experiments
-            ]
-        )
-    )
+    params, kern = candidate(best_x)
+    errs = [nrmse(_predict(params, kern, e), e.values, config.normalization) for e in experiments]
+    final_err = float(np.mean(errs))
     passivity_ok = bool(bound_closed_form(params, kern).b_min <= config.b_plant)
     return FitResult(
         params=params,

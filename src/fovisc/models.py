@@ -26,6 +26,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .glkernel import GLKernel, _s_conj_values, build_kernel
+from .util import n_samples
 
 __all__ = [
     "FoSlsParams",
@@ -146,7 +147,7 @@ def relaxation_response(
         raise ValueError("step displacement must be nonzero")
     if duration <= 0.0:
         raise ValueError("duration must be positive")
-    n = int(math.floor(duration / kernel.t_samp)) + 1
+    n = n_samples(duration, kernel.t_samp) + 1
     t = np.arange(n) * kernel.t_samp
     x = np.full(n, float(x0))
     b, a = _branch_filter(params, kernel)
@@ -171,8 +172,8 @@ def creep_response(
     if t_hold <= 0.0 or t_recover < 0.0:
         raise ValueError("hold duration must be positive and recovery nonnegative")
     T = kernel.t_samp
-    n_hold = int(math.floor(t_hold / T)) + 1
-    n_rec = int(math.floor(t_recover / T)) if t_recover > 0 else 0
+    n_hold = n_samples(t_hold, T) + 1
+    n_rec = n_samples(t_recover, T)
     force = np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
     t = np.arange(force.size) * T
     _, a = _branch_filter(params, kernel)

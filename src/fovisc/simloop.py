@@ -22,6 +22,7 @@ import numpy as np
 
 from .glkernel import GLKernel
 from .models import DiscreteVE, FoSlsParams
+from .util import n_samples
 
 __all__ = [
     "PlantParams",
@@ -167,7 +168,7 @@ def simulate(
         t_samp = ve.kernel.t_samp
     T = float(t_samp)
     m, b = plant.mass, plant.damping
-    steps = int(math.floor(duration / T))
+    steps = n_samples(duration, T)
     t = np.arange(steps) * T
     x_arr = np.zeros(steps)
     v_arr = np.zeros(steps)

@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import os
 
-__all__ = ["worker_count"]
+__all__ = ["n_samples", "worker_count"]
+
+_SAMPLE_RTOL = 1e-9
+
+
+def n_samples(duration: float, t_samp: float) -> int:
+    """Whole sample periods in a duration.
+
+    A duration within a relative 1e-9 of a whole multiple of T counts as that
+    multiple (0.7/0.001 evaluates to 699.999..., not 700); any other
+    duration is floored.
+    """
+    q = duration / t_samp
+    k = round(q)
+    return int(k) if abs(q - k) <= _SAMPLE_RTOL * max(1.0, abs(q)) else math.floor(q)
 
 
 def worker_count(n_tasks: int) -> int:

@@ -187,6 +187,38 @@ class TestSynthFitRoundtrip:
         assert (code == 0) == payload["converged"]
         assert set(payload["params"]) == {"k0", "k1", "b1", "alpha"}
 
+    def test_non_whole_float_durations_keep_their_last_sample(self, tmp_path):
+        # 0.7 / 0.001 evaluates to 699.999...; the records must not lose a sample
+        relax, trace = tmp_path / "relax.csv", tmp_path / "trace.csv"
+        material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203", "--t", "0.001"]
+        assert dispatch(["synth", *material, "--protocol", "relaxation", "--duration", "0.7", "-o", str(relax)]) == 0
+        _, rows, _ = read_csv(relax)
+        assert len(rows) == 701
+        assert float(rows[-1][0]) == 0.7
+        assert dispatch(["simulate", "--k1", "2", "--b1", "100", "--duration", "0.7", "-o", str(trace)]) == 0
+        _, rows, _ = read_csv(trace)
+        assert len(rows) == 700
+
+    def test_creep_fit_sizes_recovery_from_the_record(self, tmp_path):
+        creep, out = tmp_path / "creep.csv", tmp_path / "fit.json"
+        material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203", "--t", "0.001"]
+        assert dispatch(
+            ["synth", *material, "--protocol", "creep", "--t-hold", "0.7", "--t-recover", "0.7", "-o", str(creep)]
+        ) == 0
+        code = dispatch(
+            ["fit", "--creep", str(creep), "--t-hold", "0.7", "--starts", "1", "--max-evals", "2000", "-o", str(out)]
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["nrmse"] < 1e-6
+
+    def test_non_finite_record_is_a_domain_error(self, tmp_path, capsys):
+        relax = tmp_path / "relax.csv"
+        relax.write_text("time_s,value\n0,5\n0.001,4.5\n0.002,nan\n0.003,4.2\n")
+        assert dispatch(["fit", "--relax", str(relax), "--starts", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
     def test_noise_is_seeded(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["synth", "--k1", "2", "--b1", "1", "--alpha", "0.5", "--n", "51",

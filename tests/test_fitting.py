@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fovisc import fitting
 from fovisc.fitting import (
     CreepProtocol,
     ExperimentData,
     FitConfig,
     RelaxationProtocol,
+    _passive_params,
     fit,
     nrmse,
     synth_experiment,
 )
 from fovisc.glkernel import build_kernel
-from fovisc.models import FoSlsParams
+from fovisc.models import FoSlsParams, creep_response, relaxation_response
 from fovisc.passivity import bound_closed_form
 
 T = 0.001
@@ -82,6 +86,41 @@ class TestSynth:
         with pytest.raises(ValueError):
             ExperimentData("wrong", np.array([0.0, 1.0]), np.zeros(2), CreepProtocol())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_records(self, bad):
+        t = np.arange(4) * T
+        values = np.array([1.0, bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentData("relaxation", t, values, RelaxationProtocol())
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentData("relaxation", np.append(t[:3], bad), np.ones(4), RelaxationProtocol())
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("evals", [-1, 0, 4])
+    def test_rejects_a_budget_below_one_step(self, evals):
+        # one residual plus one four-probe Jacobian is the least a step needs
+        with pytest.raises(ValueError, match="max_evals_per_start"):
+            FitConfig(max_evals_per_start=evals)
+
+
+class TestPassiveParams:
+    @given(
+        log_k1=st.floats(-6.9, 6.9),
+        log_b1=st.floats(-6.9, 6.9),
+        u=st.floats(-50.0, 50.0),
+        b_plant=st.sampled_from([0.0, 1e-4, 0.0025]) | st.floats(0.0, 0.01),
+        t_samp=st.sampled_from([1e-3, 5e-4, 2e-3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_slack_sits_on_the_bound(self, log_k1, log_b1, u, b_plant, t_samp):
+        # K0 at zero slack is the cap: the bound holds exactly as the library
+        # computes it, and misses b_plant by no more than roundoff
+        params, kern = _passive_params([0.0, log_k1, log_b1, u], 101, t_samp, b_plant)
+        b_min = bound_closed_form(params, kern).b_min
+        assert b_min <= b_plant
+        assert b_plant - b_min <= 1e-12 * (abs(params.k0) * t_samp + b_plant)
+
 
 class TestFit:
     def make_data(self, params, n_gen=101):
@@ -107,7 +146,8 @@ class TestFit:
 
     def test_zero_damping_budget_degrades_the_fit(self):
         # with no dissipation budget every well-fitting candidate violates the
-        # bound; the exact penalty trades fit quality for formal feasibility
+        # bound; the search stays on passive sets, trading fit quality for
+        # formal feasibility
         config = FitConfig(b_plant=0.0, n_starts=2, max_evals_per_start=1500, seed=0)
         result = fit(self.make_data(MATERIAL_N101), 101, config)
         kern = build_kernel(result.params.alpha, 101, T)
@@ -145,3 +185,54 @@ class TestFit:
         ]
         with pytest.raises(ValueError):
             fit(data, 51, QUICK)
+
+    @pytest.mark.parametrize("b_plant", [0.0, 1e-4, 0.0025])
+    def test_identified_set_is_passive_by_construction(self, b_plant):
+        config = FitConfig(b_plant=b_plant, n_starts=2, max_evals_per_start=300, seed=0)
+        result = fit(self.make_data(MATERIAL_N101), 101, config)
+        kern = build_kernel(result.params.alpha, 101, T)
+        assert result.passivity_ok
+        assert bound_closed_form(result.params, kern).b_min <= b_plant
+
+    def test_evaluations_count_every_residual_within_the_budget(self, monkeypatch):
+        kern = build_kernel(0.5, 51, T)
+        data = synth_experiment(FoSlsParams(0.0, 1.0, 1.0, 0.5), kern, RelaxationProtocol(duration=0.5))
+        runs = []
+
+        def counting(*args):
+            runs.append(args)
+            return relaxation_response(*args)
+
+        monkeypatch.setattr(fitting, "relaxation_response", counting)
+        result = fit(data, 51, FitConfig(n_starts=2, max_evals_per_start=40, seed=0))
+        # one model run per residual (Jacobian probes included), plus the
+        # up-front length check and the final report
+        assert len(runs) == result.objective_evals + 2
+        assert result.objective_evals <= 2 * 40
+
+    def test_short_protocol_fails_before_the_search(self, monkeypatch):
+        kern = build_kernel(0.5, 51, T)
+        exp = synth_experiment(FoSlsParams(0.0, 1.0, 1.0, 0.5), kern, RelaxationProtocol(duration=1.0))
+        short = ExperimentData("relaxation", exp.time, exp.values, RelaxationProtocol(duration=0.5))
+        monkeypatch.setattr(fitting, "least_squares", lambda *a, **k: pytest.fail("search ran"))
+        with pytest.raises(ValueError, match="shorter than the measured record"):
+            fit(short, 51, QUICK)
+
+    def test_unstable_creep_candidates_meet_a_finite_wall(self, monkeypatch):
+        # with seed 1 a start crosses sets whose creep inverse filter is
+        # unstable; their non-finite predictions must not reach the solver
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        data = synth_experiment(MATERIAL_N101, kern, CreepProtocol(t_hold=1.0, t_recover=1.0))
+        unstable = []
+
+        def recording(*args):
+            t, x = creep_response(*args)
+            if not np.all(np.isfinite(x)):
+                unstable.append(args[0])
+            return t, x
+
+        monkeypatch.setattr(fitting, "creep_response", recording)
+        result = fit(data, 101, FitConfig(n_starts=2, max_evals_per_start=300, seed=1))
+        assert unstable
+        assert np.isfinite(result.nrmse)
+        assert result.passivity_ok

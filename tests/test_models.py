@@ -1,9 +1,12 @@
 """Discrete viscoelastic law: filter behavior, responses, reductions."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovisc.glkernel import build_kernel, delta_p, delta_s
 from fovisc.impedance import es_ed_lowfreq
@@ -14,6 +17,7 @@ from fovisc.models import (
     reduce_model,
     relaxation_response,
 )
+from fovisc.util import n_samples
 
 T = 0.001
 MATERIAL_N101 = FoSlsParams(k0=-2.89, k1=5.70, b1=5.89, alpha=0.203)
@@ -195,6 +199,36 @@ class TestRelaxation:
             relaxation_response(params, kern, 0.0, 1.0)
         with pytest.raises(ValueError):
             relaxation_response(params, kern, 1.0, 0.0)
+
+
+PERIODS = ("0.001", "0.0005", "0.002")
+
+
+def decimal_duration(k: int, period: str) -> float:
+    """k periods written out in decimals, as a flag or a CSV time stamp gives them."""
+    return float(Decimal(k) * Decimal(period))
+
+
+class TestSampleCounts:
+    @given(k=st.integers(1, 200_000), period=st.sampled_from(PERIODS))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_multiples_of_the_period_count_exactly(self, k, period):
+        duration, t_samp = decimal_duration(k, period), float(period)
+        assert n_samples(duration, t_samp) == k
+        assert n_samples(duration, t_samp) * t_samp == pytest.approx(duration, rel=1e-12)
+
+    @given(k=st.integers(1, 5000), period=st.sampled_from(PERIODS))
+    @settings(max_examples=40, deadline=None)
+    def test_relaxation_record_ends_at_its_duration(self, k, period):
+        duration, t_samp = decimal_duration(k, period), float(period)
+        kern = build_kernel(0.5, 5, t_samp)
+        t, f = relaxation_response(FoSlsParams(0.0, 1.0, 1.0, 0.5), kern, 1.0, duration)
+        assert t.size == f.size == k + 1
+        assert t[-1] == pytest.approx(duration, rel=1e-12)
+
+    def test_partial_periods_are_dropped(self):
+        assert n_samples(0.7005, 0.001) == 700
+        assert n_samples(0.0005, 0.001) == 0
 
 
 class TestCreep:
