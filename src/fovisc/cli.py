@@ -157,8 +157,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     nyq = kern.nyquist
     omegas = np.linspace(0.0, nyq, args.points + 1)[1:]
     if args.what == "f":
-        ve = models.DiscreteVE(params, kern)
-        rows = [(float(w * args.t), _f12(passivity.passivity_function(ve, w))) for w in omegas]
+        values = passivity._f_values(models.DiscreteVE(params, kern), omegas)
+        rows = [(float(w * args.t), _f12(f)) for w, f in zip(omegas, values)]
         _write_csv(args, ["omega_t", "f"], rows)
         return EXIT_OK
     form = {"finite": "finite_n", "asymptotic": "asymptotic", "lowfreq": "lowfreq"}[args.form]
@@ -239,7 +239,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
         t, v = _read_series_csv(args.creep)
         # recovery sized from the record's sample count, not from float times
         t_samp = float(t[1] - t[0])
-        t_rec = max(t.size - util.n_samples(args.t_hold, t_samp) - 1, 0) * t_samp
+        n_hold = util.n_samples(args.t_hold, t_samp) + 1
+        if n_hold > t.size:
+            raise ValueError(
+                f"--t-hold {args.t_hold} s spans {n_hold} samples, "
+                f"but the creep record has only {t.size} rows"
+            )
+        t_rec = (t.size - n_hold) * t_samp
         proto = fitting.CreepProtocol(
             f_hold=args.f_hold, t_hold=args.t_hold, f_recover=args.f_recover, t_recover=t_rec
         )
@@ -301,10 +307,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     reduced = models.reduce_model(args.kind, params, kern)
     omegas = np.linspace(0.0, kern.nyquist, args.points + 1)[1:]
-    rows = []
-    for w in omegas:
-        h = reduced.freq_response(w)
-        rows.append((float(w), _f12(h.real), _f12(h.imag)))
+    h = reduced.freq_response(omegas)
+    rows = [(float(w), _f12(v.real), _f12(v.imag)) for w, v in zip(omegas, h)]
     _write_csv(args, ["omega", "re_H", "im_H"], rows)
     return EXIT_OK
 

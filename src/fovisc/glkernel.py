@@ -187,8 +187,18 @@ def s_of_omega(kernel: GLKernel, omega: float) -> tuple[complex, complex]:
 
 
 def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Vector of sum_k c_k e^{-ik w T} over a frequency grid, chunked to cap memory."""
+    """Vector of sum_k c_k e^{-ik w T} over frequencies omegas.
+
+    On the grid ``np.linspace(0, pi/T, G + 1)[1:]`` (G >= 2) this is the real FFT
+    of the coefficients folded mod 2G (e^{-ik w T} has period 2G in k there);
+    elsewhere it is the direct sum, chunked to cap memory.
+    """
     omegas = np.asarray(omegas, dtype=float)
+    g = omegas.size
+    if g >= 2 and np.array_equal(omegas, np.linspace(0.0, kernel.nyquist, g + 1)[1:]):
+        k = np.arange(kernel.n_mem + 1)
+        folded = np.bincount(k % (2 * g), weights=kernel.coeffs, minlength=2 * g)
+        return np.fft.rfft(folded)[1 : g + 1]
     k = np.arange(kernel.n_mem + 1, dtype=float)
     out = np.empty(omegas.shape, dtype=complex)
     for lo in range(0, omegas.size, chunk):

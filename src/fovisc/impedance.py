@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .glkernel import GLKernel, _s_conj_values, delta_d, delta_s
-from .models import REDUCTION_KINDS, FoSlsParams
+from .models import REDUCTION_KINDS, FoSlsParams, _branch_impedance
 
 __all__ = [
     "EffectiveImpedancePoint",
@@ -60,38 +60,37 @@ class BfoElement:
     t_samp: float  # s
 
 
-def _assigned_positive(value: float, what: str) -> float:
-    """Clamp the physically nonnegative component, loudly if beyond roundoff."""
-    if value < _NEG_TOL:
-        msg = f"{what} = {value:.3e} is negative beyond tolerance; sign convention violated"
+def _assigned_positive(value, what: str):
+    """Clamp the physically nonnegative component(s), loudly if beyond roundoff."""
+    worst = np.min(value, initial=np.inf)
+    if worst < _NEG_TOL:
+        msg = f"{what} = {worst:.3e} is negative beyond tolerance; sign convention violated"
         if __debug__:
             raise AssertionError(msg)
         warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        return 0.0
-    return max(value, 0.0)
+    return np.maximum(value, 0.0)
 
 
-def _branch_value(params: FoSlsParams, kernel: GLKernel, omega: float) -> complex:
-    """Branch impedance K1*B1*S / (K1*T^a + B1*S) with S = sum c_k e^{-ik w T}."""
-    omega = float(omega)
-    if not (0.0 < omega <= kernel.nyquist * (1.0 + 1e-12)):
-        raise ValueError(f"omega must lie in (0, pi/T], got {omega}")
-    s = complex(_s_conj_values(kernel, np.array([omega]))[0])
-    t_a = kernel.t_samp**params.alpha
-    den = params.k1 * t_a + params.b1 * s
-    if abs(den) < 1e-300:
-        raise ValueError("singular branch denominator K1*T^a + B1*S")
-    return params.k1 * params.b1 * s / den
+def _es_ed_finite(
+    params: FoSlsParams, kernel: GLKernel, omegas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite-memory (ES, ED) arrays from one spectrum evaluation over omegas in (0, pi/T]."""
+    bad = omegas[~((omegas > 0.0) & (omegas <= kernel.nyquist * (1.0 + 1e-12)))]
+    if bad.size:
+        raise ValueError(f"omega must lie in (0, pi/T], got {bad[0]}")
+    branch = _branch_impedance(params, kernel.t_samp, _s_conj_values(kernel, omegas))
+    es = params.k0 + _assigned_positive(branch.real, "branch ES")
+    return es, _assigned_positive(branch.imag / omegas, "ED")
 
 
 def es_finite(params: FoSlsParams, kernel: GLKernel, omega: float) -> float:
     """Finite-memory effective stiffness [N/mm]."""
-    return params.k0 + _assigned_positive(_branch_value(params, kernel, omega).real, "branch ES")
+    return float(_es_ed_finite(params, kernel, np.array([float(omega)]))[0][0])
 
 
 def ed_finite(params: FoSlsParams, kernel: GLKernel, omega: float) -> float:
     """Finite-memory effective damping [N*s/mm]."""
-    return _assigned_positive(_branch_value(params, kernel, omega).imag / float(omega), "ED")
+    return float(_es_ed_finite(params, kernel, np.array([float(omega)]))[1][0])
 
 
 def _compact_branch(params: FoSlsParams, omega: float, t_samp: float) -> complex:
@@ -138,8 +137,8 @@ def es_ed_asymptotic(params: FoSlsParams, omega: float, t_samp: float) -> tuple[
             "trigonometric and compact evaluations disagree: "
             f"({re_t}, {im_t}) vs ({branch.real}, {branch.imag})"
         )
-    es = params.k0 + _assigned_positive(branch.real, "branch ES")
-    ed = _assigned_positive(branch.imag / omega, "ED")
+    es = params.k0 + float(_assigned_positive(branch.real, "branch ES"))
+    ed = float(_assigned_positive(branch.imag / omega, "ED"))
     return es, ed
 
 
@@ -187,20 +186,23 @@ def sweep_points(
 
     form 'lowfreq' ignores the grid and reports the single w = 0 limit
     point (that is also where ED must be reported at exactly zero frequency).
+    form 'finite_n' evaluates the whole grid from one spectrum call.
     """
     if form == "lowfreq":
         es, ed = es_ed_lowfreq(params, kernel)
         return [EffectiveImpedancePoint(omega=0.0, es=es, ed=ed, form="lowfreq")]
-    points = []
-    for w in np.asarray(omegas, dtype=float):
-        if form == "finite_n":
-            es, ed = es_finite(params, kernel, w), ed_finite(params, kernel, w)
-        elif form in ("asymptotic", "compact"):
-            es, ed = es_ed_asymptotic(params, w, kernel.t_samp)
-        else:
-            raise ValueError(f"unknown form {form!r}")
-        points.append(EffectiveImpedancePoint(omega=float(w), es=es, ed=ed, form=form))
-    return points
+    omegas = np.asarray(omegas, dtype=float)
+    if form == "finite_n":
+        es, ed = _es_ed_finite(params, kernel, omegas)
+        values = zip(es.tolist(), ed.tolist())
+    elif form in ("asymptotic", "compact"):
+        values = (es_ed_asymptotic(params, w, kernel.t_samp) for w in omegas)
+    else:
+        raise ValueError(f"unknown form {form!r}")
+    return [
+        EffectiveImpedancePoint(omega=float(w), es=es, ed=ed, form=form)
+        for w, (es, ed) in zip(omegas, values)
+    ]
 
 
 def special_case_es_ed(

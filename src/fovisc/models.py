@@ -70,6 +70,15 @@ class FoSlsParams:
             raise ValueError(f"order alpha must lie in (0, 1], got {self.alpha}")
 
 
+def _branch_impedance(params: FoSlsParams, t_samp: float, s):
+    """Branch impedance K1*B1*S / (K1*T^a + B1*S), as K1*B1*D / (K1 + B1*D) with D = S/T^a."""
+    d = s / t_samp**params.alpha
+    den = params.k1 + params.b1 * d
+    if np.any(np.abs(den) < 1e-300):
+        raise ValueError("singular branch denominator K1 + B1*S/T^a")
+    return params.k1 * params.b1 * d / den
+
+
 def _branch_filter(params: FoSlsParams, kernel: GLKernel):
     """(b, a) coefficients of the branch filter y = lfilter(b, a, x)."""
     scale = params.b1 / kernel.t_samp**params.alpha
@@ -127,11 +136,8 @@ class DiscreteVE:
         omega = float(omega)
         if not (0.0 < omega <= kern.nyquist * (1.0 + 1e-12)):
             raise ValueError(f"omega must lie in (0, pi/T], got {omega}")
-        d = complex(_s_conj_values(kern, np.array([omega]))[0]) / kern.t_samp**p.alpha
-        den = p.k1 + p.b1 * d
-        if abs(den) < 1e-300:
-            raise ValueError("singular branch denominator K1 + B1*D(z)")
-        return p.k0 + p.k1 * p.b1 * d / den
+        s = _s_conj_values(kern, np.array([omega]))
+        return p.k0 + complex(_branch_impedance(p, kern.t_samp, s)[0])
 
 
 def relaxation_response(
@@ -188,30 +194,29 @@ def creep_response(
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Closed-form evaluator for one of the classical special cases."""
+    """Closed-form evaluator for one of the classical special cases, holding the
+    reduced params of reduce_model (k0 = 0 for Maxwell, alpha = 1 for integer order)."""
 
     kind: str
     params: FoSlsParams
     kernel: GLKernel | None = None
 
-    def freq_response(self, omega: float) -> complex:
+    def freq_response(self, omega):
+        """Impedance at one frequency (complex), or elementwise over an array of them."""
         p = self.params
-        omega = float(omega)
-        if omega <= 0.0:
-            raise ValueError(f"omega must be positive, got {omega}")
-        if self.kind in ("fo_kv", "fo_maxwell"):
-            kern = self.kernel
-            d = complex(_s_conj_values(kern, np.array([omega]))[0]) / kern.t_samp**p.alpha
-            if self.kind == "fo_kv":
-                return p.k0 + p.b1 * d
-            return p.k1 * p.b1 * d / (p.k1 + p.b1 * d)
+        omega = np.asarray(omega, dtype=float)
+        if np.any(omega <= 0.0):
+            raise ValueError(f"omega must be positive, got {np.min(omega)}")
         T = self._t_samp
-        d1 = (1.0 - np.exp(-1j * omega * T)) / T
-        if self.kind == "io_kv":
-            return p.k0 + p.b1 * d1
-        if self.kind == "io_sls":
-            return p.k0 + p.k1 * p.b1 * d1 / (p.k1 + p.b1 * d1)
-        return p.k1 * p.b1 * d1 / (p.k1 + p.b1 * d1)  # io_maxwell
+        if self.kind.startswith("fo_"):
+            s = _s_conj_values(self.kernel, omega.ravel()).reshape(omega.shape)
+        else:
+            s = 1.0 - np.exp(-1j * omega * T)  # the order-one spectrum
+        if self.kind.endswith("_kv"):
+            h = p.k0 + p.b1 * (s / T**p.alpha)
+        else:
+            h = p.k0 + _branch_impedance(p, T, s)
+        return complex(h) if h.ndim == 0 else h
 
     @property
     def _t_samp(self) -> float:

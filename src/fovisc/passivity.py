@@ -30,7 +30,7 @@ from .glkernel import (
     delta_p_asymptotic,
     delta_p_sufficient,
 )
-from .models import DiscreteVE, FoSlsParams
+from .models import DiscreteVE, FoSlsParams, _branch_impedance
 from .util import worker_count
 
 __all__ = [
@@ -64,14 +64,14 @@ class PassivityResult:
     margin_ok: bool | None = None
 
 
-def _f_values(ve: DiscreteVE, omegas: np.ndarray) -> np.ndarray:
-    """f(w) on an array of frequencies in (0, pi/T]."""
+def _f_values(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
+    """f(w) on an array of frequencies in (0, pi/T]; s is their spectrum, if already known."""
     p, kern = ve.params, ve.kernel
     T = kern.t_samp
     th = omegas * T
-    s = _s_conj_values(kern, omegas)
-    d = s / T**p.alpha
-    h = p.k0 + p.k1 * p.b1 * d / (p.k1 + p.b1 * d)
+    if s is None:
+        s = _s_conj_values(kern, omegas)
+    h = p.k0 + _branch_impedance(p, T, s)
     lead = 1.0 - np.exp(-1j * th)
     return T / (2.0 * (1.0 - np.cos(th))) * (lead * h).real
 
@@ -113,37 +113,53 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, fun(x)
 
 
-def max_passivity(ve: DiscreteVE, grid_points: int = 8192) -> PassivityResult:
-    """Maximum of f over (0, pi/T], located by parity-aware search.
-
-    Odd memory length: the maximum is at Nyquist; the grid is still swept and
-    required to agree.  Even memory length: grid maximum followed by
-    golden-section refinement inside the best grid cell (f oscillates under
-    truncation, so refinement must stay local).
-    """
+def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
+    """The uniform search grid w_j = j*pi/(G*T), j = 1..G, whose spectrum is an FFT."""
     if grid_points < 256:
         raise ValueError(f"grid_points must be at least 256, got {grid_points}")
-    kern = ve.kernel
-    nyq = kern.nyquist
-    omegas = np.linspace(0.0, nyq, grid_points + 1)[1:]
-    values = _f_values(ve, omegas)
+    return np.linspace(0.0, kernel.nyquist, grid_points + 1)[1:]
+
+
+def _grid_max(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray, refine_at_most: float):
+    """(omega, f) at the maximum of f over the search grid whose spectrum is s.
+
+    A grid maximum at most refine_at_most is refined by golden section inside
+    the best grid cell (f oscillates under truncation, so refinement must stay
+    local); the result is never below the grid maximum.
+    """
+    values = _f_values(ve, omegas, s)
     i_best = int(np.argmax(values))
-    f_nyq = _nyquist_value(ve.params, kern)
-    if kern.n_mem % 2 == 1:
-        slack = 1e-9 * max(1.0, abs(f_nyq))
-        if values[i_best] > f_nyq + slack:
-            raise AssertionError(
-                f"grid maximum {values[i_best]} exceeds the Nyquist value {f_nyq} "
-                "for an odd memory length"
-            )
-        return PassivityResult(b_min=f_nyq, omega_star=nyq, method="closed_form_odd_n")
+    w_grid, f_grid = float(omegas[i_best]), float(values[i_best])
+    if f_grid > refine_at_most:
+        return w_grid, f_grid
     lo = omegas[max(i_best - 1, 0)]
     hi = omegas[min(i_best + 1, omegas.size - 1)]
     tol = (omegas[1] - omegas[0]) * 1e-6
     w_star, f_star = _golden_max(lambda w: float(_f_values(ve, np.array([w]))[0]), lo, hi, tol)
-    if f_star < values[i_best]:
-        w_star, f_star = float(omegas[i_best]), float(values[i_best])
-    return PassivityResult(b_min=f_star, omega_star=w_star, method="grid")
+    return (w_grid, f_grid) if f_star < f_grid else (w_star, f_star)
+
+
+def max_passivity(ve: DiscreteVE, grid_points: int = 8192) -> PassivityResult:
+    """Maximum of f over (0, pi/T], located by parity-aware search.
+
+    Odd memory length: the maximum is at Nyquist; the grid is still swept and
+    required to agree.  Even memory length: grid maximum followed by local
+    golden-section refinement.
+    """
+    kern = ve.kernel
+    omegas = _grid(kern, grid_points)
+    s = _s_conj_values(kern, omegas)
+    if kern.n_mem % 2 == 0:
+        w_star, f_star = _grid_max(ve, omegas, s, math.inf)
+        return PassivityResult(b_min=f_star, omega_star=w_star, method="grid")
+    f_grid = _grid_max(ve, omegas, s, -math.inf)[1]
+    f_nyq = _nyquist_value(ve.params, kern)
+    slack = 1e-9 * max(1.0, abs(f_nyq))
+    if f_grid > f_nyq + slack:
+        raise AssertionError(
+            f"grid maximum {f_grid} exceeds the Nyquist value {f_nyq} for an odd memory length"
+        )
+    return PassivityResult(b_min=f_nyq, omega_star=kern.nyquist, method="closed_form_odd_n")
 
 
 def bound_closed_form(
@@ -236,8 +252,11 @@ def region_scan(
     """Boundary of the admissible (B1, K1) region at k0 = 0.
 
     Odd memory length inverts the closed form exactly; even memory length
-    bisects the grid-search bound down to `resolution` [N/mm].  Columns run
-    concurrently on the even-length path (worker cap: FOVISC_THREADS).
+    bisects the grid-search bound down to `resolution` [N/mm].  The grid
+    spectrum does not depend on (K1, B1), so it is computed once per call, and
+    a candidate whose grid maximum already exceeds the plant damping is
+    refused unrefined.  Columns run concurrently on the even-length path
+    (worker cap: FOVISC_THREADS).
     """
     if abs(alpha - kernel.alpha) > 1e-12:
         raise ValueError(f"kernel order {kernel.alpha} does not match alpha {alpha}")
@@ -268,17 +287,20 @@ def region_scan(
                 k1[j] = val
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)
 
-    def column(b1: float) -> tuple[float, bool]:
-        def bound(k1_val: float) -> float:
-            p = FoSlsParams(k0=0.0, k1=k1_val, b1=b1, alpha=alpha)
-            return max_passivity(DiscreteVE(p, kernel), grid_points).b_min
+    omegas = _grid(kernel, grid_points)
+    s = _s_conj_values(kernel, omegas)
 
-        if bound(k1_max) <= b_plant:
+    def column(b1: float) -> tuple[float, bool]:
+        def admissible(k1_val: float) -> bool:
+            ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1_val, b1=b1, alpha=alpha), kernel)
+            return _grid_max(ve, omegas, s, b_plant)[1] <= b_plant
+
+        if admissible(k1_max):
             return k1_max, True
         lo, hi = 0.0, k1_max
         while hi - lo > resolution:
             mid = 0.5 * (lo + hi)
-            if bound(mid) <= b_plant:
+            if admissible(mid):
                 lo = mid
             else:
                 hi = mid

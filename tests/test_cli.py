@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from fovisc.cli import dispatch
+from fovisc.glkernel import build_kernel
+from fovisc.models import DiscreteVE, FoSlsParams
+from fovisc.passivity import passivity_function
 
 
 def read_csv(path):
@@ -122,6 +125,12 @@ class TestSweep:
         assert header == ["omega_t", "f"]
         assert len(rows) == 64
         assert float(rows[-1][0]) == pytest.approx(math.pi, rel=1e-12)
+        # one array evaluation over the grid, row for row the scalar function
+        ve = DiscreteVE(FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 51, 0.001))
+        omegas = np.linspace(0.0, math.pi / 0.001, 65)[1:]
+        for (wt_s, f_s), w in zip(rows, omegas):
+            assert float(wt_s) == pytest.approx(w * 0.001, rel=1e-11)
+            assert float(f_s) == pytest.approx(passivity_function(ve, w), rel=1e-11)
 
     def test_lowfreq_form_single_row(self, tmp_path):
         out = tmp_path / "es.csv"
@@ -210,6 +219,19 @@ class TestSynthFitRoundtrip:
         )
         assert code == 0
         assert json.loads(out.read_text())["nrmse"] < 1e-6
+
+    def test_hold_past_the_end_of_the_record_is_a_domain_error(self, tmp_path, capsys):
+        creep = tmp_path / "creep.csv"
+        material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203", "--t", "0.001"]
+        assert dispatch(
+            ["synth", *material, "--protocol", "creep", "--t-hold", "1", "--t-recover", "1", "-o", str(creep)]
+        ) == 0
+        capsys.readouterr()
+        # the default --t-hold 3 needs 3001 hold samples; the record has 2001 rows
+        assert dispatch(["fit", "--creep", str(creep), "--starts", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "3001" in err and "2001" in err
+        assert "Traceback" not in err
 
     def test_non_finite_record_is_a_domain_error(self, tmp_path, capsys):
         relax = tmp_path / "relax.csv"

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from fovisc import glkernel
 from fovisc.glkernel import (
+    _s_conj_values,
     binom_general,
     build_kernel,
     delta_d,
@@ -207,3 +209,62 @@ class TestSpectrum:
             s_of_omega(k, -1.0)
         with pytest.raises(ValueError):
             s_of_omega(k, 1.01 * k.nyquist)
+
+
+def direct_spectrum(kernel, omegas, rows=128):
+    """Oracle: sum_k c_k e^{-ik w T} as an explicit matrix product, in row blocks."""
+    k = np.arange(kernel.n_mem + 1)
+    wt = omegas * kernel.t_samp
+    return np.concatenate(
+        [np.exp(-1j * np.outer(wt[i : i + rows], k)) @ kernel.coeffs for i in range(0, wt.size, rows)]
+    )
+
+
+def uniform_grid(kernel, g):
+    return np.linspace(0.0, kernel.nyquist, g + 1)[1:]
+
+
+class TestFftSpectrum:
+    """The uniform-grid spectrum is a folded real FFT; it must equal the direct sum."""
+
+    @pytest.mark.parametrize("g", [2, 3, 64, 1000])
+    @pytest.mark.parametrize("n_case", ["0", "1", "2G-2", "2G-1", "2G", "2G+1", "10001"])
+    def test_matches_direct_sum(self, g, n_case):
+        n_mem = {"0": 0, "1": 1, "2G-2": 2 * g - 2, "2G-1": 2 * g - 1, "2G": 2 * g,
+                 "2G+1": 2 * g + 1, "10001": 10001}[n_case]
+        k = build_kernel(0.37, n_mem, 0.001)
+        omegas = uniform_grid(k, g)
+        want = direct_spectrum(k, omegas)
+        got = _s_conj_values(k, omegas)
+        assert got.shape == (g,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @given(alpha=st.floats(0.01, 1.0), n_mem=st.integers(0, 3000), g=st.integers(2, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_direct_sum_property(self, alpha, n_mem, g):
+        k = build_kernel(alpha, n_mem, 0.0005)
+        omegas = uniform_grid(k, g)
+        want = direct_spectrum(k, omegas)
+        assert np.max(np.abs(_s_conj_values(k, omegas) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_mem, g", [(100, 2), (101, 256), (501, 8192), (10001, 1024)])
+    def test_nyquist_bin_is_real_delta_p(self, n_mem, g):
+        k = build_kernel(0.5, n_mem, 0.001)
+        s = _s_conj_values(k, uniform_grid(k, g))
+        assert s[-1].imag == 0.0
+        assert abs(s[-1].real - delta_p(k)) <= 1e-13 * np.max(np.abs(s))
+
+    def test_off_grid_frequencies_take_the_direct_sum(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT path taken")
+
+        k = build_kernel(0.5, 300, 0.001)
+        grid = uniform_grid(k, 512)
+        off = grid.copy()
+        off[7] = np.nextafter(off[7], np.inf)
+        monkeypatch.setattr(glkernel.np.fft, "rfft", no_fft)
+        with pytest.raises(AssertionError, match="FFT path taken"):
+            _s_conj_values(k, grid)
+        got = _s_conj_values(k, off)
+        want = direct_spectrum(k, off)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fovisc import impedance
 from fovisc.glkernel import build_kernel, delta_s
 from fovisc.impedance import (
     BfoElement,
@@ -15,6 +16,7 @@ from fovisc.impedance import (
     es_ed_lowfreq,
     es_finite,
     special_case_es_ed,
+    sweep_points,
 )
 from fovisc.models import DiscreteVE, FoSlsParams
 
@@ -215,3 +217,42 @@ class TestSpecialCases:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             special_case_es_ed("burgers", SWEEP_PARAMS, 1.0, T)
+
+
+class TestVectorisedSweep:
+    """sweep_points(form='finite_n') evaluates the grid from one spectrum call."""
+
+    @pytest.mark.parametrize("n_mem", [100, 101, 2001])
+    def test_matches_per_point_values(self, n_mem):
+        kern = build_kernel(SWEEP_PARAMS.alpha, n_mem, T)
+        omegas = np.linspace(0.0, kern.nyquist, 513)[1:]  # the uniform grid: FFT path
+        points = sweep_points(SWEEP_PARAMS, kern, omegas)
+        es = np.array([pt.es for pt in points])
+        ed = np.array([pt.ed for pt in points])
+        es_ref = np.array([es_finite(SWEEP_PARAMS, kern, w) for w in omegas])
+        ed_ref = np.array([ed_finite(SWEEP_PARAMS, kern, w) for w in omegas])
+        assert [pt.omega for pt in points] == omegas.tolist()
+        assert all(pt.form == "finite_n" for pt in points)
+        np.testing.assert_allclose(es, es_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ed, ed_ref, rtol=1e-12, atol=1e-12 * np.max(ed_ref))
+        assert ed[-1] == 0.0  # the Nyquist bin of the real FFT is real
+        assert sweep_points(SWEEP_PARAMS, kern, np.array([])) == []
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, 1.01 * math.pi / T])
+    def test_out_of_band_frequency_is_rejected(self, bad):
+        kern = build_kernel(0.5, 100, T)
+        omegas = np.array([10.0, bad, 100.0])
+        with pytest.raises(ValueError, match="omega must lie in"):
+            sweep_points(SWEEP_PARAMS, kern, omegas)
+        with pytest.raises(ValueError, match="omega must lie in"):
+            es_finite(SWEEP_PARAMS, kern, bad)
+
+    @pytest.mark.parametrize("branch, what", [(-1.0 + 0.0j, "branch ES"), (1.0 - 1.0j, "ED")])
+    def test_sign_check_still_fires(self, monkeypatch, branch, what):
+        monkeypatch.setattr(impedance, "_branch_impedance", lambda p, t, s: np.full(s.shape, branch))
+        kern = build_kernel(0.5, 100, T)
+        omegas = np.linspace(0.0, kern.nyquist, 65)[1:]
+        with pytest.raises(AssertionError, match=what):
+            sweep_points(SWEEP_PARAMS, kern, omegas)
+        with pytest.raises(AssertionError, match=what):
+            (es_finite if what == "branch ES" else ed_finite)(SWEEP_PARAMS, kern, 100.0)

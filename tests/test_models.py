@@ -299,6 +299,19 @@ class TestReduceModel:
         for w in (10.0, 700.0, math.pi / T):
             assert reduced.freq_response(w) == pytest.approx(big.freq_response(w), rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell"])
+    def test_array_matches_per_point(self, kind):
+        kern = build_kernel(0.5, 40, T)
+        reduced = reduce_model(kind, FoSlsParams(3.0, 2.0, 0.1, 0.5), kern)
+        omegas = np.linspace(0.0, math.pi / T, 65)[1:]  # the uniform grid: FFT path
+        h = reduced.freq_response(omegas)
+        assert h.shape == omegas.shape
+        assert isinstance(reduced.freq_response(omegas[3]), complex)
+        want = np.array([reduced.freq_response(w) for w in omegas])
+        np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        with pytest.raises(ValueError):
+            reduced.freq_response(np.array([1.0, 0.0]))
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             reduce_model("zener", FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 3, T))

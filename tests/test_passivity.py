@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fovisc import passivity
 from fovisc.glkernel import build_kernel, delta_p
 from fovisc.models import DiscreteVE, FoSlsParams
 from fovisc.passivity import (
@@ -291,3 +292,50 @@ class TestRegionScan:
     def test_kernel_order_mismatch(self):
         with pytest.raises(ValueError):
             region_scan(0.4, build_kernel(0.5, 101, T), 0.0025, [1.0], 10.0)
+
+    @pytest.mark.parametrize(
+        "alpha, n_mem, b_plant, grid",
+        [(0.5, 100, 0.0025, 256), (0.3, 60, 0.004, 512), (0.8, 200, 0.0015, 1024)],
+    )
+    def test_even_memory_matches_reference_bisection(self, alpha, n_mem, b_plant, grid):
+        # the scan shares one grid spectrum and skips refinement of candidates
+        # already refused on the grid; the answer must be exactly that of a
+        # plain bisection on max_passivity
+        kern = build_kernel(alpha, n_mem, T)
+        b1_grid = np.array([0.001, 0.05, 0.4, 1.0, 2.0])
+        k1_max, resolution = 1000.0, 0.1
+        region = region_scan(alpha, kern, b_plant, b1_grid, k1_max, resolution, grid)
+
+        def reference(b1):
+            def bound(k1):
+                return max_passivity(DiscreteVE(FoSlsParams(0.0, k1, b1, alpha), kern), grid).b_min
+
+            if bound(k1_max) <= b_plant:
+                return k1_max, True
+            lo, hi = 0.0, k1_max
+            while hi - lo > resolution:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if bound(mid) <= b_plant else (lo, mid)
+            return lo, False
+
+        want = [reference(b1) for b1 in b1_grid]
+        assert region.k1.tolist() == [k1 for k1, _ in want]
+        assert region.capped.tolist() == [cap for _, cap in want]
+        assert any(region.capped) and not all(region.capped)
+
+    def test_even_memory_spectrum_computed_once(self, monkeypatch):
+        sizes = []
+        spectrum = passivity._s_conj_values
+
+        def counted(kernel, omegas):
+            sizes.append(np.size(omegas))
+            return spectrum(kernel, omegas)
+
+        monkeypatch.setattr(passivity, "_s_conj_values", counted)
+        kern = build_kernel(0.5, 100, T)
+        region_scan(0.5, kern, 0.0025, [0.05, 0.5, 2.0], 1000.0, grid_points=512)
+        assert sizes.count(512) == 1
+        assert set(sizes) == {1, 512}  # the rest are single-point refinements
+        sizes.clear()
+        region_scan(0.5, build_kernel(0.5, 101, T), 0.0025, [0.05, 0.5, 2.0], 1000.0)
+        assert sizes == []  # odd N: closed form, no spectrum at all
