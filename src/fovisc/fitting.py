@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .glkernel import GLKernel, build_kernel
+from .glkernel import GLKernel, build_kernel, delta_p
 from .models import FoSlsParams, creep_response, relaxation_response
 from .passivity import _nyquist_value, bound_closed_form
 from .util import worker_count
@@ -197,7 +197,8 @@ def _passive_params(
     k1, b1 = math.exp(log_k1), math.exp(log_b1)
     alpha = _ALPHA_LO + (1.0 - _ALPHA_LO) / (1.0 + math.exp(-u))
     kern = build_kernel(alpha, n_mem, t_samp)
-    k0 = 2.0 / t_samp * (b_plant - _nyquist_value(FoSlsParams(0.0, k1, b1, alpha), kern)) - slack
+    branch = _nyquist_value("fo_sls", FoSlsParams(0.0, k1, b1, alpha), t_samp, delta_p(kern))
+    k0 = 2.0 / t_samp * (b_plant - branch) - slack
     while True:
         params = FoSlsParams(k0=k0, k1=k1, b1=b1, alpha=alpha)
         excess = bound_closed_form(params, kern).b_min - b_plant

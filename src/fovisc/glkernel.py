@@ -173,17 +173,37 @@ def delta_d(alpha: float, n_mem: int) -> float:
     return alpha * binom_general(n_mem - alpha, n_mem - 1)
 
 
+def _check_omegas(omegas, t_samp: float, allow_dc: bool = False) -> np.ndarray:
+    """The frequencies as a float array, each required to lie in (0, pi/T]
+    ([0, pi/T] with allow_dc), with 1e-12 relative slack at Nyquist."""
+    omegas = np.asarray(omegas, dtype=float)
+    above_lo = omegas >= 0.0 if allow_dc else omegas > 0.0
+    bad = omegas[~(above_lo & (omegas <= math.pi / t_samp * (1.0 + 1e-12)))]
+    if bad.size:
+        band = "[0, pi/T]" if allow_dc else "(0, pi/T]"
+        raise ValueError(f"omega must lie in {band}, got {bad[0]}")
+    return omegas
+
+
 def s_of_omega(kernel: GLKernel, omega: float) -> tuple[complex, complex]:
     """Coefficient spectrum S = sum_k c_k e^{+ik w T} and its conjugate.
 
     S(0) equals delta_s and S(pi/T) equals delta_p exactly; |S| is bounded
     by sum |c_k|.
     """
-    omega = float(omega)
-    if not (0.0 <= omega <= kernel.nyquist + 1e-12 * kernel.nyquist):
-        raise ValueError(f"omega must lie in [0, pi/T], got {omega}")
-    s = complex(_s_conj_values(kernel, np.array([omega]))[0].conjugate())
+    omegas = _check_omegas([omega], kernel.t_samp, allow_dc=True)
+    s = complex(_s_conj_values(kernel, omegas)[0].conjugate())
     return s, s.conjugate()
+
+
+def _s_conj_infinite(omegas, t_samp: float, alpha: float):
+    """Infinite-memory spectrum sum_k c_k e^{-ik w T} = (1 - e^{-i w T})^alpha.
+
+    The principal power: for w T in [0, pi] the base sits in the closed right
+    half plane, clear of the branch cut.  At alpha = 1 it is also the exact
+    spectrum of every kernel with N >= 1.
+    """
+    return (1.0 - np.exp(-1j * np.asarray(omegas, dtype=float) * t_samp)) ** alpha
 
 
 def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np.ndarray:

@@ -5,24 +5,30 @@ dissipative part:
 
     ES(w) = Re+{H},        ED(w) = Im+{H} / w,
 
-where the + marks the physically assigned (nonnegative) component.  Four
-evaluation routes are provided: the finite-memory coefficient sums, the
-infinite-memory trigonometric closed form, the equivalent compact complex
-form built on (1 - e^{-i w T})^alpha, and the low-frequency limits in terms
-of delta_s and delta_d.
+where the + marks the physically assigned (nonnegative) component.  Every
+route is H = K0 + branch(S) at one spectrum S: the finite-memory coefficient
+sums, the infinite-memory compact form S = (1 - e^{-i w T})^alpha (checked
+against the trigonometric closed form), and the low-frequency limit S =
+delta_s (ED there from delta_d).  The classical reductions substitute their
+reduced parameters into the same impedance.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .glkernel import GLKernel, _s_conj_values, delta_d, delta_s
-from .models import REDUCTION_KINDS, FoSlsParams, _branch_impedance
+from .glkernel import GLKernel, _check_omegas, _s_conj_infinite, _s_conj_values, delta_d, delta_s
+from .models import (
+    REDUCTION_KINDS,
+    FoSlsParams,
+    _branch_impedance,
+    _reduced_impedance,
+    _reduced_params,
+)
 
 __all__ = [
     "EffectiveImpedancePoint",
@@ -48,7 +54,7 @@ class EffectiveImpedancePoint:
     omega: float  # rad/s
     es: float  # N/mm
     ed: float  # N*s/mm
-    form: str  # finite_n | compact | asymptotic | lowfreq
+    form: str  # finite_n | asymptotic | lowfreq
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,7 @@ def _es_ed_finite(
     params: FoSlsParams, kernel: GLKernel, omegas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Finite-memory (ES, ED) arrays from one spectrum evaluation over omegas in (0, pi/T]."""
-    bad = omegas[~((omegas > 0.0) & (omegas <= kernel.nyquist * (1.0 + 1e-12)))]
-    if bad.size:
-        raise ValueError(f"omega must lie in (0, pi/T], got {bad[0]}")
+    omegas = _check_omegas(omegas, kernel.t_samp)
     branch = _branch_impedance(params, kernel.t_samp, _s_conj_values(kernel, omegas))
     es = params.k0 + _assigned_positive(branch.real, "branch ES")
     return es, _assigned_positive(branch.imag / omegas, "ED")
@@ -93,53 +97,50 @@ def ed_finite(params: FoSlsParams, kernel: GLKernel, omega: float) -> float:
     return float(_es_ed_finite(params, kernel, np.array([float(omega)]))[1][0])
 
 
-def _compact_branch(params: FoSlsParams, omega: float, t_samp: float) -> complex:
-    """Infinite-memory branch via the principal power (1 - e^{-i w T})^alpha.
-
-    For w T in (0, pi] the base sits in the right half plane, away from the
-    principal branch cut.
-    """
+def _trig_branch(params: FoSlsParams, omegas: np.ndarray, t_samp: float):
+    """Infinite-memory branch (re, im) arrays from the trigonometric closed form."""
     p = params
-    w = (1.0 - cmath.exp(-1j * omega * t_samp)) ** p.alpha
+    th = omegas * t_samp
     t_a = t_samp**p.alpha
-    return p.k1 * p.b1 * w / (p.k1 * t_a + p.b1 * w)
-
-
-def _trig_branch(params: FoSlsParams, omega: float, t_samp: float) -> tuple[float, float]:
-    """Infinite-memory branch (re, im) from the trigonometric closed form."""
-    p = params
-    th = omega * t_samp
-    t_a = t_samp**p.alpha
-    r = (2.0 * math.sin(0.5 * th)) ** p.alpha
+    r = (2.0 * np.sin(0.5 * th)) ** p.alpha
     phase = 0.5 * (th - math.pi) * p.alpha
-    cosp, sinp = math.cos(phase), math.sin(phase)
+    cosp, sinp = np.cos(phase), np.sin(phase)
     den = p.k1**2 * t_a**2 + p.b1**2 * r * r + 2.0 * p.b1 * p.k1 * t_a * r * cosp
     re = p.k1 * p.b1 * (p.b1 * r * r + p.k1 * t_a * r * cosp) / den
     im = -p.b1 * p.k1**2 * t_a * r * sinp / den
     return re, im
 
 
-def es_ed_asymptotic(params: FoSlsParams, omega: float, t_samp: float) -> tuple[float, float]:
-    """Infinite-memory effective stiffness and damping at one frequency.
+def _es_ed_infinite(
+    params: FoSlsParams, omegas: np.ndarray, t_samp: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Infinite-memory (ES, ED) arrays over omegas in (0, pi/T].
 
-    The trigonometric and compact-complex routes describe the same analytic
-    object; both are evaluated and required to agree to 1e-12 before the
-    values are returned.
+    The branch on the compact spectrum (1 - e^{-i w T})^alpha and the
+    trigonometric closed form describe the same analytic object; both are
+    evaluated and required to agree to 1e-12 at every point before the values
+    are returned.
     """
-    omega = float(omega)
-    if not (0.0 < omega <= math.pi / t_samp * (1.0 + 1e-12)):
-        raise ValueError(f"omega must lie in (0, pi/T], got {omega}")
-    branch = _compact_branch(params, omega, t_samp)
-    re_t, im_t = _trig_branch(params, omega, t_samp)
-    scale = max(1.0, abs(branch))
-    if abs(branch.real - re_t) > 1e-12 * scale or abs(branch.imag - im_t) > 1e-12 * scale:
+    omegas = _check_omegas(omegas, t_samp)
+    branch = _branch_impedance(params, t_samp, _s_conj_infinite(omegas, t_samp, params.alpha))
+    re_t, im_t = _trig_branch(params, omegas, t_samp)
+    tol = 1e-12 * np.maximum(1.0, np.abs(branch))
+    bad = np.flatnonzero((np.abs(branch.real - re_t) > tol) | (np.abs(branch.imag - im_t) > tol))
+    if bad.size:
+        i = bad[0]
         raise AssertionError(
-            "trigonometric and compact evaluations disagree: "
-            f"({re_t}, {im_t}) vs ({branch.real}, {branch.imag})"
+            f"trigonometric and compact evaluations disagree at omega = {omegas[i]}: "
+            f"({re_t[i]}, {im_t[i]}) vs ({branch.real[i]}, {branch.imag[i]})"
         )
-    es = params.k0 + float(_assigned_positive(branch.real, "branch ES"))
-    ed = float(_assigned_positive(branch.imag / omega, "ED"))
-    return es, ed
+    es = params.k0 + _assigned_positive(branch.real, "branch ES")
+    return es, _assigned_positive(branch.imag / omegas, "ED")
+
+
+def es_ed_asymptotic(params: FoSlsParams, omega: float, t_samp: float) -> tuple[float, float]:
+    """Infinite-memory effective stiffness and damping at one frequency,
+    trigonometric and compact routes cross-checked."""
+    es, ed = _es_ed_infinite(params, np.array([float(omega)]), t_samp)
+    return float(es[0]), float(ed[0])
 
 
 def es_ed_lowfreq(params: FoSlsParams, kernel: GLKernel) -> tuple[float, float]:
@@ -156,9 +157,8 @@ def es_ed_lowfreq(params: FoSlsParams, kernel: GLKernel) -> tuple[float, float]:
     ds = delta_s(p.alpha, kernel.n_mem)
     dd = delta_d(p.alpha, kernel.n_mem)
     t_a = kernel.t_samp**p.alpha
-    den = p.b1 * ds + p.k1 * t_a
-    es = p.k0 + p.k1 * p.b1 * ds / den
-    ed = p.b1 * p.k1**2 * kernel.t_samp * t_a * dd / den**2
+    es = p.k0 + _branch_impedance(p, kernel.t_samp, ds)  # S(0) = ds
+    ed = p.b1 * p.k1**2 * kernel.t_samp * t_a * dd / (p.b1 * ds + p.k1 * t_a) ** 2
     return es, ed
 
 
@@ -168,12 +168,9 @@ def bfo_response(element: BfoElement, omega: float) -> complex:
     Approaches B1*(i w)^alpha as w T -> 0 and stays bounded at Nyquist with
     magnitude B1*2^alpha/T^alpha.
     """
-    omega = float(omega)
-    nyq = math.pi / element.t_samp
-    if not (0.0 <= omega <= nyq * (1.0 + 1e-12)):
-        raise ValueError(f"omega must lie in [0, pi/T], got {omega}")
-    base = 1.0 - cmath.exp(-1j * omega * element.t_samp)
-    return element.b1 / element.t_samp**element.alpha * base**element.alpha
+    el = element
+    omega = _check_omegas(omega, el.t_samp, allow_dc=True)
+    return el.b1 / el.t_samp**el.alpha * complex(_s_conj_infinite(omega, el.t_samp, el.alpha))
 
 
 def sweep_points(
@@ -186,7 +183,8 @@ def sweep_points(
 
     form 'lowfreq' ignores the grid and reports the single w = 0 limit
     point (that is also where ED must be reported at exactly zero frequency).
-    form 'finite_n' evaluates the whole grid from one spectrum call.
+    forms 'finite_n' and 'asymptotic' each evaluate the whole grid in one
+    array call.
     """
     if form == "lowfreq":
         es, ed = es_ed_lowfreq(params, kernel)
@@ -194,14 +192,13 @@ def sweep_points(
     omegas = np.asarray(omegas, dtype=float)
     if form == "finite_n":
         es, ed = _es_ed_finite(params, kernel, omegas)
-        values = zip(es.tolist(), ed.tolist())
-    elif form in ("asymptotic", "compact"):
-        values = (es_ed_asymptotic(params, w, kernel.t_samp) for w in omegas)
+    elif form == "asymptotic":
+        es, ed = _es_ed_infinite(params, omegas, kernel.t_samp)
     else:
         raise ValueError(f"unknown form {form!r}")
     return [
-        EffectiveImpedancePoint(omega=float(w), es=es, ed=ed, form=form)
-        for w, (es, ed) in zip(omegas, values)
+        EffectiveImpedancePoint(omega=w, es=e, ed=d, form=form)
+        for w, e, d in zip(omegas.tolist(), es.tolist(), ed.tolist())
     ]
 
 
@@ -210,28 +207,14 @@ def special_case_es_ed(
 ) -> tuple[float, float]:
     """Effective stiffness and damping of one classical reduction.
 
-    Kelvin-Voigt kinds are the dedicated infinite-branch-stiffness formulas;
-    Maxwell kinds drop k0; integer-order kinds fix alpha = 1.  'fo_sls'
-    selects the unreduced compact form.
+    The reduced impedance on the infinite-memory spectrum, for omega in
+    (0, pi/T]: Kelvin-Voigt kinds are the dedicated infinite-branch-stiffness
+    formulas; Maxwell kinds drop k0; integer-order kinds fix alpha = 1.
+    'fo_sls' selects the unreduced compact form.
     """
-    if kind not in REDUCTION_KINDS + ("fo_sls",):
+    if kind not in ("fo_sls",) + REDUCTION_KINDS:
         raise ValueError(f"unsupported kind {kind!r}")
-    omega = float(omega)
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    p = params
-    if kind.startswith("io_"):
-        p = FoSlsParams(k0=p.k0, k1=p.k1, b1=p.b1, alpha=1.0)
-    th = omega * t_samp
-    if kind == "io_kv":
-        es = p.k0 + p.b1 / t_samp * (1.0 - math.cos(th))
-        ed = p.b1 * math.sin(th) / th
-        return es, ed
-    if kind == "fo_kv":
-        w = (1.0 - cmath.exp(-1j * th)) ** p.alpha
-        es = p.k0 + p.b1 / t_samp**p.alpha * w.real
-        ed = p.b1 / (omega * t_samp**p.alpha) * w.imag
-        return es, ed
-    k0 = 0.0 if kind in ("fo_maxwell", "io_maxwell") else p.k0
-    branch = _compact_branch(p, omega, t_samp)
-    return k0 + branch.real, branch.imag / omega
+    omega = float(_check_omegas(omega, t_samp))
+    p = _reduced_params(kind, params)
+    h = complex(_reduced_impedance(kind, p, t_samp, _s_conj_infinite(omega, t_samp, p.alpha)))
+    return h.real, h.imag / omega

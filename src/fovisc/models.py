@@ -20,12 +20,12 @@ with zero-padded history before startup (system at rest for t < 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .glkernel import GLKernel, _s_conj_values, build_kernel
+from .glkernel import GLKernel, _check_omegas, _s_conj_infinite, _s_conj_values, build_kernel
 from .util import n_samples
 
 __all__ = [
@@ -74,9 +74,28 @@ def _branch_impedance(params: FoSlsParams, t_samp: float, s):
     """Branch impedance K1*B1*S / (K1*T^a + B1*S), as K1*B1*D / (K1 + B1*D) with D = S/T^a."""
     d = s / t_samp**params.alpha
     den = params.k1 + params.b1 * d
-    if np.any(np.abs(den) < 1e-300):
+    if (np.abs(den) < 1e-300).any():  # numpy scalars have .any(): cheap on scalar bounds
         raise ValueError("singular branch denominator K1 + B1*S/T^a")
     return params.k1 * params.b1 * d / den
+
+
+def _reduced_params(kind: str, params: FoSlsParams) -> FoSlsParams:
+    """The parameters a kind renders: alpha = 1 for the integer-order kinds,
+    k0 = 0 for the Maxwell kinds; 'fo_sls' and the rest keep them as given."""
+    if kind.startswith("io_"):
+        params = replace(params, alpha=1.0)
+    if kind.endswith("_maxwell"):
+        params = replace(params, k0=0.0)
+    return params
+
+
+def _reduced_impedance(kind: str, params: FoSlsParams, t_samp: float, s):
+    """Rendered impedance at spectrum S: K0 + branch(S), or K0 + B1*S/T^a for the
+    Kelvin-Voigt kinds (infinite branch stiffness as its own formula, never a
+    large-K1 substitution).  Every special case is this with reduced params."""
+    if kind.endswith("_kv"):
+        return params.k0 + params.b1 * (s / t_samp**params.alpha)
+    return params.k0 + _branch_impedance(params, t_samp, s)
 
 
 def _branch_filter(params: FoSlsParams, kernel: GLKernel):
@@ -132,12 +151,9 @@ class DiscreteVE:
 
     def freq_response(self, omega: float) -> complex:
         """Impedance H(e^{i w T}) [N/mm] for 0 < omega <= pi/T."""
-        p, kern = self.params, self.kernel
-        omega = float(omega)
-        if not (0.0 < omega <= kern.nyquist * (1.0 + 1e-12)):
-            raise ValueError(f"omega must lie in (0, pi/T], got {omega}")
-        s = _s_conj_values(kern, np.array([omega]))
-        return p.k0 + complex(_branch_impedance(p, kern.t_samp, s)[0])
+        kern = self.kernel
+        s = _s_conj_values(kern, _check_omegas([omega], kern.t_samp))
+        return complex(_reduced_impedance("fo_sls", self.params, kern.t_samp, s)[0])
 
 
 def relaxation_response(
@@ -202,20 +218,15 @@ class ReducedModel:
     kernel: GLKernel | None = None
 
     def freq_response(self, omega):
-        """Impedance at one frequency (complex), or elementwise over an array of them."""
-        p = self.params
-        omega = np.asarray(omega, dtype=float)
-        if np.any(omega <= 0.0):
-            raise ValueError(f"omega must be positive, got {np.min(omega)}")
+        """Impedance at one frequency (complex), or elementwise over an array of
+        them, each in (0, pi/T]."""
         T = self._t_samp
+        omega = _check_omegas(omega, T)
         if self.kind.startswith("fo_"):
             s = _s_conj_values(self.kernel, omega.ravel()).reshape(omega.shape)
         else:
-            s = 1.0 - np.exp(-1j * omega * T)  # the order-one spectrum
-        if self.kind.endswith("_kv"):
-            h = p.k0 + p.b1 * (s / T**p.alpha)
-        else:
-            h = p.k0 + _branch_impedance(p, T, s)
+            s = _s_conj_infinite(omega, T, self.params.alpha)  # order one: exact for N >= 1
+        h = _reduced_impedance(self.kind, self.params, T, s)
         return complex(h) if h.ndim == 0 else h
 
     @property
@@ -239,11 +250,7 @@ def reduce_model(kind: str, params: FoSlsParams, kernel: GLKernel | None = None)
         raise ValueError(f"unsupported reduction kind {kind!r}; expected one of {REDUCTION_KINDS}")
     if kernel is None:
         raise ValueError("reduce_model needs a kernel for the sampling period")
-    p = params
-    if kind.startswith("io_"):
-        p = FoSlsParams(k0=p.k0, k1=p.k1, b1=p.b1, alpha=1.0)
-    if kind in ("fo_maxwell", "io_maxwell"):
-        p = FoSlsParams(k0=0.0, k1=p.k1, b1=p.b1, alpha=p.alpha)
-    if kind in ("fo_kv", "fo_maxwell") and abs(p.alpha - kernel.alpha) > 1e-12:
+    p = _reduced_params(kind, params)
+    if kind.startswith("fo_") and abs(p.alpha - kernel.alpha) > 1e-12:
         kernel = build_kernel(p.alpha, kernel.n_mem, kernel.t_samp)
     return ReducedModel(kind=kind, params=p, kernel=kernel)

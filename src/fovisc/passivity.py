@@ -8,9 +8,10 @@ period T iff
 for all w in (0, pi/T].  For odd memory length the maximum of f sits exactly
 at the Nyquist frequency, which collapses the bound to the closed form
 
-    b > K0*T/2 + (K1*T/2) * B1*dp / (B1*dp + K1*T^alpha),
+    b > (T/2) * Re H(S = dp) = K0*T/2 + (K1*T/2) * B1*dp / (B1*dp + K1*T^alpha),
 
-with dp the alternating coefficient sum.  Even memory lengths shift the
+with dp the alternating coefficient sum, the spectrum at w = pi/T.  The
+classical reductions are the same value of their reduced impedance.  Even memory lengths shift the
 maximum into the interior, so they are always resolved by grid search plus
 local refinement, never by the Nyquist shortcut.
 """
@@ -25,12 +26,13 @@ import numpy as np
 
 from .glkernel import (
     GLKernel,
+    _check_omegas,
     _s_conj_values,
     delta_p,
     delta_p_asymptotic,
     delta_p_sufficient,
 )
-from .models import DiscreteVE, FoSlsParams, _branch_impedance
+from .models import REDUCTION_KINDS, DiscreteVE, FoSlsParams, _reduced_impedance, _reduced_params
 from .util import worker_count
 
 __all__ = [
@@ -45,7 +47,7 @@ __all__ = [
     "BOUND_KINDS",
 ]
 
-BOUND_KINDS = ("fo_sls", "fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell")
+BOUND_KINDS = ("fo_sls",) + REDUCTION_KINDS
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,28 +73,20 @@ def _f_values(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray | None = None) -
     th = omegas * T
     if s is None:
         s = _s_conj_values(kern, omegas)
-    h = p.k0 + _branch_impedance(p, T, s)
+    h = _reduced_impedance("fo_sls", p, T, s)
     lead = 1.0 - np.exp(-1j * th)
     return T / (2.0 * (1.0 - np.cos(th))) * (lead * h).real
 
 
 def passivity_function(ve: DiscreteVE, omega: float) -> float:
     """Colgate right-hand side f(w) [N*s/mm] at one frequency in (0, pi/T]."""
-    omega = float(omega)
-    nyq = ve.kernel.nyquist
-    if not (0.0 < omega <= nyq * (1.0 + 1e-12)):
-        raise ValueError(f"omega must lie in (0, pi/T], got {omega}")
-    return float(_f_values(ve, np.array([omega]))[0])
+    return float(_f_values(ve, _check_omegas([omega], ve.kernel.t_samp))[0])
 
 
-def _nyquist_value(params: FoSlsParams, kernel: GLKernel) -> float:
-    """f at w = pi/T from the alternating sum (no trigonometric roundoff)."""
-    p = params
-    dp = delta_p(kernel)
-    t_a = kernel.t_samp**p.alpha
-    return p.k0 * kernel.t_samp / 2.0 + (p.k1 * kernel.t_samp / 2.0) * p.b1 * dp / (
-        p.b1 * dp + p.k1 * t_a
-    )
+def _nyquist_value(kind: str, params: FoSlsParams, t_samp: float, dp: float) -> float:
+    """f at w = pi/T, (T/2)*Re H there, where the spectrum is the real dp (the
+    alternating sum, or a stand-in for it): no trigonometric roundoff."""
+    return t_samp / 2.0 * float(_reduced_impedance(kind, params, t_samp, dp))
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -153,7 +147,7 @@ def max_passivity(ve: DiscreteVE, grid_points: int = 8192) -> PassivityResult:
         w_star, f_star = _grid_max(ve, omegas, s, math.inf)
         return PassivityResult(b_min=f_star, omega_star=w_star, method="grid")
     f_grid = _grid_max(ve, omegas, s, -math.inf)[1]
-    f_nyq = _nyquist_value(ve.params, kern)
+    f_nyq = _nyquist_value("fo_sls", ve.params, kern.t_samp, delta_p(kern))
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
         raise AssertionError(
@@ -174,7 +168,7 @@ def bound_closed_form(
         raise ValueError(
             "closed-form bound requires an odd memory length; use max_passivity for even N"
         )
-    b_min = _nyquist_value(params, kernel)
+    b_min = _nyquist_value("fo_sls", params, kernel.t_samp, delta_p(kernel))
     ok = None if b_plant is None else bool(b_plant > b_min)
     return PassivityResult(
         b_min=b_min, omega_star=kernel.nyquist, method="closed_form_odd_n", margin_ok=ok
@@ -187,42 +181,26 @@ def bound_variants(params: FoSlsParams, kernel: GLKernel) -> dict[str, float]:
     For odd N the ordering is sufficient >= closed form > asymptotic; at
     alpha = 1 all three coincide.
     """
-    p = params
-    T = kernel.t_samp
-    t_a = T**p.alpha
-
-    def from_dp(dp: float) -> float:
-        return p.k0 * T / 2.0 + (p.k1 * T / 2.0) * p.b1 * dp / (p.b1 * dp + p.k1 * t_a)
-
-    return {
-        "asymptotic": from_dp(delta_p_asymptotic(p.alpha)),
-        "sufficient": from_dp(delta_p_sufficient(p.alpha, kernel.n_mem)),
+    dps = {
+        "asymptotic": delta_p_asymptotic(params.alpha),
+        "sufficient": delta_p_sufficient(params.alpha, kernel.n_mem),
     }
+    return {k: _nyquist_value("fo_sls", params, kernel.t_samp, dp) for k, dp in dps.items()}
 
 
 def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> float:
     """Minimum damping for one of the classical reductions.
 
-    Kelvin-Voigt kinds use the dedicated infinite-branch-stiffness formula;
-    integer-order kinds are exact for any N >= 1 (the alternating sum is 2).
+    The Nyquist value of the reduced impedance.  Kelvin-Voigt kinds use the
+    dedicated infinite-branch-stiffness formula; integer-order kinds are exact
+    for any N >= 1 (the alternating sum is 2).
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unsupported kind {kind!r}; expected one of {BOUND_KINDS}")
-    p = params
-    T = kernel.t_samp
-    if kind.startswith("io_"):
-        if kernel.n_mem < 1:
-            raise ValueError("integer-order reductions need at least one memory term")
-        k0 = 0.0 if kind == "io_maxwell" else p.k0
-        if kind == "io_kv":
-            return k0 * T / 2.0 + p.b1
-        return k0 * T / 2.0 + p.k1 * p.b1 * T / (2.0 * p.b1 + p.k1 * T)
-    dp = delta_p(kernel)
-    t_a = T**p.alpha
-    if kind == "fo_kv":
-        return p.k0 * T / 2.0 + p.b1 * dp / (2.0 * t_a / T)
-    k0 = 0.0 if kind == "fo_maxwell" else p.k0
-    return k0 * T / 2.0 + (p.k1 * T / 2.0) * p.b1 * dp / (p.b1 * dp + p.k1 * t_a)
+    if kind.startswith("io_") and kernel.n_mem < 1:
+        raise ValueError("integer-order reductions need at least one memory term")
+    dp = 2.0 if kind.startswith("io_") else delta_p(kernel)
+    return _nyquist_value(kind, _reduced_params(kind, params), kernel.t_samp, dp)
 
 
 @dataclass(frozen=True)
@@ -271,20 +249,14 @@ def region_scan(
         # bound -> 0+ as K1 -> 0+, so a nonpositive budget admits nothing
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=False)
 
-    T = kernel.t_samp
-    t_a = T**alpha
     if kernel.n_mem % 2 == 1:
-        dp = delta_p(kernel)
-        for j, b1 in enumerate(b1_grid):
-            sup = (T / 2.0) * b1 * dp / t_a
-            if b_plant >= sup:
-                k1[j], capped[j] = k1_max, True
-                continue
-            val = 2.0 * b_plant * b1 * dp / (T * b1 * dp - 2.0 * b_plant * t_a)
-            if val >= k1_max:
-                k1[j], capped[j] = k1_max, True
-            else:
-                k1[j] = val
+        # the bound rises with K1 toward sup; below it, invert for K1
+        T, dp, t_a = kernel.t_samp, delta_p(kernel), kernel.t_samp**alpha
+        sup = (T / 2.0) * b1_grid * dp / t_a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inverse = 2.0 * b_plant * b1_grid * dp / (T * b1_grid * dp - 2.0 * b_plant * t_a)
+        capped = (b_plant >= sup) | (inverse >= k1_max)
+        k1 = np.where(capped, k1_max, inverse)
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)
 
     omegas = _grid(kernel, grid_points)

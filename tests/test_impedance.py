@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fovisc.impedance import (
     special_case_es_ed,
     sweep_points,
 )
-from fovisc.models import DiscreteVE, FoSlsParams
+from fovisc.models import DiscreteVE, FoSlsParams, reduce_model
 
 T = 0.001
 SWEEP_PARAMS = FoSlsParams(k0=10.0, k1=32.0, b1=0.01, alpha=0.5)
@@ -100,6 +101,33 @@ class TestAsymptotic:
             assert abs(es_finite(params, kern, w) - es_a) < 1e-6 * abs(es_a)
             if abs(ed_a) > 1e-10:
                 assert abs(ed_finite(params, kern, w) - ed_a) < 1e-6 * abs(ed_a)
+
+    def test_sweep_equals_scalar_at_every_point(self):
+        kern = build_kernel(SWEEP_PARAMS.alpha, 101, T)
+        for params in (SWEEP_PARAMS, FoSlsParams(0.0, 1.0, 1.0, 0.25), FoSlsParams(2.0, 5.0, 3.0, 0.95)):
+            omegas = np.linspace(0.0, math.pi / T, 513)[1:]
+            points = sweep_points(params, kern, omegas, form="asymptotic")
+            assert [pt.omega for pt in points] == omegas.tolist()
+            assert all(pt.form == "asymptotic" for pt in points)
+            assert [(pt.es, pt.ed) for pt in points] == [
+                es_ed_asymptotic(params, w, T) for w in omegas
+            ]
+
+    def test_cross_check_names_first_wrong_point(self, monkeypatch):
+        omegas = np.linspace(0.0, math.pi / T, 65)[1:]
+        trig = impedance._trig_branch
+
+        def wrong_at_two(params, w, t_samp):
+            re_t, im_t = trig(params, w, t_samp)
+            return np.where(np.isin(w, omegas[[17, 40]]), re_t + 1e-6, re_t), im_t
+
+        monkeypatch.setattr(impedance, "_trig_branch", wrong_at_two)
+        kern = build_kernel(SWEEP_PARAMS.alpha, 101, T)
+        with pytest.raises(AssertionError, match=re.escape(f"at omega = {omegas[17]}:")):
+            sweep_points(SWEEP_PARAMS, kern, omegas, form="asymptotic")
+        with pytest.raises(AssertionError, match="disagree"):
+            es_ed_asymptotic(SWEEP_PARAMS, omegas[17], T)
+        es_ed_asymptotic(SWEEP_PARAMS, omegas[16], T)  # the other points still agree
 
     def test_nyquist_value_consistent_with_alternating_sum(self):
         params = FoSlsParams(0.0, 1.0, 1.0, 0.5)
@@ -214,6 +242,31 @@ class TestSpecialCases:
             assert es_row == pytest.approx(es_finite(big_io, kern_io, w), rel=1e-6)
             assert ed_row == pytest.approx(ed_finite(big_io, kern_io, w), rel=1e-6, abs=1e-9)
 
+    @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell"])
+    def test_rows_match_written_out_formulas(self, kind):
+        # each row is the reduced impedance on the infinite spectrum; these are
+        # the per-kind formulas it replaces, written out independently
+        rng = np.random.default_rng(21)
+        for params in random_draws(40, rng, alphas=(0.01, 1.0)):
+            p = FoSlsParams(params.k0, params.k1, params.b1, 1.0) if kind.startswith("io_") else params
+            k0 = 0.0 if kind.endswith("_maxwell") else p.k0
+            w = float(rng.uniform(0.005, 1.0)) * math.pi / T
+            th = w * T
+            base = (1.0 - cmath.exp(-1j * th)) ** p.alpha
+            t_a = T**p.alpha
+            if kind == "io_kv":
+                es_ref, ed_ref = k0 + p.b1 / T * (1.0 - math.cos(th)), p.b1 * math.sin(th) / th
+            elif kind == "fo_kv":
+                es_ref, ed_ref = k0 + p.b1 / t_a * base.real, p.b1 / (w * t_a) * base.imag
+            else:
+                branch = p.k1 * p.b1 * base / (p.k1 * t_a + p.b1 * base)
+                es_ref, ed_ref = k0 + branch.real, branch.imag / w
+            es, ed = special_case_es_ed(kind, params, w, T)
+            # ED relative to the impedance: Im H -> 0 at Nyquist
+            h_scale = abs(complex(es_ref, w * ed_ref))
+            assert es == pytest.approx(es_ref, rel=1e-13)
+            assert ed == pytest.approx(ed_ref, rel=1e-13, abs=1e-13 * h_scale / w)
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             special_case_es_ed("burgers", SWEEP_PARAMS, 1.0, T)
@@ -237,6 +290,8 @@ class TestVectorisedSweep:
         np.testing.assert_allclose(ed, ed_ref, rtol=1e-12, atol=1e-12 * np.max(ed_ref))
         assert ed[-1] == 0.0  # the Nyquist bin of the real FFT is real
         assert sweep_points(SWEEP_PARAMS, kern, np.array([])) == []
+        with pytest.raises(ValueError, match="unknown form"):
+            sweep_points(SWEEP_PARAMS, kern, omegas, form="compact")
 
     @pytest.mark.parametrize("bad", [0.0, -5.0, 1.01 * math.pi / T])
     def test_out_of_band_frequency_is_rejected(self, bad):
@@ -246,6 +301,13 @@ class TestVectorisedSweep:
             sweep_points(SWEEP_PARAMS, kern, omegas)
         with pytest.raises(ValueError, match="omega must lie in"):
             es_finite(SWEEP_PARAMS, kern, bad)
+        with pytest.raises(ValueError, match="omega must lie in"):
+            sweep_points(SWEEP_PARAMS, kern, omegas, form="asymptotic")
+        # the reductions hold the same band (beyond Nyquist ED would change sign)
+        with pytest.raises(ValueError, match="omega must lie in"):
+            special_case_es_ed("fo_sls", SWEEP_PARAMS, bad, T)
+        with pytest.raises(ValueError, match="omega must lie in"):
+            reduce_model("fo_kv", SWEEP_PARAMS, kern).freq_response(bad)
 
     @pytest.mark.parametrize("branch, what", [(-1.0 + 0.0j, "branch ES"), (1.0 - 1.0j, "ED")])
     def test_sign_check_still_fires(self, monkeypatch, branch, what):

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from fovisc.glkernel import build_kernel, delta_p, delta_s
 from fovisc.impedance import es_ed_lowfreq
 from fovisc.models import (
     DiscreteVE,
     FoSlsParams,
+    _branch_filter,
     creep_response,
     reduce_model,
     relaxation_response,
@@ -99,6 +101,28 @@ class TestForceStep:
             ref.append(params.k0 * xn + y)
             y_prev, x_prev = y, xn
         np.testing.assert_allclose(f, ref, rtol=1e-13, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.0),
+        n_mem=st.integers(0, 60),
+        k0=st.floats(-10.0, 10.0),
+        k1=st.floats(0.1, 50.0),
+        b1=st.floats(0.01, 20.0),
+        x=st.lists(
+            st.floats(-10.0, 10.0).map(lambda v: v if abs(v) > 1e-6 else 0.0),
+            min_size=1,
+            max_size=120,
+        ),
+    )
+    def test_matches_branch_filter_on_random_input(self, alpha, n_mem, k0, k1, b1, x):
+        params = FoSlsParams(k0=k0, k1=k1, b1=b1, alpha=alpha)
+        kern = build_kernel(alpha, n_mem, T)
+        x = np.array(x)
+        b, a = _branch_filter(params, kern)
+        want = k0 * x + lfilter(b, a, x)
+        got = run_filter(DiscreteVE(params, kern), x)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("frac", np.linspace(0.02, 0.95, 10))
     def test_sinusoid_matches_freq_response(self, ve, frac):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fovisc import passivity
 from fovisc.glkernel import build_kernel, delta_p
@@ -223,6 +225,26 @@ class TestSpecialCaseBound:
         general_io = bound_closed_form(FoSlsParams(1.0, 1e9, 0.05, 1.0), kern_io).b_min
         assert row_io == pytest.approx(general_io, rel=1e-6)
 
+    @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell"])
+    def test_rows_match_written_out_formulas(self, kind):
+        # every row is (T/2) Re H(dp) of the reduced impedance; these are the
+        # per-kind expressions it replaces, written out independently
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            params, kern = random_admissible(rng)
+            if i % 4 == 0:
+                params = FoSlsParams(params.k0, params.k1, params.b1, 1.0)
+                kern = build_kernel(1.0, kern.n_mem, T)
+            p, dp, t_a = params, delta_p(kern), T**params.alpha
+            k0 = 0.0 if kind.endswith("_maxwell") else p.k0
+            expected = {
+                "io_kv": k0 * T / 2.0 + p.b1,
+                "io_sls": k0 * T / 2.0 + p.k1 * p.b1 * T / (2.0 * p.b1 + p.k1 * T),
+                "fo_kv": k0 * T / 2.0 + p.b1 * dp / (2.0 * t_a / T),
+                "fo_sls": k0 * T / 2.0 + (p.k1 * T / 2.0) * p.b1 * dp / (p.b1 * dp + p.k1 * t_a),
+            }[kind.replace("maxwell", "sls")]
+            assert special_case_bound(kind, params, kern) == pytest.approx(expected, rel=1e-14)
+
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             special_case_bound("burgers", UNIT_FM, build_kernel(0.5, 3, T))
@@ -272,6 +294,38 @@ class TestRegionScan:
         k1_lo = region_scan(0.5, kern, 0.002, grid, k1_max=1e6).k1
         k1_hi = region_scan(0.5, kern, 0.003, grid, k1_max=1e6).k1
         assert np.all(k1_hi >= k1_lo)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.0),
+        half_n=st.integers(0, 150),
+        b1=st.lists(st.floats(1e-4, 50.0), min_size=1, max_size=8),
+        b_plant=st.floats(1e-5, 0.05),
+        k1_max=st.floats(1.0, 1e6),
+    )
+    def test_odd_memory_inversion_property(self, alpha, half_n, b1, b_plant, k1_max):
+        # the bound rises with K1 toward its K1 -> inf limit: an uncapped column
+        # puts the bound exactly on b_plant, a capped one leaves it at or below
+        kern = build_kernel(alpha, 2 * half_n + 1, T)
+        region = region_scan(alpha, kern, b_plant, b1, k1_max)
+        assert region.feasible
+        # the per-column scalar loop it replaced, same arithmetic: equal bits
+        dp, t_a = delta_p(kern), T**alpha
+        for b1_j, k1_j, cap in zip(b1, region.k1, region.capped):
+            inverse = None
+            if b_plant < (T / 2.0) * b1_j * dp / t_a:
+                inverse = 2.0 * b_plant * b1_j * dp / (T * b1_j * dp - 2.0 * b_plant * t_a)
+            want_cap = inverse is None or inverse >= k1_max
+            assert (cap, k1_j) == (want_cap, k1_max if want_cap else inverse)
+        for b1_j, k1_j, cap in zip(region.b1, region.k1, region.capped):
+            if cap:
+                assert k1_j == k1_max
+                at_cap = bound_closed_form(FoSlsParams(0.0, k1_max, b1_j, alpha), kern).b_min
+                assert at_cap <= b_plant * (1.0 + 1e-9)
+            else:
+                assert 0.0 < k1_j < k1_max
+                back = bound_closed_form(FoSlsParams(0.0, k1_j, b1_j, alpha), kern).b_min
+                assert back == pytest.approx(b_plant, rel=1e-9)
 
     def test_nonpositive_damping_is_signalled(self):
         kern = build_kernel(0.5, 101, T)
