@@ -107,20 +107,25 @@ def _branch_filter(params: FoSlsParams, kernel: GLKernel):
     return b, a
 
 
-class DiscreteVE:
-    """Stateful sampled evaluator of the viscoelastic law.
+def _check_order(params: FoSlsParams, kernel: GLKernel) -> None:
+    """Refuse a kernel built for another order than the parameters'."""
+    if abs(params.alpha - kernel.alpha) > 1e-12:
+        raise ValueError(
+            f"kernel order {kernel.alpha} does not match parameter order {params.alpha}"
+        )
 
-    Owns ring buffers of the last N+1 positions and last N branch forces,
-    zero-initialized.  Stepping is deterministic; one simulation should own
-    an instance (state is single-writer), while the frequency-domain methods
-    are pure.
+
+class DiscreteVE:
+    """The viscoelastic law at one (params, kernel), with a stateful per-sample
+    evaluator.
+
+    force_step owns ring buffers of the last N+1 positions and last N branch
+    forces, zero-initialized; stepping is deterministic and single-writer.
+    simulate and the frequency-domain methods read only params and kernel.
     """
 
     def __init__(self, params: FoSlsParams, kernel: GLKernel):
-        if abs(params.alpha - kernel.alpha) > 1e-12:
-            raise ValueError(
-                f"kernel order {kernel.alpha} does not match parameter order {params.alpha}"
-            )
+        _check_order(params, kernel)
         self.params = params
         self.kernel = kernel
         t_a = kernel.t_samp**params.alpha

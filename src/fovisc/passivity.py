@@ -32,7 +32,14 @@ from .glkernel import (
     delta_p_asymptotic,
     delta_p_sufficient,
 )
-from .models import REDUCTION_KINDS, DiscreteVE, FoSlsParams, _reduced_impedance, _reduced_params
+from .models import (
+    REDUCTION_KINDS,
+    DiscreteVE,
+    FoSlsParams,
+    _check_order,
+    _reduced_impedance,
+    _reduced_params,
+)
 from .util import worker_count
 
 __all__ = [
@@ -162,8 +169,9 @@ def bound_closed_form(
     """Minimum damping from the odd-memory closed form.
 
     Even memory lengths are refused (the Nyquist shortcut is invalid there);
-    use max_passivity instead.
+    use max_passivity instead.  So is a kernel of another order than params.
     """
+    _check_order(params, kernel)
     if kernel.n_mem % 2 == 0:
         raise ValueError(
             "closed-form bound requires an odd memory length; use max_passivity for even N"
@@ -193,10 +201,13 @@ def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> floa
 
     The Nyquist value of the reduced impedance.  Kelvin-Voigt kinds use the
     dedicated infinite-branch-stiffness formula; integer-order kinds are exact
-    for any N >= 1 (the alternating sum is 2).
+    for any N >= 1 (the alternating sum is 2).  The fractional kinds take the
+    alternating sum from the kernel, so its order must match params.alpha.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"unsupported kind {kind!r}; expected one of {BOUND_KINDS}")
+    if not kind.startswith("io_"):
+        _check_order(params, kernel)
     if kind.startswith("io_") and kernel.n_mem < 1:
         raise ValueError("integer-order reductions need at least one memory term")
     dp = 2.0 if kind.startswith("io_") else delta_p(kernel)

@@ -2,15 +2,30 @@
 sampler, discrete viscoelastic law, zero-order hold.
 
 Between samples the plant obeys m*dv/dt + b*v = F with F constant (the held
-rendered force plus the commanded excitation), so each step uses the exact
-solution
+rendered force plus the commanded excitation), so each period advances it
+by the exact solution
 
-    v+ = v*e^(-bT/m) + (F/b)*(1 - e^(-bT/m)),
-    x+ = x + (F/b)*T + (v - F/b)*(m/b)*(1 - e^(-bT/m)),
+    v[n+1] = d*v[n] + g_f*F[n],             d = e^(-bT/m),  g_f = (1 - d)/b,
+    x[n+1] = x[n] + g_x*v[n] + c1*F[n],     g_x = (m/b)*(1 - d),  c1 = (T - g_x)/b,
 
-with the series-expanded path at b = 0.  This keeps integrator error out of
-the passivity experiments; whatever the energy observer sees comes from the
-sampling loop itself.
+which at b = 0 takes its limits d = 1, g_f = T/m, g_x = T, c1 = T^2/(2m).
+This keeps integrator error out of the passivity experiments; whatever the
+energy observer sees comes from the sampling loop itself.
+
+Plant, hold and rendered law form one linear time-invariant loop.  In z^-1
+the plant maps net force to position through Pn/Pd with
+
+    Pd = 1 - (1 + d) z^-1 + d z^-2,    Pn = c1 z^-1 + (g_x*g_f - c1*d) z^-2,
+
+and the rendered impedance is a ratio H = num/den (K0*a + b over a for the
+branch filter (b, a) of DiscreteVE), so with x[0] = 0 and v[0] = v0
+
+    x = [den / (Pd*den + Pn*num)] (g_x*v0*delta[n-1] + Pn F_cmd),
+
+simulate runs the loop over the whole record at once: one recursive pass of
+1/(Pd*den + Pn*num), whose output filtered by den and by num gives position
+and rendered force, one refinement pass of the same filter (see simulate),
+and the velocity recursion above as a first-order filter.
 """
 
 from __future__ import annotations
@@ -19,9 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .glkernel import GLKernel
-from .models import DiscreteVE, FoSlsParams
+from .models import DiscreteVE, FoSlsParams, _branch_filter
 from .util import n_samples
 
 __all__ = [
@@ -41,6 +57,7 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT_MM = 1e6
+_MOMENTUM_SCALES = (1.0, 0.5, 1.5, 0.75, 2.0)  # impulse trials of empirical_boundary
 
 
 @dataclass(frozen=True)
@@ -70,8 +87,8 @@ class Impulse:
     def initial_velocity(self, mass: float) -> float:
         return self.momentum / mass
 
-    def sample_force(self, n: int, t_samp: float) -> float:
-        return 0.0
+    def force_samples(self, steps: int, t_samp: float) -> np.ndarray:
+        return np.zeros(steps)
 
     def end_time(self, t_samp: float) -> float:
         return 0.0
@@ -89,12 +106,10 @@ class ForceChirp:
     def initial_velocity(self, mass: float) -> float:
         return 0.0
 
-    def sample_force(self, n: int, t_samp: float) -> float:
-        t = n * t_samp
-        if t > self.span:
-            return 0.0
+    def force_samples(self, steps: int, t_samp: float) -> np.ndarray:
+        t = np.arange(steps) * t_samp
         phase = 2.0 * math.pi * (self.f0 * t + 0.5 * (self.f1 - self.f0) * t * t / self.span)
-        return self.amplitude * math.sin(phase)
+        return np.where(t > self.span, 0.0, self.amplitude * np.sin(phase))
 
     def end_time(self, t_samp: float) -> float:
         return self.span
@@ -109,24 +124,21 @@ class Scripted:
     def initial_velocity(self, mass: float) -> float:
         return 0.0
 
-    def sample_force(self, n: int, t_samp: float) -> float:
-        return float(self.samples[n]) if n < len(self.samples) else 0.0
+    def force_samples(self, steps: int, t_samp: float) -> np.ndarray:
+        force = np.zeros(steps)
+        head = np.asarray(self.samples, dtype=float)[:steps]
+        force[: head.size] = head
+        return force
 
     def end_time(self, t_samp: float) -> float:
         return len(self.samples) * t_samp
 
 
+@dataclass(frozen=True)
 class PureSpring:
-    """Stateless rendered spring F = k*x, for instrumentation checks."""
+    """Rendered spring F = k*x, for instrumentation checks."""
 
-    def __init__(self, k: float):
-        self.k = float(k)
-
-    def force_step(self, x_new: float) -> float:
-        return self.k * x_new
-
-    def reset(self):
-        pass
+    k: float
 
 
 @dataclass
@@ -149,6 +161,33 @@ class SimTrace:
     diverged: bool = field(default=False)
 
 
+def _rendered_filter(ve) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den) of the rendered impedance H = num/den in z^-1."""
+    if ve is None:
+        return np.zeros(1), np.ones(1)
+    if isinstance(ve, PureSpring):
+        return np.array([float(ve.k)]), np.ones(1)
+    if isinstance(ve, DiscreteVE):
+        b, a = _branch_filter(ve.params, ve.kernel)
+        return ve.params.k0 * a + b, a
+    raise TypeError(f"cannot render {type(ve).__name__}; expected DiscreteVE, PureSpring or None")
+
+
+def _plant_gains(plant: PlantParams, t_samp: float) -> tuple[float, float, float, float]:
+    """(d, g_f, g_x, c1) of the exact one-period plant step; limits at b = 0."""
+    m, b, T = plant.mass, plant.damping, t_samp
+    if b == 0.0:
+        return 1.0, T / m, T, T * T / (2.0 * m)
+    d = math.exp(-b * T / m)
+    g_x = (m / b) * (1.0 - d)
+    return d, (1.0 - d) / b, g_x, (T - g_x) / b
+
+
+def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Causal FIR filter h applied to u, same length as u."""
+    return np.convolve(u, h)[: u.size] if u.size else u.copy()
+
+
 def simulate(
     plant: PlantParams,
     ve,
@@ -156,66 +195,69 @@ def simulate(
     duration: float,
     t_samp: float | None = None,
 ) -> SimTrace:
-    """Run the loop for `duration` seconds; ve may be None for a free plant.
+    """Run the loop for `duration` seconds.
 
-    The run aborts with the diverged flag once |x| exceeds 1e6 mm.
+    ve is the rendered law: a DiscreteVE, a PureSpring, or None for a free
+    plant; simulate reads its parameters and leaves a DiscreteVE's stepping
+    state alone.  t_samp defaults to the DiscreteVE kernel's period.  The run
+    stops with the diverged flag at the first sample where |x| exceeds 1e6 mm
+    or is not finite; that sample is the last one kept.
     """
     if duration <= 0.0:
         raise ValueError(f"duration must be positive, got {duration}")
     if t_samp is None:
-        if ve is None or not hasattr(ve, "kernel"):
+        if not isinstance(ve, DiscreteVE):
             raise ValueError("t_samp is required when the rendered law does not carry a kernel")
         t_samp = ve.kernel.t_samp
     T = float(t_samp)
-    m, b = plant.mass, plant.damping
     steps = n_samples(duration, T)
-    t = np.arange(steps) * T
-    x_arr = np.zeros(steps)
-    v_arr = np.zeros(steps)
-    f_arr = np.zeros(steps)
-    fc_arr = np.zeros(steps)
-    e_arr = np.zeros(steps)
+    num, den = _rendered_filter(ve)
+    d, g_f, g_x, c1 = _plant_gains(plant, T)
+    p_den = np.array([1.0, -(1.0 + d), d])
+    p_num = np.array([0.0, c1, g_x * g_f - c1 * d])
+    loop_den = np.convolve(p_den, den) + np.convolve(p_num, num)
+    v0 = excitation.initial_velocity(plant.mass)
+    f_cmd = excitation.force_samples(steps, T)
+    drive = _fir(p_num, f_cmd)  # Pn F_cmd, plus the kick's g_x*v0 one period later
+    if steps > 1:
+        drive[1] += g_x * v0
 
-    if ve is not None and hasattr(ve, "reset"):
-        ve.reset()
-    x = 0.0
-    v = excitation.initial_velocity(m)
-    if b > 0.0:
-        decay = math.exp(-b * T / m)
-        gain_f = (1.0 - decay) / b
-        gain_x = (m / b) * (1.0 - decay)
-    energy = 0.0
-    diverged = False
-    n_done = steps
-    for n in range(steps):
-        f_ve = ve.force_step(x) if ve is not None else 0.0
-        f_cmd = excitation.sample_force(n, T)
-        energy += f_ve * v * T
-        x_arr[n], v_arr[n], f_arr[n], fc_arr[n], e_arr[n] = x, v, f_ve, f_cmd, energy
-        if abs(x) > DIVERGENCE_LIMIT_MM or not math.isfinite(x):
-            diverged = True
-            n_done = n + 1
-            break
-        f_tot = f_cmd - f_ve
-        if b > 0.0:
-            v_next = v * decay + f_tot * gain_f
-            x = x + (f_tot / b) * T + (v - f_tot / b) * gain_x
-        else:
-            v_next = v + f_tot * T / m
-            x = x + v * T + 0.5 * f_tot * T * T / m
-        v = v_next
+    def respond(u):
+        # position den/loop_den u and rendered force num/loop_den u, sharing one pass
+        w = lfilter([1.0], loop_den, u)
+        return _fir(den, w), _fir(num, w)
 
-    sl = slice(0, n_done)
+    def velocity(f_net):
+        return lfilter([0.0, g_f], [1.0, -d], f_net, zi=[v0])[0]
+
+    with np.errstate(all="ignore"):
+        x, force = respond(drive)
+        # One step of iterative refinement.  Where the loop polynomial cancels
+        # near z = 1 (the plant's integrator against a small static
+        # stiffness), its rounding moves the slow closed-loop poles.  The
+        # position step in its factored form gives the residual; an error in
+        # that step enters X*Pd through 1 - d z^-1, so the loop maps it back.
+        f_net = f_cmd - force
+        resid = x.copy()
+        resid[1:] -= x[:-1] + g_x * velocity(f_net)[:-1] + c1 * f_net[:-1]
+        dx, dforce = respond(_fir(np.array([1.0, -d]), resid))
+        x -= dx
+        force -= dforce
+        over = np.flatnonzero(~(np.abs(x) <= DIVERGENCE_LIMIT_MM))
+        n_done = int(over[0]) + 1 if over.size else steps
+        x, force, f_cmd = x[:n_done], force[:n_done], f_cmd[:n_done]
+        v = velocity(f_cmd - force)
+        energy = np.cumsum(force * v * T)
     return SimTrace(
-        t=t[sl],
-        position=x_arr[sl],
-        velocity=v_arr[sl],
-        force=f_arr[sl],
-        force_cmd=fc_arr[sl],
-        energy=e_arr[sl],
+        t=np.arange(n_done) * T,
+        position=x,
+        velocity=v,
+        force=force,
+        force_cmd=f_cmd,
+        energy=energy,
         t_samp=T,
         excite_end=float(excitation.end_time(T)),
-        diverged=diverged,
+        diverged=bool(over.size),
     )
 
 
@@ -297,20 +339,25 @@ def empirical_boundary(
 
     Impulse-excited runs at `n_trials` momenta give the per-candidate
     verdict (any unstable trial condemns the candidate); the K1 axis is then
-    bisected down to `resolution` [N/mm].  The supplied range must bracket
-    the boundary: stable at the low end, unstable at the high end.
+    bisected down to `resolution` [N/mm], which must be positive.  At most
+    five trials are defined (momentum scales 1, 0.5, 1.5, 0.75, 2).  The
+    supplied range must bracket the boundary: stable at the low end,
+    unstable at the high end.
     """
     if abs(alpha - kernel.alpha) > 1e-12:
         raise ValueError(f"kernel order {kernel.alpha} does not match alpha {alpha}")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if n_trials not in range(1, len(_MOMENTUM_SCALES) + 1):
+        raise ValueError(f"n_trials must lie in 1..{len(_MOMENTUM_SCALES)}, got {n_trials}")
     lo, hi = float(k1_range[0]), float(k1_range[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < k1_lo < k1_hi, got {k1_range}")
-    momenta = base_momentum * np.array([1.0, 0.5, 1.5, 0.75, 2.0])[:n_trials]
+    momenta = base_momentum * np.array(_MOMENTUM_SCALES[: int(n_trials)])
 
     def unstable(k1: float) -> bool:
-        params = FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha)
+        ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kernel)
         for j in momenta:
-            ve = DiscreteVE(params, kernel)
             trace = simulate(plant, ve, Impulse(momentum=float(j)), duration)
             if is_unstable(trace, drift_tol=drift_tol, growth_factor=growth_factor):
                 return True

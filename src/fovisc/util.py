@@ -15,9 +15,12 @@ def n_samples(duration: float, t_samp: float) -> int:
 
     A duration within a relative 1e-9 of a whole multiple of T counts as that
     multiple (0.7/0.001 evaluates to 699.999..., not 700); any other
-    duration is floored.
+    duration is floored.  A non-finite duration, or one spanning a
+    non-finite number of periods, is refused.
     """
     q = duration / t_samp
+    if not math.isfinite(q):
+        raise ValueError(f"duration {duration} s at period {t_samp} s is not a finite number of samples")
     k = round(q)
     return int(k) if abs(q - k) <= _SAMPLE_RTOL * max(1.0, abs(q)) else math.floor(q)
 

@@ -172,6 +172,23 @@ class TestSimulate:
     def test_bad_excitation_spec(self):
         assert dispatch(["simulate", "--excite", "kick:1", "--duration", "0.1"]) == 3
 
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--trials", "0"], "n_trials"),
+            (["--trials", "7"], "n_trials"),
+            (["--resolution", "0"], "resolution"),
+            (["--resolution", "-1"], "resolution"),
+            (["--resolution", "nan"], "resolution"),
+        ],
+    )
+    def test_bad_boundary_search_settings_are_domain_errors(self, flags, match, capsys):
+        argv = ["simulate", "--boundary", "--alpha", "1.0", "--b1", "100", "--n", "101", *flags]
+        assert dispatch(argv) == 3
+        err = capsys.readouterr().err
+        assert match in err
+        assert "Traceback" not in err
+
 
 class TestSynthFitRoundtrip:
     def test_synth_then_fit(self, tmp_path):
@@ -239,6 +256,22 @@ class TestSynthFitRoundtrip:
         assert dispatch(["fit", "--relax", str(relax), "--starts", "1"]) == 3
         err = capsys.readouterr().err
         assert "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--k1", "2", "--b1", "100"],
+            ["simulate", "--boundary", "--alpha", "1.0", "--b1", "100", "--n", "101"],
+            ["synth", "--k1", "2", "--b1", "1", "--alpha", "0.5", "--protocol", "relaxation"],
+        ],
+        ids=["simulate", "boundary", "synth"],
+    )
+    def test_non_finite_duration_is_a_domain_error(self, tmp_path, capsys, argv, value):
+        assert dispatch([*argv, "--duration", value, "-o", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"duration {value}" in err
         assert "Traceback" not in err
 
     def test_noise_is_seeded(self, tmp_path):

@@ -1,6 +1,7 @@
 """Discrete viscoelastic law: filter behavior, responses, reductions."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -253,6 +254,11 @@ class TestSampleCounts:
     def test_partial_periods_are_dropped(self):
         assert n_samples(0.7005, 0.001) == 700
         assert n_samples(0.0005, 0.001) == 0
+
+    @pytest.mark.parametrize("duration, t_samp", [(math.inf, 0.001), (math.nan, 0.001), (1e306, 1e-3)])
+    def test_non_finite_sample_counts_are_refused(self, duration, t_samp):
+        with pytest.raises(ValueError, match=re.escape(f"duration {duration} s")):
+            n_samples(duration, t_samp)
 
 
 class TestCreep:

@@ -127,6 +127,14 @@ class TestClosedFormBound:
         with pytest.raises(ValueError, match="odd"):
             bound_closed_form(UNIT_FM, build_kernel(0.5, 100, T))
 
+    def test_rejects_kernel_of_another_order(self):
+        params = FoSlsParams(0.0, 1.0, 1.0, 0.3)
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            bound_closed_form(params, build_kernel(0.5, 101, T))
+        assert bound_closed_form(params, build_kernel(0.3, 101, T)).b_min == pytest.approx(
+            4.536e-4, rel=1e-3
+        )
+
     def test_matches_grid_maximum(self):
         rng = np.random.default_rng(22)
         for _ in range(25):
@@ -248,6 +256,19 @@ class TestSpecialCaseBound:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             special_case_bound("burgers", UNIT_FM, build_kernel(0.5, 3, T))
+
+    @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell"])
+    def test_fractional_kinds_reject_kernel_of_another_order(self, kind):
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            special_case_bound(kind, FoSlsParams(0.0, 1.0, 1.0, 0.3), build_kernel(0.9, 101, T))
+
+    @pytest.mark.parametrize("kind", ["io_sls", "io_kv", "io_maxwell"])
+    def test_integer_order_kinds_take_any_kernel_order(self, kind):
+        # the io_* kinds force alpha = 1 and dp = 2; only T comes from the kernel
+        params = FoSlsParams(0.5, 1.0, 1.0, 0.3)
+        assert special_case_bound(kind, params, build_kernel(0.9, 101, T)) == special_case_bound(
+            kind, params, build_kernel(0.3, 101, T)
+        )
 
 
 class TestRegionScan:

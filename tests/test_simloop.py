@@ -1,9 +1,14 @@
 """Sampled loop: exact plant stepping, energy observer, boundary search,
 plant identification."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fovisc import simloop
 from fovisc.glkernel import build_kernel
 from fovisc.models import DiscreteVE, FoSlsParams
 from fovisc.passivity import bound_closed_form, region_scan
@@ -20,6 +25,7 @@ from fovisc.simloop import (
     plant_ident,
     simulate,
 )
+from fovisc.util import n_samples
 
 T = 0.001
 PLANT = PlantParams(mass=7.34e-5, damping=0.0025)
@@ -27,6 +33,73 @@ PLANT = PlantParams(mass=7.34e-5, damping=0.0025)
 
 def loop_kernel(alpha, n_mem=101):
     return build_kernel(alpha, n_mem, T)
+
+
+def reference_simulate(plant, ve, excitation, duration, t_samp=None):
+    """The loop stepped one sample at a time: a fresh DiscreteVE.force_step per
+    sample, the exact ZOH plant step (its own b = 0 branch), and an early exit
+    once |x| exceeds the divergence limit or is not finite."""
+    T = ve.kernel.t_samp if t_samp is None else float(t_samp)
+    m, b = plant.mass, plant.damping
+    steps = n_samples(duration, T)
+    if isinstance(ve, DiscreteVE):
+        stepper = DiscreteVE(ve.params, ve.kernel).force_step
+    elif isinstance(ve, PureSpring):
+        stepper = lambda x_new: ve.k * x_new
+    else:
+        stepper = lambda x_new: 0.0
+    f_script = excitation.force_samples(steps, T)
+    rows = np.zeros((steps, 5))
+    x, v = 0.0, excitation.initial_velocity(m)
+    if b > 0.0:
+        decay = math.exp(-b * T / m)
+        gain_f = (1.0 - decay) / b
+        gain_x = (m / b) * (1.0 - decay)
+    energy = 0.0
+    diverged = False
+    n_done = steps
+    for n in range(steps):
+        f_ve = stepper(x)
+        f_cmd = float(f_script[n])
+        energy += f_ve * v * T
+        rows[n] = x, v, f_ve, f_cmd, energy
+        if abs(x) > simloop.DIVERGENCE_LIMIT_MM or not math.isfinite(x):
+            diverged = True
+            n_done = n + 1
+            break
+        f_tot = f_cmd - f_ve
+        if b > 0.0:
+            v_next = v * decay + f_tot * gain_f
+            x = x + (f_tot / b) * T + (v - f_tot / b) * gain_x
+        else:
+            v_next = v + f_tot * T / m
+            x = x + v * T + 0.5 * f_tot * T * T / m
+        v = v_next
+    rows = rows[:n_done]
+    return SimTrace(
+        t=np.arange(n_done) * T,
+        position=rows[:, 0],
+        velocity=rows[:, 1],
+        force=rows[:, 2],
+        force_cmd=rows[:, 3],
+        energy=rows[:, 4],
+        t_samp=T,
+        excite_end=float(excitation.end_time(T)),
+        diverged=diverged,
+    )
+
+
+def assert_traces_agree(new, ref, rel=1e-9):
+    """Same length and flag; each column within rel * max|column| of the reference."""
+    assert new.t.size == ref.t.size
+    assert new.diverged == ref.diverged
+    np.testing.assert_array_equal(new.t, ref.t)
+    for name in ("position", "velocity", "force", "force_cmd", "energy"):
+        a, r = getattr(new, name), getattr(ref, name)
+        finite = np.isfinite(r)
+        np.testing.assert_array_equal(np.isfinite(a), finite, err_msg=name)
+        scale = float(np.max(np.abs(r[finite]), initial=0.0))
+        np.testing.assert_allclose(a[finite], r[finite], rtol=0.0, atol=rel * scale, err_msg=name)
 
 
 class TestSimulate:
@@ -87,6 +160,91 @@ class TestSimulate:
     def test_requires_period_without_kernel(self):
         with pytest.raises(ValueError):
             simulate(PLANT, None, Impulse(0.01), 1.0)
+
+    @pytest.mark.parametrize("duration, rows", [(0.0005, 0), (0.001, 1), (0.002, 2)])
+    def test_records_shorter_than_the_kick(self, duration, rows):
+        ve = DiscreteVE(FoSlsParams(0.0, 2.0, 100.0, 0.5), loop_kernel(0.5))
+        new = simulate(PLANT, ve, Impulse(0.01), duration)
+        assert new.t.size == rows
+        assert_traces_agree(new, reference_simulate(PLANT, ve, Impulse(0.01), duration))
+
+    def test_unsupported_rendered_law(self):
+        with pytest.raises(TypeError, match="cannot render"):
+            simulate(PLANT, object(), Impulse(0.01), 1.0, t_samp=T)
+
+    def test_leaves_the_stepping_state_alone(self):
+        ve = DiscreteVE(FoSlsParams(1.0, 2.0, 100.0, 0.5), loop_kernel(0.5, 21))
+        x = np.linspace(0.0, 1.0, 30)
+        before = [ve.force_step(xi) for xi in x]
+        simulate(PLANT, ve, Impulse(0.01), 0.5)
+        after = [ve.force_step(xi) for xi in x]
+        ve.reset()
+        assert after == [ve.force_step(xi) for xi in np.concatenate([x, x])][30:]
+        assert before != after
+
+    def test_excitation_records(self):
+        assert np.array_equal(Impulse(0.01).force_samples(4, T), np.zeros(4))
+        script = Scripted(np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(script.force_samples(5, T), [1.0, 2.0, 3.0, 0.0, 0.0])
+        assert np.array_equal(script.force_samples(2, T), [1.0, 2.0])
+        chirp = ForceChirp(f0=1.0, f1=10.0, span=0.004, amplitude=0.5)
+        rec = chirp.force_samples(7, T)
+        t = np.arange(7) * T
+        expected = [0.5 * math.sin(2.0 * math.pi * (ti + 4.5 * ti * ti / 0.004)) for ti in t[:5]]
+        np.testing.assert_allclose(rec[:5], expected, rtol=1e-15, atol=1e-17)
+        assert np.array_equal(rec[5:], [0.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "law, excitation, plant",
+        [
+            (DiscreteVE(FoSlsParams(0.0, 1e4, 50.0, 1.0), build_kernel(1.0, 3, T)), Impulse(0.01), PLANT),
+            (DiscreteVE(FoSlsParams(-2.89, 5.7, 5.89, 0.203), build_kernel(0.203, 101, T)),
+             ForceChirp(f0=1.0, f1=10.0, span=1.5, amplitude=0.05), PLANT),
+            (PureSpring(2.5), Impulse(0.0001), PlantParams(mass=7.34e-5, damping=5e-5)),
+            (PureSpring(1.0), Impulse(0.01), PlantParams(mass=7.34e-5, damping=0.0)),
+            (None, ForceChirp(f0=1.0, f1=10.0, span=1.5, amplitude=0.05), PLANT),
+        ],
+        ids=["diverging-order-one", "material-chirp", "overstiff-spring", "undamped-spring", "free-chirp"],
+    )
+    def test_matches_the_per_sample_loop(self, law, excitation, plant):
+        new = simulate(plant, law, excitation, 2.0, t_samp=T)
+        assert_traces_agree(new, reference_simulate(plant, law, excitation, 2.0, t_samp=T))
+
+    def test_small_static_stiffness_behind_a_stiff_damper(self):
+        # K0 + K1 = 0.0027 N/mm against B1/T^a ~ 4.6e5: the loop polynomial
+        # cancels near z = 1, and only the refinement pass keeps the drift of
+        # a randomly forced run as close to the per-sample loop as its own
+        # roundoff (unrefined: 4.5e-10 of the column maximum)
+        plant = PlantParams(mass=7.34e-5, damping=0.0052)
+        ve = DiscreteVE(FoSlsParams(-0.01, 0.0127, 752.0, 0.927), loop_kernel(0.927, 77))
+        excitation = Scripted(np.random.default_rng(288).normal(0.0, 0.01, 1600))
+        new = simulate(plant, ve, excitation, 1.6)
+        assert_traces_agree(new, reference_simulate(plant, ve, excitation, 1.6), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        n_mem=st.integers(0, 120),
+        k0=st.floats(-1.0, 5.0),
+        log_k1=st.floats(math.log(1e-2), math.log(1e4)),
+        log_b1=st.floats(math.log(1e-2), math.log(1e3)),
+        damping=st.one_of(st.just(0.0), st.floats(1e-4, 0.01)),
+        scripted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.01, 3.0),
+    )
+    def test_matches_the_per_sample_loop_property(
+        self, alpha, n_mem, k0, log_k1, log_b1, damping, scripted, seed, duration
+    ):
+        plant = PlantParams(mass=7.34e-5, damping=damping)
+        ve = DiscreteVE(FoSlsParams(k0, math.exp(log_k1), math.exp(log_b1), alpha), loop_kernel(alpha, n_mem))
+        rng = np.random.default_rng(seed)
+        if scripted:
+            excitation = Scripted(rng.normal(0.0, 0.01, int(rng.integers(1, 3000))))
+        else:
+            excitation = Impulse(float(rng.uniform(-0.02, 0.02)))
+        new = simulate(plant, ve, excitation, duration)
+        assert_traces_agree(new, reference_simulate(plant, ve, excitation, duration))
 
 
 class TestEnergyObserver:
@@ -170,6 +328,53 @@ class TestEmpiricalBoundary:
                 PLANT, alpha, b1, kern, (2.0 * analytical, 4.0 * analytical),
                 n_trials=1, duration=4.0,
             )
+
+    def test_reference_loop_gives_the_same_boundary(self, monkeypatch):
+        alpha, b1 = 0.5, 100.0
+        kern = loop_kernel(alpha)
+        analytical = float(region_scan(alpha, kern, PLANT.damping, [b1], k1_max=1e9).k1[0])
+        args = (PLANT, alpha, b1, kern, (0.6 * analytical, 1.7 * analytical))
+        kw = dict(resolution=0.1, n_trials=2, duration=4.0)
+        k1_star = empirical_boundary(*args, **kw)
+        monkeypatch.setattr(simloop, "simulate", reference_simulate)
+        assert empirical_boundary(*args, **kw) == k1_star
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(resolution=0.0), "resolution"),
+            (dict(resolution=-1.0), "resolution"),
+            (dict(resolution=math.nan), "resolution"),
+            (dict(resolution=math.inf), "resolution"),
+            (dict(n_trials=0), "n_trials"),
+            (dict(n_trials=6), "n_trials"),
+            (dict(n_trials=7), "n_trials"),
+        ],
+    )
+    def test_search_settings_are_checked_before_simulating(self, monkeypatch, kw, match):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the search settings were checked")
+
+        monkeypatch.setattr(simloop, "simulate", no_simulation)
+        with pytest.raises(ValueError, match=match):
+            empirical_boundary(PLANT, 0.5, 100.0, loop_kernel(0.5), (1.0, 10.0), **kw)
+
+    def test_each_trial_is_one_simulation(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].momentum)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(simloop, "simulate", counting)
+        kern = loop_kernel(0.5)
+        analytical = float(region_scan(0.5, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
+        empirical_boundary(
+            PLANT, 0.5, 100.0, kern, (0.5 * analytical, 2.0 * analytical),
+            resolution=0.5 * analytical, n_trials=5, duration=1.0,
+        )
+        # the stable low end runs all five momenta
+        assert calls[:5] == pytest.approx([0.01, 0.005, 0.015, 0.0075, 0.02])
 
     def test_undamped_plant_has_no_passive_margin(self):
         # with zero plant damping any rendered stiffness is active, so the
