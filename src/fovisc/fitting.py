@@ -9,7 +9,11 @@ affine in K0, so the search never leaves the passive set: it varies
 the largest parallel stiffness the plant damping admits, less the slack.
 Each start runs one trust-region-reflective least-squares solve (box bounds
 kept exactly) on the residuals of all experiments, each scaled by its NRMSE
-scale.  The returned set is re-verified against the bound afterwards.
+scale.  The Jacobian is exact: the record sensitivities of ``models``,
+built from the forward records the residual has just computed, chained
+through the passive map.  An evaluation is one residual or one Jacobian;
+the budget caps their sum.  The returned set is re-verified against the
+bound afterwards.
 """
 
 from __future__ import annotations
@@ -19,10 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .glkernel import GLKernel, build_kernel, delta_p
-from .models import FoSlsParams, creep_response, relaxation_response
+from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
+from .models import (
+    FoSlsParams,
+    _creep_sensitivities,
+    _relaxation_sensitivities,
+    creep_response,
+    relaxation_response,
+)
 from .passivity import _nyquist_value, bound_closed_form
 from .util import worker_count
 
@@ -48,10 +57,10 @@ _ALPHA_LO = 0.01  # logit floor keeps the order away from the degenerate spring
 _K0_BOX = 1e3
 _LOG_BOX = math.log(1e3)
 _U_BOX = 50.0
-_N_VARS = 4
 
 # Cap on a single residual.  Unstable creep inverse filters and undefined
-# predictions land on it, so the Jacobian handed to the SVD stays finite.
+# predictions land on it; a record that touches it gives zero Jacobian rows,
+# so the matrix handed to the SVD stays finite.
 _WALL = 1e3
 
 
@@ -118,15 +127,15 @@ class FitResult:
 class FitConfig:
     b_plant: float = 0.0025  # N*s/mm available for dissipation
     n_starts: int = 8
-    max_evals_per_start: int = 20000  # residual evaluations, Jacobian probes included
+    max_evals_per_start: int = 20000  # residual plus Jacobian evaluations
     normalization: str = "range"
     seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise ValueError("need at least one start")
-        if self.max_evals_per_start < _N_VARS + 1:  # one residual and one Jacobian
-            raise ValueError(f"max_evals_per_start must be at least {_N_VARS + 1}")
+        if self.max_evals_per_start < 2:  # one residual and one Jacobian
+            raise ValueError("max_evals_per_start must be at least 2")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -197,15 +206,38 @@ def _passive_params(
     k1, b1 = math.exp(log_k1), math.exp(log_b1)
     alpha = _ALPHA_LO + (1.0 - _ALPHA_LO) / (1.0 + math.exp(-u))
     kern = build_kernel(alpha, n_mem, t_samp)
-    branch = _nyquist_value("fo_sls", FoSlsParams(0.0, k1, b1, alpha), t_samp, delta_p(kern))
+    dp = delta_p(kern)
+    branch = _nyquist_value("fo_sls", FoSlsParams(0.0, k1, b1, alpha), t_samp, dp)
     k0 = 2.0 / t_samp * (b_plant - branch) - slack
     while True:
         params = FoSlsParams(k0=k0, k1=k1, b1=b1, alpha=alpha)
-        excess = bound_closed_form(params, kern).b_min - b_plant
+        # bound_closed_form(params, kern).b_min, bit for bit
+        excess = _nyquist_value("fo_sls", params, t_samp, dp) - b_plant
         if excess <= 0.0:
             return params, kern
         # roundoff can leave the recomputed bound a few ulps above b_plant
         k0 = min(float(np.nextafter(k0, -math.inf)), k0 - 2.0 * excess / t_samp)
+
+
+def _passive_map_jacobian(theta, params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -> np.ndarray:
+    """d(K0, K1, B1, alpha)/d theta of _passive_params (the ulp step-down ignored).
+
+    K0 = (2/T) b_plant - Z - slack with Z = K1*B1*D/q, D = dp/T^a, q = K1 + B1*D.
+    """
+    k1, b1, alpha, t_samp = params.k1, params.b1, params.alpha, kern.t_samp
+    u = float(theta[3])
+    e = math.exp(-abs(u))
+    dalpha_du = (1.0 - _ALPHA_LO) * e / (1.0 + e) ** 2
+    d = delta_p(kern) / t_samp**alpha
+    d_alpha = float(np.sum(dc[::2]) - np.sum(dc[1::2])) / t_samp**alpha - d * math.log(t_samp)
+    q2 = (k1 + b1 * d) ** 2
+    z_k1, z_b1, z_alpha = (b1 * d) ** 2 / q2, k1 * k1 * d / q2, k1 * k1 * b1 * d_alpha / q2
+    return np.array([
+        [-1.0, -k1 * z_k1, -b1 * z_b1, -dalpha_du * z_alpha],
+        [0.0, k1, 0.0, 0.0],
+        [0.0, 0.0, b1, 0.0],
+        [0.0, 0.0, 0.0, dalpha_du],
+    ])
 
 
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
@@ -215,6 +247,77 @@ def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
     else:
         _, pred = creep_response(params, kernel, s.f_hold, s.t_hold, s.f_recover, s.t_recover)
     return pred[: exp.values.size]
+
+
+def _sensitivities(params: FoSlsParams, kernel, dc, exp: ExperimentData, pred) -> np.ndarray:
+    """Rows d pred/d(K0, K1, B1, alpha) of one record, from its prediction pred."""
+    s = exp.stimulus
+    if exp.kind == "relaxation":
+        return _relaxation_sensitivities(params, kernel, dc, s.x0, pred)
+    return _creep_sensitivities(params, kernel, dc, s.f_hold, s.t_hold, s.f_recover, pred)
+
+
+def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig):
+    """(residuals, jacobian) in theta of the weighted residuals of all records.
+
+    The Jacobian reuses the forward records of the last residual evaluation,
+    which is where trust-region-reflective asks for it; at any other theta it
+    evaluates the residual first.  A record whose residuals touch the wall,
+    or whose sensitivities are not finite, gives zero rows.
+    """
+    t_samp = experiments[0].t_samp
+    measured = np.concatenate([exp.values for exp in experiments])
+    # 1 / (scale * sqrt(n)): the squared residual norm sums the squared NRMSEs
+    scales = [_scale(e.values, config.normalization) * e.values.size**0.5 for e in experiments]
+    weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
+    edges = np.cumsum([0] + [e.values.size for e in experiments])
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    last = {}
+
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        r = np.empty(measured.size)
+        last.update(theta=np.array(theta, dtype=float), r=r, model=None)
+        try:
+            params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
+            with np.errstate(over="ignore", invalid="ignore"):
+                preds = [_predict(params, kern, exp) for exp in experiments]
+                for block, pred in zip(blocks, preds):
+                    np.subtract(pred, measured[block], out=r[block])
+                r *= weight
+        except ValueError:  # e.g. zero instantaneous stiffness: creep has no inverse
+            r.fill(_WALL)
+            return r
+        last["model"] = params, kern, preds
+        np.nan_to_num(r, copy=False, nan=_WALL)
+        return np.clip(r, -_WALL, _WALL, out=r)
+
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        if not np.array_equal(theta, last.get("theta")):
+            residuals(theta)
+        jac = np.zeros((4, measured.size))
+        if last["model"] is None:
+            return jac.T
+        params, kern, preds = last["model"]
+        dc = _coeffs_dalpha(kern)
+        chain = _passive_map_jacobian(theta, params, kern, dc).T
+        for block, exp, pred in zip(blocks, experiments, preds):
+            if np.any(np.abs(last["r"][block]) >= _WALL):
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = chain @ (_sensitivities(params, kern, dc, exp, pred) * weight[block])
+            if np.all(np.isfinite(rows)):
+                jac[:, block] = rows
+        return jac.T
+
+    return residuals, jacobian
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on first use: the package takes
+    longer to import than most subcommands take to run."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 def fit(
@@ -246,7 +349,7 @@ def fit(
     lo = np.array([-5.0, math.log(0.1), math.log(0.1), -3.0])
     hi = np.array([5.0, math.log(50.0), math.log(50.0), 3.0])
     # (k0, log k1, log b1, logit alpha); the first is k0=0, k1=b1=1, alpha~0.5
-    starts = [np.zeros(_N_VARS)] + [rng.uniform(lo, hi) for _ in range(config.n_starts - 1)]
+    starts = [np.zeros(4)] + [rng.uniform(lo, hi) for _ in range(config.n_starts - 1)]
     lower = np.array([0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX])
     upper = np.array([2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, _U_BOX])
     for x in starts:  # k0 becomes the slack below its cap, clipped to the box
@@ -256,33 +359,19 @@ def fit(
     for exp in experiments:
         if _predict(*probe, exp).size < exp.values.size:
             raise ValueError(f"{exp.kind} protocol shorter than the measured record")
-    measured = np.concatenate([exp.values for exp in experiments])
-    # 1 / (scale * sqrt(n)): the squared residual norm sums the squared NRMSEs
-    scales = [_scale(e.values, config.normalization) * e.values.size**0.5 for e in experiments]
-    weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        try:
-            params, kern = candidate(theta)
-            with np.errstate(over="ignore", invalid="ignore"):
-                pred = np.concatenate([_predict(params, kern, exp) for exp in experiments])
-                r = (pred - measured) * weight
-        except ValueError:  # e.g. zero instantaneous stiffness: creep has no inverse
-            return np.full(measured.size, _WALL)
-        return np.clip(np.nan_to_num(r, nan=_WALL), -_WALL, _WALL)
-
-    # each accepted step costs one residual plus _N_VARS Jacobian probes
-    max_nfev = config.max_evals_per_start // (_N_VARS + 1)
 
     def run_start(x0: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
-        counter = [0]
-
-        def counted(theta: np.ndarray) -> np.ndarray:
-            counter[0] += 1
-            return residuals(theta)
-
-        res = least_squares(counted, x0, bounds=(lower, upper), method="trf", max_nfev=max_nfev)
-        return float(res.cost), res.x, bool(res.status > 0), counter[0]
+        residuals, jacobian = _objective(experiments, n_mem, config)
+        # each step costs one residual, and each accepted one a Jacobian too
+        res = least_squares(
+            residuals,
+            x0,
+            jac=jacobian,
+            bounds=(lower, upper),
+            method="trf",
+            max_nfev=config.max_evals_per_start // 2,
+        )
+        return float(res.cost), res.x, bool(res.status > 0), res.nfev + res.njev
 
     with ThreadPoolExecutor(max_workers=worker_count(len(starts))) as pool:
         outcomes = list(pool.map(run_start, starts))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammasgn
 
 __all__ = [
     "GLKernel",
@@ -98,6 +97,20 @@ def build_kernel(alpha: float, n_mem: int, t_samp: float) -> GLKernel:
     return GLKernel(alpha=alpha, n_mem=n_mem, t_samp=t_samp, coeffs=coeffs)
 
 
+def _coeffs_dalpha(kernel: GLKernel) -> np.ndarray:
+    """Order derivatives dc_i/dalpha of the weights, by the differentiated recursion
+
+        dc_0 = 0,   dc_i = (i - alpha - 1)/i * dc_{i-1} - c_{i-1}/i,
+
+    which stays exact at alpha = 1, where c_i vanishes for i >= 2 but dc_i does not.
+    """
+    i = np.arange(1.0, kernel.n_mem + 1)
+    dc = [0.0]
+    for ratio, push in zip(((i - kernel.alpha - 1.0) / i).tolist(), (-kernel.coeffs[:-1] / i).tolist()):
+        dc.append(ratio * dc[-1] + push)
+    return np.array(dc)
+
+
 def binom_general(alpha: float, k: int) -> float:
     """Generalized binomial coefficient C(alpha, k) for real upper argument.
 
@@ -128,9 +141,14 @@ def binom_general(alpha: float, k: int) -> float:
         for j in range(k):
             out *= (au - j) / (j + 1)
         return float(out)
-    sign = gammasgn(a + 1.0) * gammasgn(a - k + 1.0)
+    sign = _gamma_sign(a + 1.0) * _gamma_sign(a - k + 1.0)
     logmag = math.lgamma(a + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a - k + 1.0)
     return float(sign) * math.exp(logmag)
+
+
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) for a non-integer x: +1 above 0, (-1)^ceil(-x) below."""
+    return 1.0 if x > 0.0 else (-1.0) ** math.ceil(-x)
 
 
 def delta_p(kernel: GLKernel) -> float:

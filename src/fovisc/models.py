@@ -19,11 +19,11 @@ with zero-padded history before startup (system at rest for t < 0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .glkernel import GLKernel, _check_omegas, _s_conj_infinite, _s_conj_values, build_kernel
 from .util import n_samples
@@ -178,7 +178,7 @@ def relaxation_response(
     t = np.arange(n) * kernel.t_samp
     x = np.full(n, float(x0))
     b, a = _branch_filter(params, kernel)
-    force = params.k0 * x + lfilter(b, a, x)
+    force = params.k0 * x + _lfilter(b, a, x)
     return t, force
 
 
@@ -204,13 +204,143 @@ def creep_response(
     force = np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
     t = np.arange(force.size) * T
     _, a = _branch_filter(params, kernel)
-    scale = params.b1 / T**params.alpha
+    x = _lfilter(a, _creep_den(params, kernel), force)
+    return t, x
+
+
+def _lfilter(b, a, x):
+    """scipy.signal.lfilter, imported on first use: the package takes longer to
+    import than the subcommands without a time-domain record take to run."""
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x)
+
+
+def _creep_den(params: FoSlsParams, kernel: GLKernel) -> np.ndarray:
+    """den = (K0+K1)*s*c + K0*K1 of the creep filter x = (a/den) F, s = B1/T^a."""
+    scale = params.b1 / kernel.t_samp**params.alpha
     den = (params.k0 + params.k1) * scale * kernel.coeffs.copy()
     den[0] += params.k0 * params.k1
     if abs(den[0]) < 1e-300:
         raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
-    x = lfilter(a, den, force)
-    return t, x
+    return den
+
+
+@functools.lru_cache(maxsize=None)
+def _fft_len(n: int) -> int:
+    """Smallest 5-smooth length >= n (fast for numpy's FFT)."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+def _squared_products(params: FoSlsParams, kernel: GLKernel, dc: np.ndarray, h: np.ndarray, numerators):
+    """First m = len(h) samples of h*h*p for each numerator polynomial p.
+
+    numerators(S, dS) gives the spectra of the p from S and dS, the spectra
+    of s*c and d(s*c)/dalpha (s = B1/T^a, dc the weights' order
+    derivatives).  Those samples depend only on h's first m.  With h cut
+    where it has decayed below roundoff of its peak, to L samples, an FFT
+    length n >= max(m, 2L + 2N) keeps them clear of wrap-around for any p of
+    degree <= 2N.  A growing h (an unstable filter short of the fit's wall)
+    is first weighted by rho^-n, rho its growth per sample, and the products
+    weighted back: otherwise the roundoff of the discarded, far larger tail
+    of the products swamps the kept samples.
+    """
+    m = h.size
+    head, tail = np.max(np.abs(h[: m // 2])), np.max(np.abs(h[m // 2 :]))
+    log_rho = math.log(tail / head) / (m - m // 2) if tail > head else 0.0
+    scale = params.b1 / kernel.t_samp**params.alpha
+    polys = np.array([kernel.coeffs, dc - math.log(kernel.t_samp) * kernel.coeffs]) * scale
+    if log_rho:
+        h = h * np.exp(-log_rho * np.arange(m))
+        polys *= np.exp(-log_rho * np.arange(kernel.n_mem + 1))
+    mag = np.abs(h)
+    live = np.flatnonzero(mag > 1e-17 * np.max(mag))
+    h = h[: live[-1] + 1] if live.size else h
+    n = _fft_len(max(m, 2 * (h.size + kernel.n_mem)))
+    s_f, ds_f = np.fft.rfft(polys, n)
+    hh = np.fft.rfft(h, n) ** 2
+    out = np.fft.irfft(hh * np.array(numerators(s_f, ds_f)), n)[:, :m]
+    return out * np.exp(log_rho * np.arange(m)) if log_rho else out
+
+
+def _relaxation_sensitivities(
+    params: FoSlsParams, kernel: GLKernel, dc: np.ndarray, x0: float, force: np.ndarray
+) -> np.ndarray:
+    """Rows dF/dK0, dF/dK1, dF/dB1, dF/dalpha of a relaxation record.
+
+    force is relaxation_response's record at params (any leading part of it);
+    dc the order derivatives of the weights.  With F = x0*(K0 + y), y the unit
+    step response of the branch b/a (a = s*c + K1, b = K1*s*c):
+
+        dy/dK1 = (s*c)^2 / a^2,   dy/dalpha = K1^2 d(s*c)/dalpha / a^2,
+
+    dy/dB1 from Euler's relation K1*dy/dK1 + B1*dy/dB1 = y (b/a is
+    homogeneous of degree 1), and 1/a from the record: b/a = K1 - K1^2/a.
+    """
+    k1 = params.k1
+    y = force / x0 - params.k0
+    inv_a = np.diff((k1 - y) / k1**2, prepend=0.0)
+    products = _squared_products(params, kernel, dc, inv_a, lambda s, ds: [s**2, k1**2 * ds])
+    y_k1, y_alpha = np.cumsum(products, axis=1)
+    y_b1 = (y - k1 * y_k1) / params.b1
+    return x0 * np.array([np.ones_like(y), y_k1, y_b1, y_alpha])
+
+
+def _creep_sensitivities(
+    params: FoSlsParams,
+    kernel: GLKernel,
+    dc: np.ndarray,
+    f_hold: float,
+    t_hold: float,
+    f_recover: float,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Rows dx/dK0, dx/dK1, dx/dB1, dx/dalpha of a creep record.
+
+    x is creep_response's record at params (any leading part of it); dc the
+    order derivatives of the weights.  With x = (a/den) F, den = (K0+K1)*s*c
+    + K0*K1:
+
+        d(a/den)/dK0 = -a^2/den^2,   d(a/den)/dK1 = -(s*c)^2/den^2,
+        d(a/den)/dalpha = -K1^2 d(s*c)/dalpha / den^2,
+
+    dx/dB1 from Euler's relation K0*x_K0 + K1*x_K1 + B1*x_B1 = -x (degree
+    -1).  Since (K0+K1)*(a/den) - 1 = K1^2/den, the impulse response of 1/den
+    comes from the unit step response of a/den, which the record gives once
+    the two-level force is undone block by block; with no hold force it takes
+    one filter pass instead.
+    """
+    k0, k1 = params.k0, params.k1
+    m = x.size
+    n_hold = n_samples(t_hold, kernel.t_samp) + 1
+    jump = float(f_recover) - float(f_hold)
+    if f_hold != 0.0:
+        step = x / f_hold
+        for lo in range(n_hold, m, n_hold):
+            hi = min(lo + n_hold, m)
+            step[lo:hi] -= jump / f_hold * step[lo - n_hold : hi - n_hold]
+        inv_den = np.diff(((k0 + k1) * step - 1.0) / k1**2, prepend=0.0)
+    else:
+        impulse = np.zeros(m)
+        impulse[0] = 1.0
+        inv_den = _lfilter([1.0], _creep_den(params, kernel), impulse)
+    products = _squared_products(
+        params, kernel, dc, inv_den, lambda s, ds: [(s + k1) ** 2, s**2, k1**2 * ds]
+    )
+    unit = np.cumsum(products, axis=1)
+    response = -float(f_hold) * unit
+    if n_hold < m:
+        response[:, n_hold:] -= jump * unit[:, : m - n_hold]
+    x_k0, x_k1, x_alpha = response
+    x_b1 = (-x - k0 * x_k0 - k1 * x_k1) / params.b1
+    return np.array([x_k0, x_k1, x_b1, x_alpha])
 
 
 @dataclass(frozen=True)

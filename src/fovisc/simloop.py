@@ -8,7 +8,9 @@ by the exact solution
     v[n+1] = d*v[n] + g_f*F[n],             d = e^(-bT/m),  g_f = (1 - d)/b,
     x[n+1] = x[n] + g_x*v[n] + c1*F[n],     g_x = (m/b)*(1 - d),  c1 = (T - g_x)/b,
 
-which at b = 0 takes its limits d = 1, g_f = T/m, g_x = T, c1 = T^2/(2m).
+which at b = 0 takes its limits d = 1, g_f = T/m, g_x = T, c1 = T^2/(2m);
+_plant_gains evaluates them without the cancellation of these forms at
+small bT/m.
 This keeps integrator error out of the passivity experiments; whatever the
 energy observer sees comes from the sampling loop itself.
 
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .glkernel import GLKernel
 from .models import DiscreteVE, FoSlsParams, _branch_filter
@@ -173,14 +174,37 @@ def _rendered_filter(ve) -> tuple[np.ndarray, np.ndarray]:
     raise TypeError(f"cannot render {type(ve).__name__}; expected DiscreteVE, PureSpring or None")
 
 
-def _plant_gains(plant: PlantParams, t_samp: float) -> tuple[float, float, float, float]:
-    """(d, g_f, g_x, c1) of the exact one-period plant step; limits at b = 0."""
+def _phi_series(h: float) -> tuple[float, float]:
+    """(phi_2(-h), (1 - e^-h (1 + h))/h^2) for 0 <= h < 1 by their power series
+    sum_{n>=2} (-h)^(n-2)/n! and sum_{n>=2} (n-1)(-h)^(n-2)/n! (to 1/26!)."""
+    phi2 = pn = 0.0
+    term = 1.0
+    for n in range(2, 27):
+        term /= n
+        phi2 += term
+        pn += (n - 1) * term
+        term *= -h
+    return phi2, pn
+
+
+def _plant_gains(plant: PlantParams, t_samp: float) -> tuple[float, float, float, float, float]:
+    """(d, g_f, g_x, c1, Pn's g_x*g_f - c1*d) of the exact one-period plant step.
+
+    With h = bT/m: g_x = T*phi_1(-h), g_f = g_x/m, c1 = (T^2/m)*phi_2(-h) and
+    g_x*g_f - c1*d = (T^2/m)*(1 - e^-h (1 + h))/h^2, where phi_1(z) = (e^z - 1)/z
+    and phi_2(z) = (e^z - 1 - z)/z^2.  expm1 and, below h = 1, the power
+    series keep every digit as b -> 0; at b = 0 they are the limits T, T/m,
+    T^2/(2m) and T^2/(2m).
+    """
     m, b, T = plant.mass, plant.damping, t_samp
-    if b == 0.0:
-        return 1.0, T / m, T, T * T / (2.0 * m)
-    d = math.exp(-b * T / m)
-    g_x = (m / b) * (1.0 - d)
-    return d, (1.0 - d) / b, g_x, (T - g_x) / b
+    h = b * T / m
+    phi1 = -math.expm1(-h) / h if h > 0.0 else 1.0
+    if h < 1.0:
+        phi2, pn = _phi_series(h)
+    else:
+        phi2 = (math.expm1(-h) + h) / (h * h)
+        pn = (-math.expm1(-h) - h * math.exp(-h)) / (h * h)
+    return math.exp(-h), T * phi1 / m, T * phi1, T * T * phi2 / m, T * T * pn / m
 
 
 def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -212,15 +236,17 @@ def simulate(
     T = float(t_samp)
     steps = n_samples(duration, T)
     num, den = _rendered_filter(ve)
-    d, g_f, g_x, c1 = _plant_gains(plant, T)
+    d, g_f, g_x, c1, pn2 = _plant_gains(plant, T)
     p_den = np.array([1.0, -(1.0 + d), d])
-    p_num = np.array([0.0, c1, g_x * g_f - c1 * d])
+    p_num = np.array([0.0, c1, pn2])
     loop_den = np.convolve(p_den, den) + np.convolve(p_num, num)
     v0 = excitation.initial_velocity(plant.mass)
     f_cmd = excitation.force_samples(steps, T)
     drive = _fir(p_num, f_cmd)  # Pn F_cmd, plus the kick's g_x*v0 one period later
     if steps > 1:
         drive[1] += g_x * v0
+
+    from scipy.signal import lfilter  # imported here: see models._lfilter
 
     def respond(u):
         # position den/loop_den u and rendered force num/loop_den u, sharing one pass

@@ -319,6 +319,7 @@ def test_criterion_09_plant_identification():
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_10_fit_recovery_and_memory_trend():
     t0 = time.perf_counter()
     # self-recovery from the identified-material generator at matching memory

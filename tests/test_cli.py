@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -310,6 +311,40 @@ class TestGnuplot:
         assert code == 0
         script = (tmp_path / "c.csv.gp").read_text()
         assert "plot" in script and "c.csv" in script
+
+
+class TestColdStart:
+    def test_commands_without_records_leave_scipy_signal_and_optimize_unimported(self, tmp_path):
+        import fovisc
+
+        readme_runs = [
+            ["coeffs", "--alpha", "0.5", "--n", "101", "--t", "0.001", "--json"],
+            ["bound", "--k0", "0", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", "101",
+             "--t", "0.001", "--b-plant", "0.0025"],
+            ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2",
+             "--steps", "40"],
+            ["sweep", "--what", "f", "--k0", "0", "--k1", "1", "--b1", "1", "--alpha", "0.5",
+             "--n", "101", "--t", "0.001"],
+            ["reduce", "--kind", "io_kv", "--k0", "10", "--k1", "1", "--b1", "0.01", "--alpha", "1",
+             "--n", "5", "--t", "0.001"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from fovisc.cli import dispatch\n"
+            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert dispatch([*argv, '-o', f'{sys.argv[2]}/out{i}']) == 0, argv\n"
+            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(fovisc.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(readme_runs), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
 
 class TestEntryPoint:

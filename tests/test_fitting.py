@@ -1,11 +1,15 @@
 """Fit-quality metric, synthetic protocols, and constrained identification."""
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fovisc import fitting
+from fovisc.cli import dispatch
 from fovisc.fitting import (
     CreepProtocol,
     ExperimentData,
@@ -97,11 +101,12 @@ class TestSynth:
 
 
 class TestFitConfig:
-    @pytest.mark.parametrize("evals", [-1, 0, 4])
+    @pytest.mark.parametrize("evals", [-1, 0, 1])
     def test_rejects_a_budget_below_one_step(self, evals):
-        # one residual plus one four-probe Jacobian is the least a step needs
+        # one residual plus one Jacobian is the least a step needs
         with pytest.raises(ValueError, match="max_evals_per_start"):
             FitConfig(max_evals_per_start=evals)
+        assert FitConfig(max_evals_per_start=2).max_evals_per_start == 2
 
 
 class TestPassiveParams:
@@ -122,6 +127,78 @@ class TestPassiveParams:
         assert b_plant - b_min <= 1e-12 * (abs(params.k0) * t_samp + b_plant)
 
 
+def central_jacobian(residuals, theta, h=1e-4):
+    """Fourth-order central differences of the residual, column by column."""
+    cols = []
+    for j in range(theta.size):
+        e = np.zeros(theta.size)
+        e[j] = h
+        near = residuals(theta + e) - residuals(theta - e)
+        far = residuals(theta + 2 * e) - residuals(theta - 2 * e)
+        cols.append((8.0 * near - far) / (12.0 * h))
+    return np.column_stack(cols)
+
+
+class TestJacobian:
+    @given(
+        slack=st.floats(0.01, 10.0),
+        log_k1=st.floats(math.log(0.1), math.log(50.0)),
+        log_b1=st.floats(math.log(0.1), math.log(50.0)),
+        u=st.floats(-3.0, 3.0) | st.just(50.0),  # logit 50 rounds alpha to exactly 1
+        n_mem=st.sampled_from([1, 51, 101]),
+        kinds=st.sampled_from([("creep",), ("relaxation",), ("creep", "relaxation")]),
+        f_hold=st.sampled_from([3.0, 0.0]),  # no hold force: 1/den from a filter pass
+        t_hold=st.sampled_from([0.6, 0.15]),  # the recovery undone over 1 or 4 blocks
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_central_differences(self, slack, log_k1, log_b1, u, n_mem, kinds, f_hold, t_hold):
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        protocols = {
+            "creep": CreepProtocol(f_hold=f_hold, t_hold=t_hold, t_recover=0.6),
+            "relaxation": RelaxationProtocol(duration=0.6),
+        }
+        data = [synth_experiment(MATERIAL_N101, kern, protocols[k]) for k in kinds]
+        residuals, jacobian = fitting._objective(data, n_mem, FitConfig())
+        theta = np.array([slack, log_k1, log_b1, u])
+        assume(np.all(np.abs(residuals(theta)) < fitting._WALL))
+        jac = jacobian(theta)
+        # relative to the whole matrix: every column differentiates the same
+        # weighted residual in an O(1) variable, and Euler's relation gives
+        # the B1 column by a difference that can be far smaller than its terms
+        err = np.max(np.abs(jac - central_jacobian(residuals, theta)))
+        assert err <= 1e-6 * np.max(np.abs(jac))
+
+    def test_wall_records_give_zero_rows(self):
+        # at this theta the creep inverse filter is unstable and its record
+        # sits on the wall, while the relaxation record stays inside it
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        data = [
+            synth_experiment(MATERIAL_N101, kern, CreepProtocol(t_hold=0.5, t_recover=0.5)),
+            synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(duration=0.5)),
+        ]
+        n_creep = data[0].values.size
+        residuals, jacobian = fitting._objective(data, 101, FitConfig())
+        theta = np.array([3.0, 2.0, 1.0, 0.0])
+        r = residuals(theta)
+        assert np.any(np.abs(r[:n_creep]) == fitting._WALL)
+        assert np.all(np.abs(r[n_creep:]) < fitting._WALL)
+        with np.errstate(all="raise"):
+            jac = jacobian(theta)
+        assert np.all(jac[:n_creep] == 0.0)
+        assert np.all(np.abs(jac[n_creep:]).max(axis=0) > 0.0)
+
+    def test_reuses_the_records_of_the_last_residual(self, monkeypatch):
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        data = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(duration=0.5))
+        residuals, jacobian = fitting._objective([data], 101, FitConfig())
+        theta = np.array([1.0, 1.5, 1.5, -1.0])
+        residuals(theta)
+        expected = jacobian(theta)
+        monkeypatch.setattr(fitting, "relaxation_response", lambda *a: pytest.fail("model ran"))
+        assert np.array_equal(jacobian(theta.copy()), expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFit:
     def make_data(self, params, n_gen=101):
         kern = build_kernel(params.alpha, n_gen, T)
@@ -203,11 +280,26 @@ class TestFit:
             runs.append(args)
             return relaxation_response(*args)
 
+        objective = fitting._objective
+        jacobians = []
+
+        def counting_objective(*args):
+            residuals, jacobian = objective(*args)
+
+            def counted(theta):
+                jacobians.append(theta)
+                return jacobian(theta)
+
+            return residuals, counted
+
         monkeypatch.setattr(fitting, "relaxation_response", counting)
+        monkeypatch.setattr(fitting, "_objective", counting_objective)
         result = fit(data, 51, FitConfig(n_starts=2, max_evals_per_start=40, seed=0))
-        # one model run per residual (Jacobian probes included), plus the
-        # up-front length check and the final report
-        assert len(runs) == result.objective_evals + 2
+        # an evaluation is a residual (one model run) or a Jacobian (none: it
+        # reuses the residual's record); plus the up-front length check and
+        # the final report
+        assert jacobians
+        assert len(runs) + len(jacobians) == result.objective_evals + 2
         assert result.objective_evals <= 2 * 40
 
     def test_short_protocol_fails_before_the_search(self, monkeypatch):
@@ -236,3 +328,34 @@ class TestFit:
         assert unstable
         assert np.isfinite(result.nrmse)
         assert result.passivity_ok
+
+
+class TestCsvRoundTrip:
+    @given(
+        slack=st.floats(0.05, 3.0),
+        log_k1=st.floats(0.0, math.log(20.0)),
+        log_b1=st.floats(0.0, math.log(20.0)),
+        u=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_synth_csv_fit_recovers_the_generator(self, tmp_path_factory, slack, log_k1, log_b1, u):
+        # a passive generator (K0 below the cap by the slack), written by synth
+        # at 12 significant digits and read back by fit
+        d = tmp_path_factory.mktemp("roundtrip")
+        true, _ = _passive_params([slack, log_k1, log_b1, u], 101, T, 0.0025)
+        flags = ["--k0", repr(true.k0), "--k1", repr(true.k1), "--b1", repr(true.b1),
+                 "--alpha", repr(true.alpha)]
+        creep, relax, out = d / "creep.csv", d / "relax.csv", d / "fit.json"
+        assert dispatch(["synth", *flags, "--protocol", "creep", "--t-hold", "1",
+                         "--t-recover", "1", "-o", str(creep)]) == 0
+        assert dispatch(["synth", *flags, "--protocol", "relaxation", "--duration", "1",
+                         "-o", str(relax)]) == 0
+        # a generator whose force law loses its inverse somewhere on the unit
+        # circle has a diverging creep record: no material to recover
+        assume(np.max(np.abs(np.loadtxt(creep, delimiter=",", skiprows=1)[:, 1])) < 1e3)
+        code = dispatch(["fit", "--creep", str(creep), "--relax", str(relax), "--t-hold", "1",
+                         "--starts", "2", "--seed", "0", "-o", str(out)])
+        result = json.loads(out.read_text())
+        assert code == 0
+        assert result["params"]["alpha"] == pytest.approx(true.alpha, abs=0.02)
+        assert result["nrmse"] < 0.005

@@ -77,6 +77,29 @@ class TestBuildKernel:
             build_kernel(alpha, n_mem, t_samp)
 
 
+class TestOrderDerivative:
+    @given(alpha=st.floats(0.01, 1.0) | st.just(1.0), n_mem=st.sampled_from([0, 1, 2, 30]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_high_precision_oracle(self, alpha, n_mem):
+        # d/dalpha of c_i = (-1)^i C(alpha, i), an entire function of alpha,
+        # so alpha = 1 (where c_i = 0 for i >= 2) needs no one-sided rule
+        import mpmath
+
+        mpmath.mp.dps = 30
+        dc = glkernel._coeffs_dalpha(build_kernel(alpha, n_mem, 0.001))
+        ref = [
+            float(mpmath.diff(lambda a, i=i: (-1) ** i * mpmath.binomial(a, i), mpmath.mpf(alpha)))
+            for i in range(n_mem + 1)
+        ]
+        np.testing.assert_allclose(dc, ref, rtol=1e-12, atol=1e-15)
+
+    def test_order_one_closed_form(self):
+        # at alpha = 1: dc_1 = -1 and dc_i = 1/(i(i-1)) for i >= 2
+        dc = glkernel._coeffs_dalpha(build_kernel(1.0, 6, 0.001))
+        i = np.arange(2, 7)
+        np.testing.assert_allclose(dc, [0.0, -1.0, *(1.0 / (i * (i - 1)))], rtol=1e-15)
+
+
 class TestBinomGeneral:
     def test_product_examples(self):
         assert binom_general(0.5, 2) == pytest.approx(-0.125, abs=1e-15)
@@ -108,6 +131,26 @@ class TestBinomGeneral:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             binom_general(0.5, -1)
+
+    @given(x=st.floats(-80.0, 80.0).filter(lambda v: v != math.floor(v)))
+    @settings(max_examples=200, deadline=None)
+    def test_gamma_sign_matches_scipy(self, x):
+        assert glkernel._gamma_sign(x) == special.gammasgn(x)
+
+    @given(alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) > 1e-6), k=st.integers(2049, 6000))
+    @settings(max_examples=40, deadline=None)
+    def test_log_gamma_route_matches_high_precision_oracle(self, alpha, k):
+        # past the product's reach the sign comes from _gamma_sign; the
+        # magnitude loses digits as alpha -> 0, where alpha - k + 1 nears a
+        # pole of Gamma and its float drops alpha's low digits (2.3e-7 at
+        # alpha = 1e-6, k = 6000)
+        import mpmath
+
+        mpmath.mp.dps = 30
+        ref = float(mpmath.binomial(mpmath.mpf(alpha), k))
+        ours = binom_general(alpha, k)
+        assert math.copysign(1.0, ours) == math.copysign(1.0, ref)
+        assert ours == pytest.approx(ref, rel=1e-6, abs=1e-300)
 
 
 class TestDeltaSums:

@@ -35,10 +35,27 @@ def loop_kernel(alpha, n_mem=101):
     return build_kernel(alpha, n_mem, T)
 
 
+def mp_plant_gains(mass, damping, t_samp):
+    """The textbook plant-step gains and Pn's second coefficient, in enough
+    digits to survive their cancellation at small bT/m."""
+    import mpmath
+
+    m, b, T = (mpmath.mpf(v) for v in (mass, damping, t_samp))
+    if b == 0:
+        return [1, T / m, T, T * T / (2 * m), T * T / (2 * m)]
+    mpmath.mp.dps = 40 + 3 * int(-mpmath.log10(b * T / m))
+    m, b, T = (mpmath.mpf(v) for v in (mass, damping, t_samp))
+    d = mpmath.exp(-b * T / m)
+    g_x = (m / b) * (1 - d)
+    c1 = (T - g_x) / b
+    return [d, (1 - d) / b, g_x, c1, g_x * (1 - d) / b - c1 * d]
+
+
 def reference_simulate(plant, ve, excitation, duration, t_samp=None):
     """The loop stepped one sample at a time: a fresh DiscreteVE.force_step per
-    sample, the exact ZOH plant step (its own b = 0 branch), and an early exit
-    once |x| exceeds the divergence limit or is not finite."""
+    sample, the exact ZOH plant step (gains from mp_plant_gains, so none of
+    the textbook forms' cancellation at small bT/m), and an early exit once
+    |x| exceeds the divergence limit or is not finite."""
     T = ve.kernel.t_samp if t_samp is None else float(t_samp)
     m, b = plant.mass, plant.damping
     steps = n_samples(duration, T)
@@ -51,10 +68,7 @@ def reference_simulate(plant, ve, excitation, duration, t_samp=None):
     f_script = excitation.force_samples(steps, T)
     rows = np.zeros((steps, 5))
     x, v = 0.0, excitation.initial_velocity(m)
-    if b > 0.0:
-        decay = math.exp(-b * T / m)
-        gain_f = (1.0 - decay) / b
-        gain_x = (m / b) * (1.0 - decay)
+    decay, gain_f, gain_x, c1, _ = (float(g) for g in mp_plant_gains(m, b, T))
     energy = 0.0
     diverged = False
     n_done = steps
@@ -68,13 +82,7 @@ def reference_simulate(plant, ve, excitation, duration, t_samp=None):
             n_done = n + 1
             break
         f_tot = f_cmd - f_ve
-        if b > 0.0:
-            v_next = v * decay + f_tot * gain_f
-            x = x + (f_tot / b) * T + (v - f_tot / b) * gain_x
-        else:
-            v_next = v + f_tot * T / m
-            x = x + v * T + 0.5 * f_tot * T * T / m
-        v = v_next
+        x, v = x + gain_x * v + c1 * f_tot, decay * v + gain_f * f_tot
     rows = rows[:n_done]
     return SimTrace(
         t=np.arange(n_done) * T,
@@ -100,6 +108,33 @@ def assert_traces_agree(new, ref, rel=1e-9):
         np.testing.assert_array_equal(np.isfinite(a), finite, err_msg=name)
         scale = float(np.max(np.abs(r[finite]), initial=0.0))
         np.testing.assert_allclose(a[finite], r[finite], rtol=0.0, atol=rel * scale, err_msg=name)
+
+
+class TestPlantGains:
+    @given(frac=st.floats(0.0, 1e-3) | st.floats(1e-3, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_in_damping(self, frac):
+        # b in [0, 1e-3]*m/T, where the textbook forms cancel, and beyond
+        mass = 7.34e-5
+        ours = simloop._plant_gains(PlantParams(mass, frac * mass / T), T)
+        for got, want in zip(ours, mp_plant_gains(mass, frac * mass / T, T)):
+            assert got == pytest.approx(float(want), rel=1e-14)
+
+    @pytest.mark.parametrize("damping", [0.0, 1e-12, 1e-9])
+    def test_free_plant_under_a_constant_push(self, damping):
+        # 0.001 N for 1 s on 73.4 g ends at 6.798 mm; b = 1e-12 once gave -918.8 mm
+        import mpmath
+
+        mpmath.mp.dps = 60
+        mass, push, t = mpmath.mpf(7.34e-5), mpmath.mpf(0.001), 999 * mpmath.mpf(T)
+        if damping:
+            b = mpmath.mpf(damping)
+            want = push * mass / b**2 * (b * t / mass - 1 + mpmath.exp(-b * t / mass))
+        else:
+            want = push * t**2 / (2 * mass)
+        trace = simulate(PlantParams(7.34e-5, damping), None, Scripted(np.full(1000, 0.001)), 1.0, T)
+        assert trace.position[-1] == pytest.approx(float(want), rel=1e-12)
+        assert trace.position[-1] == pytest.approx(6.798, rel=1e-4)
 
 
 class TestSimulate:
