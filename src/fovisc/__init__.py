@@ -30,12 +30,10 @@ from .glkernel import (
 )
 from .impedance import (
     BfoElement,
-    EffectiveImpedancePoint,
     bfo_response,
-    ed_finite,
     es_ed_asymptotic,
+    es_ed_finite,
     es_ed_lowfreq,
-    es_finite,
     special_case_es_ed,
 )
 from .models import (
@@ -96,10 +94,8 @@ __all__ = [
     "bound_variants",
     "special_case_bound",
     "region_scan",
-    "EffectiveImpedancePoint",
     "BfoElement",
-    "es_finite",
-    "ed_finite",
+    "es_ed_finite",
     "es_ed_asymptotic",
     "es_ed_lowfreq",
     "bfo_response",

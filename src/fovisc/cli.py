@@ -119,20 +119,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     params = _params_from(args)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     if args.n % 2 == 1:
-        result = passivity.bound_closed_form(params, kern, b_plant=args.b_plant)
+        result = passivity.bound_closed_form(params, kern)
         variants = {k: _f12(v) for k, v in passivity.bound_variants(params, kern).items()}
     else:
-        result = passivity.max_passivity(models.DiscreteVE(params, kern), args.grid_points)
-        if args.b_plant is not None:
-            result = passivity.PassivityResult(
-                result.b_min, result.omega_star, result.method, bool(args.b_plant > result.b_min)
-            )
+        result = passivity.max_passivity(params, kern, args.grid_points)
         variants = None
     payload = {
         "b_min": _f12(result.b_min),
         "omega_star": _f12(result.omega_star),
         "method": result.method,
-        "margin_ok": result.margin_ok,
+        "margin_ok": None if args.b_plant is None else bool(args.b_plant > result.b_min),
     }
     if variants is not None:
         payload["variants"] = variants
@@ -157,13 +153,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     nyq = kern.nyquist
     omegas = np.linspace(0.0, nyq, args.points + 1)[1:]
     if args.what == "f":
-        values = passivity._f_values(models.DiscreteVE(params, kern), omegas)
+        values = passivity.passivity_function(params, kern, omegas)
         rows = [(float(w * args.t), _f12(f)) for w, f in zip(omegas, values)]
         _write_csv(args, ["omega_t", "f"], rows)
         return EXIT_OK
-    form = {"finite": "finite_n", "asymptotic": "asymptotic", "lowfreq": "lowfreq"}[args.form]
-    points = impedance.sweep_points(params, kern, omegas, form)
-    rows = [(pt.omega, _f12(pt.es if args.what == "es" else pt.ed)) for pt in points]
+    if args.form == "lowfreq":
+        # one row at w = 0, where ED is only defined as the limit
+        es, ed = impedance.es_ed_lowfreq(params, kern)
+        omegas, es, ed = [0.0], [es], [ed]
+    elif args.form == "finite":
+        es, ed = impedance.es_ed_finite(params, kern, omegas)
+    else:
+        es, ed = impedance.es_ed_asymptotic(params, omegas, kern.t_samp)
+    rows = [(float(w), _f12(v)) for w, v in zip(omegas, es if args.what == "es" else ed)]
     _write_csv(args, ["omega", args.what], rows)
     return EXIT_OK
 

@@ -141,9 +141,19 @@ def binom_general(alpha: float, k: int) -> float:
         for j in range(k):
             out *= (au - j) / (j + 1)
         return float(out)
-    sign = _gamma_sign(a + 1.0) * _gamma_sign(a - k + 1.0)
-    logmag = math.lgamma(a + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a - k + 1.0)
-    return float(sign) * math.exp(logmag)
+    if a - k + 1.0 > 0.0:
+        sign = _gamma_sign(a + 1.0) * _gamma_sign(a - k + 1.0)
+        logmag = math.lgamma(a + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a - k + 1.0)
+        return float(sign) * math.exp(logmag)
+    # Below Gamma's poles the float a - k + 1 drops a's low digits, so reflect:
+    # 1/Gamma(a-k+1) = Gamma(k-a) sin(pi(a-k+1)) / pi, sin(pi(a-k+1)) = (-1)^(k-1) sin(pi a)
+    sin_pa = math.sin(math.pi * math.fmod(a, 2.0))
+    sign = _gamma_sign(a + 1.0) * (-1.0) ** ((k - 1) % 2) * math.copysign(1.0, sin_pa)
+    logmag = (
+        math.lgamma(a + 1.0) + math.lgamma(k - a) - math.lgamma(k + 1.0)
+        + math.log(abs(sin_pa) / math.pi)
+    )
+    return sign * math.exp(logmag)
 
 
 def _gamma_sign(x: float) -> float:
@@ -201,6 +211,22 @@ def _check_omegas(omegas, t_samp: float, allow_dc: bool = False) -> np.ndarray:
         band = "[0, pi/T]" if allow_dc else "(0, pi/T]"
         raise ValueError(f"omega must lie in {band}, got {bad[0]}")
     return omegas
+
+
+def _flat_omegas(omegas, t_samp: float) -> tuple[np.ndarray, tuple]:
+    """The checked frequencies as a 1-D array, with the shape to return results in.
+
+    Evaluators compute on this 1-D array only, so a scalar omega takes the
+    same arithmetic as that omega inside an array (0-d operands can round
+    differently).
+    """
+    omegas = _check_omegas(omegas, t_samp)
+    return omegas.ravel(), omegas.shape
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """Values computed on _flat_omegas in the input's shape: a float for a scalar."""
+    return float(values[0]) if shape == () else values.reshape(shape)
 
 
 def s_of_omega(kernel: GLKernel, omega: float) -> tuple[complex, complex]:

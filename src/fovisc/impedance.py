@@ -21,40 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glkernel import GLKernel, _check_omegas, _s_conj_infinite, _s_conj_values, delta_d, delta_s
+from .glkernel import (
+    GLKernel,
+    _check_omegas,
+    _flat_omegas,
+    _s_conj_infinite,
+    _s_conj_values,
+    _shaped,
+    delta_d,
+    delta_s,
+)
 from .models import (
     REDUCTION_KINDS,
     FoSlsParams,
     _branch_impedance,
+    _check_order,
     _reduced_impedance,
     _reduced_params,
 )
 
 __all__ = [
-    "EffectiveImpedancePoint",
     "BfoElement",
-    "es_finite",
-    "ed_finite",
+    "es_ed_finite",
     "es_ed_asymptotic",
     "es_ed_lowfreq",
     "bfo_response",
-    "sweep_points",
     "special_case_es_ed",
 ]
 
 # Tolerance for the sign assertion behind the + superscript: anything more
 # negative than this indicates a convention bug, not roundoff.
 _NEG_TOL = -1e-12
-
-
-@dataclass(frozen=True)
-class EffectiveImpedancePoint:
-    """One (frequency, stiffness, damping) sample with its evaluation route."""
-
-    omega: float  # rad/s
-    es: float  # N/mm
-    ed: float  # N*s/mm
-    form: str  # finite_n | asymptotic | lowfreq
 
 
 @dataclass(frozen=True)
@@ -73,28 +70,25 @@ def _assigned_positive(value, what: str):
         msg = f"{what} = {worst:.3e} is negative beyond tolerance; sign convention violated"
         if __debug__:
             raise AssertionError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        warnings.warn(msg, RuntimeWarning, stacklevel=4)
     return np.maximum(value, 0.0)
 
 
-def _es_ed_finite(
-    params: FoSlsParams, kernel: GLKernel, omegas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Finite-memory (ES, ED) arrays from one spectrum evaluation over omegas in (0, pi/T]."""
-    omegas = _check_omegas(omegas, kernel.t_samp)
-    branch = _branch_impedance(params, kernel.t_samp, _s_conj_values(kernel, omegas))
+def _es_ed(params: FoSlsParams, branch: np.ndarray, omegas: np.ndarray, shape: tuple):
+    """(ES, ED) in the input's shape from the branch impedance on the 1-D omegas."""
     es = params.k0 + _assigned_positive(branch.real, "branch ES")
-    return es, _assigned_positive(branch.imag / omegas, "ED")
+    ed = _assigned_positive(branch.imag / omegas, "ED")
+    return _shaped(es, shape), _shaped(ed, shape)
 
 
-def es_finite(params: FoSlsParams, kernel: GLKernel, omega: float) -> float:
-    """Finite-memory effective stiffness [N/mm]."""
-    return float(_es_ed_finite(params, kernel, np.array([float(omega)]))[0][0])
-
-
-def ed_finite(params: FoSlsParams, kernel: GLKernel, omega: float) -> float:
-    """Finite-memory effective damping [N*s/mm]."""
-    return float(_es_ed_finite(params, kernel, np.array([float(omega)]))[1][0])
+def es_ed_finite(params: FoSlsParams, kernel: GLKernel, omegas):
+    """Finite-memory effective stiffness [N/mm] and damping [N*s/mm] at
+    frequencies in (0, pi/T], from one spectrum evaluation: floats for a
+    scalar omega, else arrays of omega's shape."""
+    _check_order(params.alpha, kernel)
+    flat, shape = _flat_omegas(omegas, kernel.t_samp)
+    branch = _branch_impedance(params, kernel.t_samp, _s_conj_values(kernel, flat))
+    return _es_ed(params, branch, flat, shape)
 
 
 def _trig_branch(params: FoSlsParams, omegas: np.ndarray, t_samp: float):
@@ -111,17 +105,16 @@ def _trig_branch(params: FoSlsParams, omegas: np.ndarray, t_samp: float):
     return re, im
 
 
-def _es_ed_infinite(
-    params: FoSlsParams, omegas: np.ndarray, t_samp: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Infinite-memory (ES, ED) arrays over omegas in (0, pi/T].
+def es_ed_asymptotic(params: FoSlsParams, omegas, t_samp: float):
+    """Infinite-memory effective stiffness and damping at frequencies in
+    (0, pi/T]: floats for a scalar omega, else arrays of omega's shape.
 
     The branch on the compact spectrum (1 - e^{-i w T})^alpha and the
     trigonometric closed form describe the same analytic object; both are
     evaluated and required to agree to 1e-12 at every point before the values
     are returned.
     """
-    omegas = _check_omegas(omegas, t_samp)
+    omegas, shape = _flat_omegas(omegas, t_samp)
     branch = _branch_impedance(params, t_samp, _s_conj_infinite(omegas, t_samp, params.alpha))
     re_t, im_t = _trig_branch(params, omegas, t_samp)
     tol = 1e-12 * np.maximum(1.0, np.abs(branch))
@@ -132,15 +125,7 @@ def _es_ed_infinite(
             f"trigonometric and compact evaluations disagree at omega = {omegas[i]}: "
             f"({re_t[i]}, {im_t[i]}) vs ({branch.real[i]}, {branch.imag[i]})"
         )
-    es = params.k0 + _assigned_positive(branch.real, "branch ES")
-    return es, _assigned_positive(branch.imag / omegas, "ED")
-
-
-def es_ed_asymptotic(params: FoSlsParams, omega: float, t_samp: float) -> tuple[float, float]:
-    """Infinite-memory effective stiffness and damping at one frequency,
-    trigonometric and compact routes cross-checked."""
-    es, ed = _es_ed_infinite(params, np.array([float(omega)]), t_samp)
-    return float(es[0]), float(ed[0])
+    return _es_ed(params, branch, omegas, shape)
 
 
 def es_ed_lowfreq(params: FoSlsParams, kernel: GLKernel) -> tuple[float, float]:
@@ -171,35 +156,6 @@ def bfo_response(element: BfoElement, omega: float) -> complex:
     el = element
     omega = _check_omegas(omega, el.t_samp, allow_dc=True)
     return el.b1 / el.t_samp**el.alpha * complex(_s_conj_infinite(omega, el.t_samp, el.alpha))
-
-
-def sweep_points(
-    params: FoSlsParams,
-    kernel: GLKernel,
-    omegas,
-    form: str = "finite_n",
-) -> list[EffectiveImpedancePoint]:
-    """Evaluate (ES, ED) over a frequency grid with the chosen route.
-
-    form 'lowfreq' ignores the grid and reports the single w = 0 limit
-    point (that is also where ED must be reported at exactly zero frequency).
-    forms 'finite_n' and 'asymptotic' each evaluate the whole grid in one
-    array call.
-    """
-    if form == "lowfreq":
-        es, ed = es_ed_lowfreq(params, kernel)
-        return [EffectiveImpedancePoint(omega=0.0, es=es, ed=ed, form="lowfreq")]
-    omegas = np.asarray(omegas, dtype=float)
-    if form == "finite_n":
-        es, ed = _es_ed_finite(params, kernel, omegas)
-    elif form == "asymptotic":
-        es, ed = _es_ed_infinite(params, omegas, kernel.t_samp)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return [
-        EffectiveImpedancePoint(omega=w, es=e, ed=d, form=form)
-        for w, e, d in zip(omegas.tolist(), es.tolist(), ed.tolist())
-    ]
 
 
 def special_case_es_ed(

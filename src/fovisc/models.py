@@ -107,12 +107,10 @@ def _branch_filter(params: FoSlsParams, kernel: GLKernel):
     return b, a
 
 
-def _check_order(params: FoSlsParams, kernel: GLKernel) -> None:
-    """Refuse a kernel built for another order than the parameters'."""
-    if abs(params.alpha - kernel.alpha) > 1e-12:
-        raise ValueError(
-            f"kernel order {kernel.alpha} does not match parameter order {params.alpha}"
-        )
+def _check_order(alpha: float, kernel: GLKernel) -> None:
+    """Refuse a kernel built for another order than the parameters' alpha."""
+    if abs(alpha - kernel.alpha) > 1e-12:
+        raise ValueError(f"kernel order {kernel.alpha} does not match parameter order {alpha}")
 
 
 class DiscreteVE:
@@ -125,7 +123,7 @@ class DiscreteVE:
     """
 
     def __init__(self, params: FoSlsParams, kernel: GLKernel):
-        _check_order(params, kernel)
+        _check_order(params.alpha, kernel)
         self.params = params
         self.kernel = kernel
         t_a = kernel.t_samp**params.alpha
@@ -170,6 +168,7 @@ def relaxation_response(
     instantaneous response x0*(K0 + K1*B1/(B1 + K1*T^a)); the tail settles
     toward x0 times the DC stiffness.
     """
+    _check_order(params.alpha, kernel)
     if x0 == 0.0:
         raise ValueError("step displacement must be nonzero")
     if duration <= 0.0:
@@ -196,6 +195,7 @@ def creep_response(
     the displacement follows from the exact per-step inversion; in filter
     form x = lfilter(a_branch, den, F) with den[0] = K0*K1 + (K0+K1)*B1/T^a.
     """
+    _check_order(params.alpha, kernel)
     if t_hold <= 0.0 or t_recover < 0.0:
         raise ValueError("hold duration must be positive and recovery nonnegative")
     T = kernel.t_samp
@@ -350,12 +350,12 @@ class ReducedModel:
 
     kind: str
     params: FoSlsParams
-    kernel: GLKernel | None = None
+    kernel: GLKernel
 
     def freq_response(self, omega):
         """Impedance at one frequency (complex), or elementwise over an array of
         them, each in (0, pi/T]."""
-        T = self._t_samp
+        T = self.kernel.t_samp
         omega = _check_omegas(omega, T)
         if self.kind.startswith("fo_"):
             s = _s_conj_values(self.kernel, omega.ravel()).reshape(omega.shape)
@@ -363,12 +363,6 @@ class ReducedModel:
             s = _s_conj_infinite(omega, T, self.params.alpha)  # order one: exact for N >= 1
         h = _reduced_impedance(self.kind, self.params, T, s)
         return complex(h) if h.ndim == 0 else h
-
-    @property
-    def _t_samp(self) -> float:
-        if self.kernel is None:
-            raise ValueError("a kernel (for T) is required to evaluate the reduction")
-        return self.kernel.t_samp
 
 
 def reduce_model(kind: str, params: FoSlsParams, kernel: GLKernel | None = None) -> ReducedModel:

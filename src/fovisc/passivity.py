@@ -26,15 +26,15 @@ import numpy as np
 
 from .glkernel import (
     GLKernel,
-    _check_omegas,
+    _flat_omegas,
     _s_conj_values,
+    _shaped,
     delta_p,
     delta_p_asymptotic,
     delta_p_sufficient,
 )
 from .models import (
     REDUCTION_KINDS,
-    DiscreteVE,
     FoSlsParams,
     _check_order,
     _reduced_impedance,
@@ -73,21 +73,20 @@ class PassivityResult:
     margin_ok: bool | None = None
 
 
-def _f_values(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """f(w) on an array of frequencies in (0, pi/T]; s is their spectrum, if already known."""
-    p, kern = ve.params, ve.kernel
-    T = kern.t_samp
+def _f_values(params: FoSlsParams, T: float, omegas: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f(w) on a 1-D array of frequencies in (0, pi/T] whose spectrum is s."""
     th = omegas * T
-    if s is None:
-        s = _s_conj_values(kern, omegas)
-    h = _reduced_impedance("fo_sls", p, T, s)
+    h = _reduced_impedance("fo_sls", params, T, s)
     lead = 1.0 - np.exp(-1j * th)
     return T / (2.0 * (1.0 - np.cos(th))) * (lead * h).real
 
 
-def passivity_function(ve: DiscreteVE, omega: float) -> float:
-    """Colgate right-hand side f(w) [N*s/mm] at one frequency in (0, pi/T]."""
-    return float(_f_values(ve, _check_omegas([omega], ve.kernel.t_samp))[0])
+def passivity_function(params: FoSlsParams, kernel: GLKernel, omegas):
+    """Colgate right-hand side f(w) [N*s/mm] at frequencies in (0, pi/T]: a
+    float for a scalar omega, else an array of omega's shape."""
+    _check_order(params.alpha, kernel)
+    flat, shape = _flat_omegas(omegas, kernel.t_samp)
+    return _shaped(_f_values(params, kernel.t_samp, flat, _s_conj_values(kernel, flat)), shape)
 
 
 def _nyquist_value(kind: str, params: FoSlsParams, t_samp: float, dp: float) -> float:
@@ -121,14 +120,17 @@ def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, kernel.nyquist, grid_points + 1)[1:]
 
 
-def _grid_max(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray, refine_at_most: float):
+def _grid_max(
+    params: FoSlsParams, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, refine_at_most: float
+):
     """(omega, f) at the maximum of f over the search grid whose spectrum is s.
 
     A grid maximum at most refine_at_most is refined by golden section inside
     the best grid cell (f oscillates under truncation, so refinement must stay
     local); the result is never below the grid maximum.
     """
-    values = _f_values(ve, omegas, s)
+    T = kernel.t_samp
+    values = _f_values(params, T, omegas, s)
     i_best = int(np.argmax(values))
     w_grid, f_grid = float(omegas[i_best]), float(values[i_best])
     if f_grid > refine_at_most:
@@ -136,31 +138,36 @@ def _grid_max(ve: DiscreteVE, omegas: np.ndarray, s: np.ndarray, refine_at_most:
     lo = omegas[max(i_best - 1, 0)]
     hi = omegas[min(i_best + 1, omegas.size - 1)]
     tol = (omegas[1] - omegas[0]) * 1e-6
-    w_star, f_star = _golden_max(lambda w: float(_f_values(ve, np.array([w]))[0]), lo, hi, tol)
+
+    def f_at(w: float) -> float:
+        w = np.array([w])
+        return float(_f_values(params, T, w, _s_conj_values(kernel, w))[0])
+
+    w_star, f_star = _golden_max(f_at, lo, hi, tol)
     return (w_grid, f_grid) if f_star < f_grid else (w_star, f_star)
 
 
-def max_passivity(ve: DiscreteVE, grid_points: int = 8192) -> PassivityResult:
+def max_passivity(params: FoSlsParams, kernel: GLKernel, grid_points: int = 8192) -> PassivityResult:
     """Maximum of f over (0, pi/T], located by parity-aware search.
 
     Odd memory length: the maximum is at Nyquist; the grid is still swept and
     required to agree.  Even memory length: grid maximum followed by local
     golden-section refinement.
     """
-    kern = ve.kernel
-    omegas = _grid(kern, grid_points)
-    s = _s_conj_values(kern, omegas)
-    if kern.n_mem % 2 == 0:
-        w_star, f_star = _grid_max(ve, omegas, s, math.inf)
+    _check_order(params.alpha, kernel)
+    omegas = _grid(kernel, grid_points)
+    s = _s_conj_values(kernel, omegas)
+    if kernel.n_mem % 2 == 0:
+        w_star, f_star = _grid_max(params, kernel, omegas, s, math.inf)
         return PassivityResult(b_min=f_star, omega_star=w_star, method="grid")
-    f_grid = _grid_max(ve, omegas, s, -math.inf)[1]
-    f_nyq = _nyquist_value("fo_sls", ve.params, kern.t_samp, delta_p(kern))
+    f_grid = _grid_max(params, kernel, omegas, s, -math.inf)[1]
+    f_nyq = _nyquist_value("fo_sls", params, kernel.t_samp, delta_p(kernel))
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
         raise AssertionError(
             f"grid maximum {f_grid} exceeds the Nyquist value {f_nyq} for an odd memory length"
         )
-    return PassivityResult(b_min=f_nyq, omega_star=kern.nyquist, method="closed_form_odd_n")
+    return PassivityResult(b_min=f_nyq, omega_star=kernel.nyquist, method="closed_form_odd_n")
 
 
 def bound_closed_form(
@@ -171,7 +178,7 @@ def bound_closed_form(
     Even memory lengths are refused (the Nyquist shortcut is invalid there);
     use max_passivity instead.  So is a kernel of another order than params.
     """
-    _check_order(params, kernel)
+    _check_order(params.alpha, kernel)
     if kernel.n_mem % 2 == 0:
         raise ValueError(
             "closed-form bound requires an odd memory length; use max_passivity for even N"
@@ -207,7 +214,7 @@ def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> floa
     if kind not in BOUND_KINDS:
         raise ValueError(f"unsupported kind {kind!r}; expected one of {BOUND_KINDS}")
     if not kind.startswith("io_"):
-        _check_order(params, kernel)
+        _check_order(params.alpha, kernel)
     if kind.startswith("io_") and kernel.n_mem < 1:
         raise ValueError("integer-order reductions need at least one memory term")
     dp = 2.0 if kind.startswith("io_") else delta_p(kernel)
@@ -247,8 +254,7 @@ def region_scan(
     refused unrefined.  Columns run concurrently on the even-length path
     (worker cap: FOVISC_THREADS).
     """
-    if abs(alpha - kernel.alpha) > 1e-12:
-        raise ValueError(f"kernel order {kernel.alpha} does not match alpha {alpha}")
+    _check_order(alpha, kernel)
     if k1_max <= 0.0:
         raise ValueError(f"k1_max must be positive, got {k1_max}")
     b1_grid = np.asarray(list(b1_grid), dtype=float)
@@ -275,8 +281,8 @@ def region_scan(
 
     def column(b1: float) -> tuple[float, bool]:
         def admissible(k1_val: float) -> bool:
-            ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1_val, b1=b1, alpha=alpha), kernel)
-            return _grid_max(ve, omegas, s, b_plant)[1] <= b_plant
+            params = FoSlsParams(k0=0.0, k1=k1_val, b1=b1, alpha=alpha)
+            return _grid_max(params, kernel, omegas, s, b_plant)[1] <= b_plant
 
         if admissible(k1_max):
             return k1_max, True

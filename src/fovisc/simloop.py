@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .glkernel import GLKernel
-from .models import DiscreteVE, FoSlsParams, _branch_filter
+from .models import DiscreteVE, FoSlsParams, _branch_filter, _check_order
 from .util import n_samples
 
 __all__ = [
@@ -59,6 +59,10 @@ __all__ = [
 
 DIVERGENCE_LIMIT_MM = 1e6
 _MOMENTUM_SCALES = (1.0, 0.5, 1.5, 0.75, 2.0)  # impulse trials of empirical_boundary
+# is_unstable's thresholds: energy drift [N*mm], envelope growth ratio, envelope floor [mm]
+_DRIFT_TOL = 1e-6
+_GROWTH_FACTOR = 1.05
+_ENVELOPE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -321,22 +325,18 @@ def energy_observer(trace: SimTrace, drift_tol: float = 1e-9) -> ObserverReport:
     return ObserverReport(min_energy=min_energy, violation=sustained)
 
 
-def is_unstable(
-    trace: SimTrace,
-    drift_tol: float = 1e-6,
-    growth_factor: float = 1.05,
-    envelope_floor: float = 1e-9,
-) -> bool:
+def is_unstable(trace: SimTrace) -> bool:
     """Instability verdict: observer violation, divergence, or envelope growth.
 
     Envelope growth compares max|x| over the final fifth of the
-    post-excitation window against the fifth starting at 20% of it; both
-    thresholds are configurable because the verdict is a numeric stand-in for
-    an observed loss of coupled stability.
+    post-excitation window against the fifth starting at 20% of it.  The
+    verdict is a numeric stand-in for an observed loss of coupled stability,
+    so its fixed thresholds only have to clear roundoff (the energy drift and
+    the envelope floor) and the ripple of a settling loop (5% growth).
     """
     if trace.diverged:
         return True
-    if energy_observer(trace, drift_tol=drift_tol).violation:
+    if energy_observer(trace, drift_tol=_DRIFT_TOL).violation:
         return True
     mask = trace.t >= trace.excite_end - 1e-12
     x = np.abs(trace.position[mask])
@@ -345,7 +345,7 @@ def is_unstable(
         return False
     ref = float(np.max(x[n // 5 : 2 * n // 5]))
     last = float(np.max(x[4 * n // 5 :]))
-    return last > envelope_floor and last > growth_factor * ref
+    return last > _ENVELOPE_FLOOR and last > _GROWTH_FACTOR * ref
 
 
 def empirical_boundary(
@@ -358,8 +358,6 @@ def empirical_boundary(
     n_trials: int = 5,
     duration: float = 10.0,
     base_momentum: float = 0.01,
-    drift_tol: float = 1e-6,
-    growth_factor: float = 1.05,
 ) -> float:
     """Largest branch stiffness the simulated loop tolerates (k0 = 0).
 
@@ -370,8 +368,7 @@ def empirical_boundary(
     supplied range must bracket the boundary: stable at the low end,
     unstable at the high end.
     """
-    if abs(alpha - kernel.alpha) > 1e-12:
-        raise ValueError(f"kernel order {kernel.alpha} does not match alpha {alpha}")
+    _check_order(alpha, kernel)
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if n_trials not in range(1, len(_MOMENTUM_SCALES) + 1):
@@ -385,7 +382,7 @@ def empirical_boundary(
         ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kernel)
         for j in momenta:
             trace = simulate(plant, ve, Impulse(momentum=float(j)), duration)
-            if is_unstable(trace, drift_tol=drift_tol, growth_factor=growth_factor):
+            if is_unstable(trace):
                 return True
         return False
 

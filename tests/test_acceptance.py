@@ -31,15 +31,13 @@ from fovisc.glkernel import (
 from fovisc.impedance import (
     BfoElement,
     bfo_response,
-    ed_finite,
     es_ed_asymptotic,
+    es_ed_finite,
     es_ed_lowfreq,
-    es_finite,
     special_case_es_ed,
 )
 from fovisc.models import DiscreteVE, FoSlsParams
 from fovisc.passivity import (
-    _f_values,
     bound_closed_form,
     max_passivity,
     passivity_function,
@@ -117,24 +115,22 @@ def test_criterion_03_binding_frequency_parity():
     t0 = time.perf_counter()
     # odd memory: Nyquist maximum, above the infinite-memory value there
     kern_odd = build_kernel(0.5, 101, T)
-    ve_odd = DiscreteVE(UNIT_FM, kern_odd)
-    result_odd = max_passivity(ve_odd, 8192)
+    result_odd = max_passivity(UNIT_FM, kern_odd, 8192)
     assert result_odd.omega_star == NYQ
     dp_inf = 2.0**0.5
     f_inf_nyq = (UNIT_FM.k1 * T / 2.0) * UNIT_FM.b1 * dp_inf / (UNIT_FM.b1 * dp_inf + UNIT_FM.k1 * T**0.5)
     assert result_odd.b_min > f_inf_nyq
     # even memory: interior maximum, Nyquist value below the asymptote
     kern_even = build_kernel(0.5, 100, T)
-    ve_even = DiscreteVE(UNIT_FM, kern_even)
-    result_even = max_passivity(ve_even, 8192)
+    result_even = max_passivity(UNIT_FM, kern_even, 8192)
     assert result_even.omega_star < NYQ
-    assert passivity_function(ve_even, NYQ) < f_inf_nyq
+    assert passivity_function(UNIT_FM, kern_even, NYQ) < f_inf_nyq
     # property form over random odd-memory draws
     rng = np.random.default_rng(1003)
     omegas = np.linspace(0.0, NYQ, 2049)[1:]
     for _ in range(100):
         params, kern = _draw(rng, odd=True)
-        values = _f_values(DiscreteVE(params, kern), omegas)
+        values = passivity_function(params, kern, omegas)
         assert int(np.argmax(values)) == omegas.size - 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -148,7 +144,7 @@ def test_criterion_04_closed_form_exactness():
     worst = 0.0
     for _ in range(100):
         params, kern = _draw(rng, odd=True)
-        grid_max = float(np.max(_f_values(DiscreteVE(params, kern), omegas)))
+        grid_max = float(np.max(passivity_function(params, kern, omegas)))
         closed = bound_closed_form(params, kern).b_min
         worst = max(worst, abs(closed - grid_max) / closed)
     assert worst < 1e-6
@@ -201,10 +197,10 @@ def test_criterion_06_impedance_table_and_consistency():
     for th in np.linspace(0.05, 1.0, 12) * math.pi:
         w = th / T
         es, ed = special_case_es_ed("io_sls", io, w, T)
-        assert es == pytest.approx(es_finite(io, kern_io, w), rel=1e-12)
-        assert ed == pytest.approx(ed_finite(io, kern_io, w), rel=1e-12, abs=1e-15)
+        assert es == pytest.approx(es_ed_finite(io, kern_io, w)[0], rel=1e-12)
+        assert ed == pytest.approx(es_ed_finite(io, kern_io, w)[1], rel=1e-12, abs=1e-15)
         es, ed = special_case_es_ed("io_maxwell", io, w, T)
-        assert es == pytest.approx(es_finite(FoSlsParams(0.0, 32.0, 0.01, 1.0), kern_io, w), rel=1e-12)
+        assert es == pytest.approx(es_ed_finite(FoSlsParams(0.0, 32.0, 0.01, 1.0), kern_io, w)[0], rel=1e-12)
         es_sls, ed_sls = special_case_es_ed("fo_sls", fo, w, T)
         es_ref, ed_ref = es_ed_asymptotic(fo, w, T)
         assert es_sls == pytest.approx(es_ref, rel=1e-12)
@@ -217,8 +213,8 @@ def test_criterion_06_impedance_table_and_consistency():
         assert es_kv == pytest.approx(es_big, rel=1e-6)
         assert ed_kv == pytest.approx(ed_big, rel=1e-6, abs=1e-12)
         es_ikv, ed_ikv = special_case_es_ed("io_kv", io, w, T)
-        assert es_ikv == pytest.approx(es_finite(big_io, kern_io, w), rel=1e-6)
-        assert ed_ikv == pytest.approx(ed_finite(big_io, kern_io, w), rel=1e-6, abs=1e-9)
+        assert es_ikv == pytest.approx(es_ed_finite(big_io, kern_io, w)[0], rel=1e-6)
+        assert ed_ikv == pytest.approx(es_ed_finite(big_io, kern_io, w)[1], rel=1e-6, abs=1e-9)
     # finite-memory vs asymptotic at 1e-6: reachable at N ~ 1e4 for high order
     # (truncation tail ~ |c_N| / (2 sin(wT/2)), i.e. O(N^(-1-alpha)))
     hi = FoSlsParams(10.0, 32.0, 0.01, 0.95)
@@ -226,18 +222,18 @@ def test_criterion_06_impedance_table_and_consistency():
     for th in np.linspace(0.01 * math.pi, math.pi, 400):
         w = th / T
         es_a, ed_a = es_ed_asymptotic(hi, w, T)
-        assert abs(es_finite(hi, kern_hi, w) - es_a) < 1e-6 * abs(es_a)
+        assert abs(es_ed_finite(hi, kern_hi, w)[0] - es_a) < 1e-6 * abs(es_a)
         if abs(ed_a) > 1e-10:
-            assert abs(ed_finite(hi, kern_hi, w) - ed_a) < 1e-6 * abs(ed_a)
+            assert abs(es_ed_finite(hi, kern_hi, w)[1] - ed_a) < 1e-6 * abs(ed_a)
     # low-frequency corollaries and sign of the dissipative part
     rng = np.random.default_rng(1006)
     for _ in range(15):
         params, kern = _draw(rng, odd=bool(rng.integers(0, 2)), n_max=301)
         es0, ed0 = es_ed_lowfreq(params, kern)
-        assert es_finite(params, kern, 1e-3) == pytest.approx(es0, rel=1e-3)
-        assert ed_finite(params, kern, 1e-3) == pytest.approx(ed0, rel=1e-3)
+        assert es_ed_finite(params, kern, 1e-3)[0] == pytest.approx(es0, rel=1e-3)
+        assert es_ed_finite(params, kern, 1e-3)[1] == pytest.approx(ed0, rel=1e-3)
         for w in np.linspace(0.002, 1.0, 25) * NYQ:
-            assert ed_finite(params, kern, w) >= 0.0
+            assert es_ed_finite(params, kern, w)[1] >= 0.0
     # discrete fractional element approaches B1*(i w)^alpha
     for alpha in (0.25, 0.5, 0.9):
         el = BfoElement(b1=2.0, alpha=alpha, t_samp=T)
@@ -357,7 +353,7 @@ def test_criterion_11_identified_parameters_comply_with_bound():
     assert result.b_min < 0.0025
     assert result.margin_ok is True
     # re-derived, not assumed: the grid search must agree
-    grid = max_passivity(DiscreteVE(MATERIAL_N101, kern), 8192)
+    grid = max_passivity(MATERIAL_N101, kern, 8192)
     assert grid.b_min == pytest.approx(result.b_min, rel=1e-9)
     assert grid.b_min < 0.0025
     _pass(11, "identified parameters comply with the bound", t0, f"b_min = {result.b_min:.3e}")

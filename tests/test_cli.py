@@ -1,5 +1,6 @@
 """Command-line contracts: formats, exit codes, determinism."""
 
+import ast
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from fovisc.cli import dispatch
 from fovisc.glkernel import build_kernel
-from fovisc.models import DiscreteVE, FoSlsParams
+from fovisc.models import FoSlsParams
 from fovisc.passivity import passivity_function
 
 
@@ -127,11 +128,11 @@ class TestSweep:
         assert len(rows) == 64
         assert float(rows[-1][0]) == pytest.approx(math.pi, rel=1e-12)
         # one array evaluation over the grid, row for row the scalar function
-        ve = DiscreteVE(FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 51, 0.001))
+        params, kern = FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 51, 0.001)
         omegas = np.linspace(0.0, math.pi / 0.001, 65)[1:]
         for (wt_s, f_s), w in zip(rows, omegas):
             assert float(wt_s) == pytest.approx(w * 0.001, rel=1e-11)
-            assert float(f_s) == pytest.approx(passivity_function(ve, w), rel=1e-11)
+            assert float(f_s) == pytest.approx(passivity_function(params, kern, w), rel=1e-11)
 
     def test_lowfreq_form_single_row(self, tmp_path):
         out = tmp_path / "es.csv"
@@ -345,6 +346,31 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
+
+
+class TestLibraryBoundary:
+    def test_cli_reads_no_private_name_of_a_library_module(self):
+        import fovisc.cli
+
+        with open(fovisc.cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        modules, private = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fovisc")):
+                if node.module in (None, "fovisc"):
+                    modules.update(a.asname or a.name for a in node.names)
+                else:
+                    private += [a.name for a in node.names if a.name.startswith("_")]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                private.append(f"{node.value.id}.{node.attr}")
+        assert "passivity" in modules
+        assert private == []
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -137,20 +137,24 @@ class TestBinomGeneral:
     def test_gamma_sign_matches_scipy(self, x):
         assert glkernel._gamma_sign(x) == special.gammasgn(x)
 
-    @given(alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) > 1e-6), k=st.integers(2049, 6000))
+    @given(
+        alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) > 1e-6),
+        k=st.sampled_from((2049, 3000, 6000)) | st.integers(2049, 6000),
+    )
+    @example(alpha=1.01e-6, k=6000)
+    @example(alpha=-2.06e-4, k=6000)
     @settings(max_examples=40, deadline=None)
     def test_log_gamma_route_matches_high_precision_oracle(self, alpha, k):
-        # past the product's reach the sign comes from _gamma_sign; the
-        # magnitude loses digits as alpha -> 0, where alpha - k + 1 nears a
-        # pole of Gamma and its float drops alpha's low digits (2.3e-7 at
-        # alpha = 1e-6, k = 6000)
+        # past the product's reach alpha - k + 1 sits below Gamma's poles, where
+        # its float drops alpha's low digits; the reflection form keeps them
+        # (the direct form was off by 2.3e-7 at alpha = 1.01e-6, k = 6000)
         import mpmath
 
-        mpmath.mp.dps = 30
+        mpmath.mp.dps = 40
         ref = float(mpmath.binomial(mpmath.mpf(alpha), k))
         ours = binom_general(alpha, k)
         assert math.copysign(1.0, ours) == math.copysign(1.0, ref)
-        assert ours == pytest.approx(ref, rel=1e-6, abs=1e-300)
+        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
 
 class TestDeltaSums:

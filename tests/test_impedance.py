@@ -12,12 +12,10 @@ from fovisc.glkernel import build_kernel, delta_s
 from fovisc.impedance import (
     BfoElement,
     bfo_response,
-    ed_finite,
     es_ed_asymptotic,
+    es_ed_finite,
     es_ed_lowfreq,
-    es_finite,
     special_case_es_ed,
-    sweep_points,
 )
 from fovisc.models import DiscreteVE, FoSlsParams, reduce_model
 
@@ -45,8 +43,8 @@ class TestDefinitionConsistency:
             for w in np.linspace(0.03, 1.0, 7) * kern.nyquist:
                 h = ve.freq_response(w)
                 scale = max(1.0, abs(h))
-                assert abs(es_finite(params, kern, w) - h.real) < 1e-12 * scale
-                assert abs(ed_finite(params, kern, w) - h.imag / w) < 1e-12 * scale
+                assert abs(es_ed_finite(params, kern, w)[0] - h.real) < 1e-12 * scale
+                assert abs(es_ed_finite(params, kern, w)[1] - h.imag / w) < 1e-12 * scale
 
     def test_ed_nonnegative_everywhere(self):
         rng = np.random.default_rng(12)
@@ -54,14 +52,14 @@ class TestDefinitionConsistency:
             n_mem = int(rng.integers(1, 300))  # both parities
             kern = build_kernel(params.alpha, n_mem, T)
             for w in np.linspace(0.005, 1.0, 40) * kern.nyquist:
-                assert ed_finite(params, kern, w) >= 0.0
+                assert es_ed_finite(params, kern, w)[1] >= 0.0
 
     def test_es_at_least_k0_for_nonnegative_k0(self):
         rng = np.random.default_rng(13)
         for params in random_draws(15, rng):
             kern = build_kernel(params.alpha, 101, T)
             for w in np.linspace(0.01, 1.0, 15) * kern.nyquist:
-                assert es_finite(params, kern, w) >= params.k0 - 1e-12
+                assert es_ed_finite(params, kern, w)[0] >= params.k0 - 1e-12
 
 
 class TestAsymptotic:
@@ -81,7 +79,7 @@ class TestAsymptotic:
                 worst = 0.0
                 for th in thetas:
                     w = th / T
-                    es_f, ed_f = es_finite(params, kern, w), ed_finite(params, kern, w)
+                    es_f, ed_f = es_ed_finite(params, kern, w)
                     es_a, ed_a = es_ed_asymptotic(params, w, T)
                     worst = max(worst, abs(es_f - es_a) / max(abs(es_a), 1e-30))
                     if abs(ed_a) > 1e-10:
@@ -98,18 +96,15 @@ class TestAsymptotic:
         for th in np.linspace(0.01 * math.pi, math.pi, 400):
             w = th / T
             es_a, ed_a = es_ed_asymptotic(params, w, T)
-            assert abs(es_finite(params, kern, w) - es_a) < 1e-6 * abs(es_a)
+            assert abs(es_ed_finite(params, kern, w)[0] - es_a) < 1e-6 * abs(es_a)
             if abs(ed_a) > 1e-10:
-                assert abs(ed_finite(params, kern, w) - ed_a) < 1e-6 * abs(ed_a)
+                assert abs(es_ed_finite(params, kern, w)[1] - ed_a) < 1e-6 * abs(ed_a)
 
     def test_sweep_equals_scalar_at_every_point(self):
-        kern = build_kernel(SWEEP_PARAMS.alpha, 101, T)
         for params in (SWEEP_PARAMS, FoSlsParams(0.0, 1.0, 1.0, 0.25), FoSlsParams(2.0, 5.0, 3.0, 0.95)):
             omegas = np.linspace(0.0, math.pi / T, 513)[1:]
-            points = sweep_points(params, kern, omegas, form="asymptotic")
-            assert [pt.omega for pt in points] == omegas.tolist()
-            assert all(pt.form == "asymptotic" for pt in points)
-            assert [(pt.es, pt.ed) for pt in points] == [
+            es, ed = es_ed_asymptotic(params, omegas, T)
+            assert list(zip(es.tolist(), ed.tolist())) == [
                 es_ed_asymptotic(params, w, T) for w in omegas
             ]
 
@@ -122,9 +117,8 @@ class TestAsymptotic:
             return np.where(np.isin(w, omegas[[17, 40]]), re_t + 1e-6, re_t), im_t
 
         monkeypatch.setattr(impedance, "_trig_branch", wrong_at_two)
-        kern = build_kernel(SWEEP_PARAMS.alpha, 101, T)
         with pytest.raises(AssertionError, match=re.escape(f"at omega = {omegas[17]}:")):
-            sweep_points(SWEEP_PARAMS, kern, omegas, form="asymptotic")
+            es_ed_asymptotic(SWEEP_PARAMS, omegas, T)
         with pytest.raises(AssertionError, match="disagree"):
             es_ed_asymptotic(SWEEP_PARAMS, omegas[17], T)
         es_ed_asymptotic(SWEEP_PARAMS, omegas[16], T)  # the other points still agree
@@ -153,8 +147,8 @@ class TestLowFrequency:
             kern = build_kernel(params.alpha, 101, T)
             es0, ed0 = es_ed_lowfreq(params, kern)
             w = 1e-3
-            assert es_finite(params, kern, w) == pytest.approx(es0, rel=1e-3)
-            assert ed_finite(params, kern, w) == pytest.approx(ed0, rel=1e-3)
+            assert es_ed_finite(params, kern, w)[0] == pytest.approx(es0, rel=1e-3)
+            assert es_ed_finite(params, kern, w)[1] == pytest.approx(ed0, rel=1e-3)
 
     def test_order_one_dc_damping_is_b1(self):
         params = FoSlsParams(k0=3.0, k1=7.0, b1=0.4, alpha=1.0)
@@ -222,8 +216,8 @@ class TestSpecialCases:
         for th in np.linspace(0.05, 1.0, 9) * math.pi:
             w = th / T
             es_row, ed_row = special_case_es_ed("io_sls", params, w, T)
-            assert es_row == pytest.approx(es_finite(params, kern, w), rel=1e-12)
-            assert ed_row == pytest.approx(ed_finite(params, kern, w), rel=1e-12, abs=1e-15)
+            assert es_row == pytest.approx(es_ed_finite(params, kern, w)[0], rel=1e-12)
+            assert ed_row == pytest.approx(es_ed_finite(params, kern, w)[1], rel=1e-12, abs=1e-15)
 
     def test_kv_rows_match_large_k1(self):
         # substitution error of K1 = 1e9 is ~2*B1/(K1*T) for the io row, so
@@ -239,8 +233,8 @@ class TestSpecialCases:
             assert es_row == pytest.approx(es_big, rel=1e-6)
             assert ed_row == pytest.approx(ed_big, rel=1e-6, abs=1e-12)
             es_row, ed_row = special_case_es_ed("io_kv", base, w, T)
-            assert es_row == pytest.approx(es_finite(big_io, kern_io, w), rel=1e-6)
-            assert ed_row == pytest.approx(ed_finite(big_io, kern_io, w), rel=1e-6, abs=1e-9)
+            assert es_row == pytest.approx(es_ed_finite(big_io, kern_io, w)[0], rel=1e-6)
+            assert ed_row == pytest.approx(es_ed_finite(big_io, kern_io, w)[1], rel=1e-6, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell"])
     def test_rows_match_written_out_formulas(self, kind):
@@ -273,36 +267,56 @@ class TestSpecialCases:
 
 
 class TestVectorisedSweep:
-    """sweep_points(form='finite_n') evaluates the grid from one spectrum call."""
+    """es_ed_finite evaluates a whole grid from one spectrum call."""
 
     @pytest.mark.parametrize("n_mem", [100, 101, 2001])
     def test_matches_per_point_values(self, n_mem):
         kern = build_kernel(SWEEP_PARAMS.alpha, n_mem, T)
         omegas = np.linspace(0.0, kern.nyquist, 513)[1:]  # the uniform grid: FFT path
-        points = sweep_points(SWEEP_PARAMS, kern, omegas)
-        es = np.array([pt.es for pt in points])
-        ed = np.array([pt.ed for pt in points])
-        es_ref = np.array([es_finite(SWEEP_PARAMS, kern, w) for w in omegas])
-        ed_ref = np.array([ed_finite(SWEEP_PARAMS, kern, w) for w in omegas])
-        assert [pt.omega for pt in points] == omegas.tolist()
-        assert all(pt.form == "finite_n" for pt in points)
+        es, ed = es_ed_finite(SWEEP_PARAMS, kern, omegas)
+        es_ref = np.array([es_ed_finite(SWEEP_PARAMS, kern, w)[0] for w in omegas])
+        ed_ref = np.array([es_ed_finite(SWEEP_PARAMS, kern, w)[1] for w in omegas])
         np.testing.assert_allclose(es, es_ref, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(ed, ed_ref, rtol=1e-12, atol=1e-12 * np.max(ed_ref))
         assert ed[-1] == 0.0  # the Nyquist bin of the real FFT is real
-        assert sweep_points(SWEEP_PARAMS, kern, np.array([])) == []
-        with pytest.raises(ValueError, match="unknown form"):
-            sweep_points(SWEEP_PARAMS, kern, omegas, form="compact")
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda kern, w: es_ed_finite(SWEEP_PARAMS, kern, w),
+            lambda kern, w: es_ed_asymptotic(SWEEP_PARAMS, w, kern.t_samp),
+        ],
+        ids=["finite", "asymptotic"],
+    )
+    def test_scalar_array_and_empty_calls(self, evaluate):
+        # a scalar takes the 1-element array path: the same bits as [w].  Off
+        # the uniform grid a longer array sums the spectrum as one matrix
+        # product, whose rounding may differ from the 1-row product by an ulp.
+        kern = build_kernel(SWEEP_PARAMS.alpha, 100, T)
+        omegas = np.random.default_rng(6).uniform(1.0, kern.nyquist, (3, 4))
+        es, ed = evaluate(kern, omegas)
+        assert es.shape == ed.shape == (3, 4)
+        for idx in np.ndindex(es.shape):
+            w = float(omegas[idx])
+            es_w, ed_w = evaluate(kern, w)
+            assert type(es_w) is float and type(ed_w) is float
+            es_1, ed_1 = evaluate(kern, np.array([w]))
+            assert (es_w, ed_w) == (es_1[0], ed_1[0])
+            assert es_w == pytest.approx(es[idx], rel=1e-13)
+            assert ed_w == pytest.approx(ed[idx], rel=1e-13)
+        es, ed = evaluate(kern, np.array([]))
+        assert es.shape == ed.shape == (0,)
 
     @pytest.mark.parametrize("bad", [0.0, -5.0, 1.01 * math.pi / T])
     def test_out_of_band_frequency_is_rejected(self, bad):
         kern = build_kernel(0.5, 100, T)
         omegas = np.array([10.0, bad, 100.0])
         with pytest.raises(ValueError, match="omega must lie in"):
-            sweep_points(SWEEP_PARAMS, kern, omegas)
+            es_ed_finite(SWEEP_PARAMS, kern, omegas)
         with pytest.raises(ValueError, match="omega must lie in"):
-            es_finite(SWEEP_PARAMS, kern, bad)
+            es_ed_finite(SWEEP_PARAMS, kern, bad)
         with pytest.raises(ValueError, match="omega must lie in"):
-            sweep_points(SWEEP_PARAMS, kern, omegas, form="asymptotic")
+            es_ed_asymptotic(SWEEP_PARAMS, omegas, T)
         # the reductions hold the same band (beyond Nyquist ED would change sign)
         with pytest.raises(ValueError, match="omega must lie in"):
             special_case_es_ed("fo_sls", SWEEP_PARAMS, bad, T)
@@ -315,6 +329,6 @@ class TestVectorisedSweep:
         kern = build_kernel(0.5, 100, T)
         omegas = np.linspace(0.0, kern.nyquist, 65)[1:]
         with pytest.raises(AssertionError, match=what):
-            sweep_points(SWEEP_PARAMS, kern, omegas)
+            es_ed_finite(SWEEP_PARAMS, kern, omegas)
         with pytest.raises(AssertionError, match=what):
-            (es_finite if what == "branch ES" else ed_finite)(SWEEP_PARAMS, kern, 100.0)
+            es_ed_finite(SWEEP_PARAMS, kern, 100.0)

@@ -56,8 +56,13 @@ class TestParams:
         FoSlsParams(k0=-2.89, k1=5.7, b1=5.89, alpha=0.203)
 
     def test_kernel_order_mismatch(self):
+        params, kern = FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.6, 10, T)
         with pytest.raises(ValueError):
-            DiscreteVE(FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.6, 10, T))
+            DiscreteVE(params, kern)
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            relaxation_response(params, kern, 1.0, 0.1)
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            creep_response(params, kern, 1.0, 0.1, 0.0, 0.1)
 
 
 class TestForceStep:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from fovisc import passivity
 from fovisc.glkernel import build_kernel, delta_p
-from fovisc.models import DiscreteVE, FoSlsParams
+from fovisc.impedance import es_ed_finite
+from fovisc.models import FoSlsParams
 from fovisc.passivity import (
-    _f_values,
     bound_closed_form,
     bound_variants,
     max_passivity,
@@ -39,34 +39,44 @@ def random_admissible(rng, odd_n=True, n_max=400):
 class TestPassivityFunction:
     def test_nyquist_value_zero_k0(self):
         kern = build_kernel(0.5, 101, T)
-        ve = DiscreteVE(UNIT_FM, kern)
         dp = delta_p(kern)
         expected = (UNIT_FM.k1 * T / 2.0) * UNIT_FM.b1 * dp / (UNIT_FM.b1 * dp + UNIT_FM.k1 * T**0.5)
-        assert passivity_function(ve, math.pi / T) == pytest.approx(expected, rel=1e-12)
+        assert passivity_function(UNIT_FM, kern, math.pi / T) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(4.89e-4, rel=1e-3)
 
     def test_nyquist_order_one(self):
         params = FoSlsParams(k0=3.0, k1=8.0, b1=0.5, alpha=1.0)
-        ve = DiscreteVE(params, build_kernel(1.0, 7, T))
         expected = 3.0 * T / 2.0 + 8.0 * 0.5 * T / (2.0 * 0.5 + 8.0 * T)
-        assert passivity_function(ve, math.pi / T) == pytest.approx(expected, rel=1e-12)
+        assert passivity_function(params, build_kernel(1.0, 7, T), math.pi / T) == pytest.approx(expected, rel=1e-12)
 
     def test_independent_complex_oracle(self):
         kern = build_kernel(0.5, 101, T)
-        ve = DiscreteVE(UNIT_FM, kern)
         for w in (50.0, 800.0, 2500.0, math.pi / T):
             z_inv = np.exp(-1j * w * T)
             d = np.polyval(kern.coeffs[::-1], z_inv) / T**0.5  # sum c_i z^-i
             h = UNIT_FM.k0 + UNIT_FM.k1 * UNIT_FM.b1 * d / (UNIT_FM.k1 + UNIT_FM.b1 * d)
             oracle = T / (2.0 * (1.0 - math.cos(w * T))) * ((1.0 - z_inv) * h).real
-            assert passivity_function(ve, w) == pytest.approx(oracle, rel=1e-10)
+            assert passivity_function(UNIT_FM, kern, w) == pytest.approx(oracle, rel=1e-10)
 
     def test_domain_errors(self):
-        ve = DiscreteVE(UNIT_FM, build_kernel(0.5, 11, T))
+        kern = build_kernel(0.5, 11, T)
         with pytest.raises(ValueError):
-            passivity_function(ve, 0.0)
+            passivity_function(UNIT_FM, kern, 0.0)
         with pytest.raises(ValueError):
-            passivity_function(ve, 1.01 * math.pi / T)
+            passivity_function(UNIT_FM, kern, 1.01 * math.pi / T)
+
+    def test_scalar_array_and_empty_calls(self):
+        # a scalar takes the 1-element array path: the same bits as [w]
+        kern = build_kernel(0.5, 100, T)
+        omegas = np.random.default_rng(5).uniform(1.0, kern.nyquist, (3, 4))
+        values = passivity_function(UNIT_FM, kern, omegas)
+        assert values.shape == (3, 4)
+        for idx in np.ndindex(values.shape):
+            w = float(omegas[idx])
+            f = passivity_function(UNIT_FM, kern, w)
+            assert type(f) is float and f == passivity_function(UNIT_FM, kern, np.array([w]))[0]
+            assert f == pytest.approx(values[idx], rel=1e-13)
+        assert passivity_function(UNIT_FM, kern, np.array([])).shape == (0,)
 
 
 class TestMaxPassivity:
@@ -74,33 +84,30 @@ class TestMaxPassivity:
         rng = np.random.default_rng(21)
         for _ in range(25):
             params, kern = random_admissible(rng, odd_n=True)
-            result = max_passivity(DiscreteVE(params, kern), 1024)
+            result = max_passivity(params, kern, 1024)
             assert result.method == "closed_form_odd_n"
             assert result.omega_star == kern.nyquist
 
     def test_even_memory_interior_maximum(self):
         kern = build_kernel(0.5, 100, T)
-        ve = DiscreteVE(UNIT_FM, kern)
-        result = max_passivity(ve)
+        result = max_passivity(UNIT_FM, kern)
         assert result.method == "grid"
         assert result.omega_star < kern.nyquist
-        assert result.b_min > passivity_function(ve, kern.nyquist)
+        assert result.b_min > passivity_function(UNIT_FM, kern, kern.nyquist)
         # below the infinite-memory Nyquist value
         dp_inf = 2.0**0.5
         asym = (UNIT_FM.k1 * T / 2.0) * UNIT_FM.b1 * dp_inf / (UNIT_FM.b1 * dp_inf + UNIT_FM.k1 * T**0.5)
-        assert passivity_function(ve, kern.nyquist) < asym
+        assert passivity_function(UNIT_FM, kern, kern.nyquist) < asym
 
     def test_long_memory_surrogate_is_monotone(self):
         kern = build_kernel(0.5, 10001, T)
-        ve = DiscreteVE(UNIT_FM, kern)
         omegas = np.linspace(0.0, kern.nyquist, 1025)[1:]
-        values = _f_values(ve, omegas)
+        values = passivity_function(UNIT_FM, kern, omegas)
         assert np.all(np.diff(values) >= -1e-9)
 
     def test_grid_floor(self):
-        ve = DiscreteVE(UNIT_FM, build_kernel(0.5, 10, T))
         with pytest.raises(ValueError):
-            max_passivity(ve, 128)
+            max_passivity(UNIT_FM, build_kernel(0.5, 10, T), 128)
 
 
 class TestClosedFormBound:
@@ -131,6 +138,12 @@ class TestClosedFormBound:
         params = FoSlsParams(0.0, 1.0, 1.0, 0.3)
         with pytest.raises(ValueError, match="does not match parameter order"):
             bound_closed_form(params, build_kernel(0.5, 101, T))
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            max_passivity(params, build_kernel(0.5, 101, T))
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            passivity_function(params, build_kernel(0.5, 101, T), 100.0)
+        with pytest.raises(ValueError, match="does not match parameter order"):
+            es_ed_finite(params, build_kernel(0.5, 101, T), 100.0)
         assert bound_closed_form(params, build_kernel(0.3, 101, T)).b_min == pytest.approx(
             4.536e-4, rel=1e-3
         )
@@ -139,9 +152,8 @@ class TestClosedFormBound:
         rng = np.random.default_rng(22)
         for _ in range(25):
             params, kern = random_admissible(rng, odd_n=True)
-            ve = DiscreteVE(params, kern)
             omegas = np.linspace(0.0, kern.nyquist, 8193)[1:]
-            grid_max = float(np.max(_f_values(ve, omegas)))
+            grid_max = float(np.max(passivity_function(params, kern, omegas)))
             closed = bound_closed_form(params, kern).b_min
             assert abs(closed - grid_max) / closed < 1e-6
 
@@ -359,10 +371,8 @@ class TestRegionScan:
         b = 0.0025
         region = region_scan(0.5, kern, b, [100.0], k1_max=50.0, resolution=0.05, grid_points=1024)
         k1 = float(region.k1[0])
-        ve_ok = DiscreteVE(FoSlsParams(0.0, k1, 100.0, 0.5), kern)
-        assert max_passivity(ve_ok, 1024).b_min <= b
-        ve_bad = DiscreteVE(FoSlsParams(0.0, k1 + 0.06, 100.0, 0.5), kern)
-        assert max_passivity(ve_bad, 1024).b_min > b
+        assert max_passivity(FoSlsParams(0.0, k1, 100.0, 0.5), kern, 1024).b_min <= b
+        assert max_passivity(FoSlsParams(0.0, k1 + 0.06, 100.0, 0.5), kern, 1024).b_min > b
 
     def test_kernel_order_mismatch(self):
         with pytest.raises(ValueError):
@@ -383,7 +393,7 @@ class TestRegionScan:
 
         def reference(b1):
             def bound(k1):
-                return max_passivity(DiscreteVE(FoSlsParams(0.0, k1, b1, alpha), kern), grid).b_min
+                return max_passivity(FoSlsParams(0.0, k1, b1, alpha), kern, grid).b_min
 
             if bound(k1_max) <= b_plant:
                 return k1_max, True
