@@ -29,7 +29,6 @@ from .glkernel import (
     s_of_omega,
 )
 from .impedance import (
-    BfoElement,
     bfo_response,
     es_ed_asymptotic,
     es_ed_finite,
@@ -39,9 +38,8 @@ from .impedance import (
 from .models import (
     DiscreteVE,
     FoSlsParams,
-    ReducedModel,
     creep_response,
-    reduce_model,
+    freq_response,
     relaxation_response,
 )
 from .passivity import (
@@ -82,10 +80,9 @@ __all__ = [
     "s_of_omega",
     "FoSlsParams",
     "DiscreteVE",
-    "ReducedModel",
+    "freq_response",
     "relaxation_response",
     "creep_response",
-    "reduce_model",
     "PassivityResult",
     "RegionBoundary",
     "passivity_function",
@@ -94,7 +91,6 @@ __all__ = [
     "bound_variants",
     "special_case_bound",
     "region_scan",
-    "BfoElement",
     "es_ed_finite",
     "es_ed_asymptotic",
     "es_ed_lowfreq",

@@ -213,31 +213,32 @@ def _check_omegas(omegas, t_samp: float, allow_dc: bool = False) -> np.ndarray:
     return omegas
 
 
-def _flat_omegas(omegas, t_samp: float) -> tuple[np.ndarray, tuple]:
+def _flat_omegas(omegas, t_samp: float, allow_dc: bool = False) -> tuple[np.ndarray, tuple]:
     """The checked frequencies as a 1-D array, with the shape to return results in.
 
     Evaluators compute on this 1-D array only, so a scalar omega takes the
     same arithmetic as that omega inside an array (0-d operands can round
     differently).
     """
-    omegas = _check_omegas(omegas, t_samp)
+    omegas = _check_omegas(omegas, t_samp, allow_dc)
     return omegas.ravel(), omegas.shape
 
 
 def _shaped(values: np.ndarray, shape: tuple):
-    """Values computed on _flat_omegas in the input's shape: a float for a scalar."""
-    return float(values[0]) if shape == () else values.reshape(shape)
+    """Values computed on _flat_omegas in the input's shape: a Python float (or
+    complex) for a scalar."""
+    return values[0].item() if shape == () else values.reshape(shape)
 
 
-def s_of_omega(kernel: GLKernel, omega: float) -> tuple[complex, complex]:
-    """Coefficient spectrum S = sum_k c_k e^{+ik w T} and its conjugate.
+def s_of_omega(kernel: GLKernel, omegas):
+    """Coefficient spectrum S = sum_k c_k e^{+ik w T} at frequencies in
+    [0, pi/T]: a complex for a scalar omega, else an array of omega's shape.
 
     S(0) equals delta_s and S(pi/T) equals delta_p exactly; |S| is bounded
-    by sum |c_k|.
+    by sum |c_k|.  The impedance reads the conjugate, S.conjugate().
     """
-    omegas = _check_omegas([omega], kernel.t_samp, allow_dc=True)
-    s = complex(_s_conj_values(kernel, omegas)[0].conjugate())
-    return s, s.conjugate()
+    flat, shape = _flat_omegas(omegas, kernel.t_samp, allow_dc=True)
+    return _shaped(_s_conj_values(kernel, flat).conjugate(), shape)
 
 
 def _s_conj_infinite(omegas, t_samp: float, alpha: float):

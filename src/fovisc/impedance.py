@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .glkernel import (
     GLKernel,
-    _check_omegas,
     _flat_omegas,
     _s_conj_infinite,
     _s_conj_values,
@@ -32,7 +30,6 @@ from .glkernel import (
     delta_s,
 )
 from .models import (
-    REDUCTION_KINDS,
     FoSlsParams,
     _branch_impedance,
     _check_order,
@@ -41,7 +38,6 @@ from .models import (
 )
 
 __all__ = [
-    "BfoElement",
     "es_ed_finite",
     "es_ed_asymptotic",
     "es_ed_lowfreq",
@@ -52,15 +48,6 @@ __all__ = [
 # Tolerance for the sign assertion behind the + superscript: anything more
 # negative than this indicates a convention bug, not roundoff.
 _NEG_TOL = -1e-12
-
-
-@dataclass(frozen=True)
-class BfoElement:
-    """Discrete fractional viscoelastic element B1/T^a * (1 - z^-1)^a."""
-
-    b1: float  # N*s^alpha/mm
-    alpha: float
-    t_samp: float  # s
 
 
 def _assigned_positive(value, what: str):
@@ -147,30 +134,28 @@ def es_ed_lowfreq(params: FoSlsParams, kernel: GLKernel) -> tuple[float, float]:
     return es, ed
 
 
-def bfo_response(element: BfoElement, omega: float) -> complex:
-    """Frequency response of the discrete fractional element.
+def bfo_response(b1: float, alpha: float, omegas, t_samp: float):
+    """Frequency response of the discrete fractional element B1/T^a * (1 - z^-1)^a
+    [N/mm] at frequencies in [0, pi/T]: a complex for a scalar omega, else an
+    array of omega's shape.
 
     Approaches B1*(i w)^alpha as w T -> 0 and stays bounded at Nyquist with
     magnitude B1*2^alpha/T^alpha.
     """
-    el = element
-    omega = _check_omegas(omega, el.t_samp, allow_dc=True)
-    return el.b1 / el.t_samp**el.alpha * complex(_s_conj_infinite(omega, el.t_samp, el.alpha))
+    flat, shape = _flat_omegas(omegas, t_samp, allow_dc=True)
+    return _shaped(b1 / t_samp**alpha * _s_conj_infinite(flat, t_samp, alpha), shape)
 
 
-def special_case_es_ed(
-    kind: str, params: FoSlsParams, omega: float, t_samp: float
-) -> tuple[float, float]:
-    """Effective stiffness and damping of one classical reduction.
+def special_case_es_ed(kind: str, params: FoSlsParams, omegas, t_samp: float):
+    """Effective stiffness and damping of one model kind on the infinite-memory
+    spectrum, at frequencies in (0, pi/T]: floats for a scalar omega, else
+    arrays of omega's shape.
 
-    The reduced impedance on the infinite-memory spectrum, for omega in
-    (0, pi/T]: Kelvin-Voigt kinds are the dedicated infinite-branch-stiffness
-    formulas; Maxwell kinds drop k0; integer-order kinds fix alpha = 1.
-    'fo_sls' selects the unreduced compact form.
+    The reduced impedance: Kelvin-Voigt kinds are the dedicated
+    infinite-branch-stiffness formulas; Maxwell kinds drop k0; integer-order
+    kinds fix alpha = 1.  'fo_sls' selects the unreduced compact form.
     """
-    if kind not in ("fo_sls",) + REDUCTION_KINDS:
-        raise ValueError(f"unsupported kind {kind!r}")
-    omega = float(_check_omegas(omega, t_samp))
     p = _reduced_params(kind, params)
-    h = complex(_reduced_impedance(kind, p, t_samp, _s_conj_infinite(omega, t_samp, p.alpha)))
-    return h.real, h.imag / omega
+    flat, shape = _flat_omegas(omegas, t_samp)
+    h = _reduced_impedance(kind, p, t_samp, _s_conj_infinite(flat, t_samp, p.alpha))
+    return _shaped(h.real, shape), _shaped(h.imag / flat, shape)

@@ -25,20 +25,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .glkernel import GLKernel, _check_omegas, _s_conj_infinite, _s_conj_values, build_kernel
+from .glkernel import (
+    GLKernel,
+    _flat_omegas,
+    _s_conj_infinite,
+    _s_conj_values,
+    _shaped,
+    delta_p,
+)
 from .util import n_samples
 
 __all__ = [
     "FoSlsParams",
     "DiscreteVE",
+    "freq_response",
     "relaxation_response",
     "creep_response",
-    "reduce_model",
-    "ReducedModel",
     "REDUCTION_KINDS",
+    "KINDS",
 ]
 
 REDUCTION_KINDS = ("fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell")
+KINDS = ("fo_sls",) + REDUCTION_KINDS
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,10 @@ def _branch_impedance(params: FoSlsParams, t_samp: float, s):
 
 def _reduced_params(kind: str, params: FoSlsParams) -> FoSlsParams:
     """The parameters a kind renders: alpha = 1 for the integer-order kinds,
-    k0 = 0 for the Maxwell kinds; 'fo_sls' and the rest keep them as given."""
+    k0 = 0 for the Maxwell kinds; 'fo_sls' and the rest keep them as given.
+    Every entry that takes a kind checks it here."""
+    if kind not in KINDS:
+        raise ValueError(f"unsupported kind {kind!r}; expected one of {KINDS}")
     if kind.startswith("io_"):
         params = replace(params, alpha=1.0)
     if kind.endswith("_maxwell"):
@@ -113,13 +124,48 @@ def _check_order(alpha: float, kernel: GLKernel) -> None:
         raise ValueError(f"kernel order {kernel.alpha} does not match parameter order {alpha}")
 
 
+def _kind_rules(kind: str, params: FoSlsParams, kernel: GLKernel):
+    """(reduced params, spectrum, dp) of one model kind at (params, kernel).
+
+    spectrum maps a 1-D array of frequencies to S* = sum_k c_k e^{-ik w T};
+    dp is its real value at pi/T.  The fractional kinds read the kernel's
+    weights, so its order must match params.alpha.  The integer-order kinds
+    take only T from a kernel of any order: the compact form 1 - e^{-i w T}
+    (dp = 2) is the exact spectrum of every order-one kernel with N >= 1.
+    """
+    p = _reduced_params(kind, params)
+    if kind.startswith("io_"):
+        if kernel.n_mem < 1:
+            raise ValueError("integer-order kinds need at least one memory term")
+        return p, lambda omegas: _s_conj_infinite(omegas, kernel.t_samp, 1.0), 2.0
+    _check_order(params.alpha, kernel)
+    return p, lambda omegas: _s_conj_values(kernel, omegas), delta_p(kernel)
+
+
+def freq_response(kind: str, params: FoSlsParams, kernel: GLKernel, omegas):
+    """Rendered impedance H(e^{i w T}) [N/mm] of one model kind at frequencies
+    in (0, pi/T]: a complex for a scalar omega, else an array of omega's shape.
+
+    'fo_sls' is the full law; the reductions of REDUCTION_KINDS select
+    parameters: branch stiffness to infinity for the Kelvin-Voigt forms (a
+    formula of its own, never a large-K1 substitution), k0 = 0 for the
+    Maxwell forms, alpha = 1 for the integer-order forms.
+    """
+    p, spectrum, _ = _kind_rules(kind, params, kernel)
+    flat, shape = _flat_omegas(omegas, kernel.t_samp)
+    return _shaped(_reduced_impedance(kind, p, kernel.t_samp, spectrum(flat)), shape)
+
+
 class DiscreteVE:
     """The viscoelastic law at one (params, kernel), with a stateful per-sample
     evaluator.
 
     force_step owns ring buffers of the last N+1 positions and last N branch
-    forces, zero-initialized; stepping is deterministic and single-writer.
-    simulate and the frequency-domain methods read only params and kernel.
+    forces, zero-initialized; stepping is deterministic and single-writer.  It
+    is the per-sample form of the filters that relaxation_response and
+    simulate run over whole records.  simulate takes a DiscreteVE as the
+    rendered law and reads only its params and kernel; the law's impedance is
+    freq_response("fo_sls", params, kernel, omegas).
     """
 
     def __init__(self, params: FoSlsParams, kernel: GLKernel):
@@ -151,12 +197,6 @@ class DiscreteVE:
             yh[1:] = yh[:-1]
             yh[0] = y
         return self.params.k0 * x_new + y
-
-    def freq_response(self, omega: float) -> complex:
-        """Impedance H(e^{i w T}) [N/mm] for 0 < omega <= pi/T."""
-        kern = self.kernel
-        s = _s_conj_values(kern, _check_omegas([omega], kern.t_samp))
-        return complex(_reduced_impedance("fo_sls", self.params, kern.t_samp, s)[0])
 
 
 def relaxation_response(
@@ -341,45 +381,3 @@ def _creep_sensitivities(
     x_k0, x_k1, x_alpha = response
     x_b1 = (-x - k0 * x_k0 - k1 * x_k1) / params.b1
     return np.array([x_k0, x_k1, x_b1, x_alpha])
-
-
-@dataclass(frozen=True)
-class ReducedModel:
-    """Closed-form evaluator for one of the classical special cases, holding the
-    reduced params of reduce_model (k0 = 0 for Maxwell, alpha = 1 for integer order)."""
-
-    kind: str
-    params: FoSlsParams
-    kernel: GLKernel
-
-    def freq_response(self, omega):
-        """Impedance at one frequency (complex), or elementwise over an array of
-        them, each in (0, pi/T]."""
-        T = self.kernel.t_samp
-        omega = _check_omegas(omega, T)
-        if self.kind.startswith("fo_"):
-            s = _s_conj_values(self.kernel, omega.ravel()).reshape(omega.shape)
-        else:
-            s = _s_conj_infinite(omega, T, self.params.alpha)  # order one: exact for N >= 1
-        h = _reduced_impedance(self.kind, self.params, T, s)
-        return complex(h) if h.ndim == 0 else h
-
-
-def reduce_model(kind: str, params: FoSlsParams, kernel: GLKernel | None = None) -> ReducedModel:
-    """Specialized evaluator for a classical model obtained by parameter
-    selection: branch stiffness to infinity for the Kelvin-Voigt forms,
-    k0 = 0 for the Maxwell forms, alpha = 1 for the integer-order forms.
-
-    Infinite-stiffness forms are dedicated formula paths, never a large-K1
-    substitution.  Integer-order kinds force alpha = 1 regardless of the
-    supplied order; a kernel supplies T (and the weights for the fractional
-    kinds).
-    """
-    if kind not in REDUCTION_KINDS:
-        raise ValueError(f"unsupported reduction kind {kind!r}; expected one of {REDUCTION_KINDS}")
-    if kernel is None:
-        raise ValueError("reduce_model needs a kernel for the sampling period")
-    p = _reduced_params(kind, params)
-    if kind.startswith("fo_") and abs(p.alpha - kernel.alpha) > 1e-12:
-        kernel = build_kernel(p.alpha, kernel.n_mem, kernel.t_samp)
-    return ReducedModel(kind=kind, params=p, kernel=kernel)

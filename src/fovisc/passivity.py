@@ -34,11 +34,10 @@ from .glkernel import (
     delta_p_sufficient,
 )
 from .models import (
-    REDUCTION_KINDS,
     FoSlsParams,
     _check_order,
+    _kind_rules,
     _reduced_impedance,
-    _reduced_params,
 )
 from .util import worker_count
 
@@ -51,10 +50,7 @@ __all__ = [
     "bound_variants",
     "special_case_bound",
     "region_scan",
-    "BOUND_KINDS",
 ]
-
-BOUND_KINDS = ("fo_sls",) + REDUCTION_KINDS
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -211,14 +207,8 @@ def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> floa
     for any N >= 1 (the alternating sum is 2).  The fractional kinds take the
     alternating sum from the kernel, so its order must match params.alpha.
     """
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unsupported kind {kind!r}; expected one of {BOUND_KINDS}")
-    if not kind.startswith("io_"):
-        _check_order(params.alpha, kernel)
-    if kind.startswith("io_") and kernel.n_mem < 1:
-        raise ValueError("integer-order reductions need at least one memory term")
-    dp = 2.0 if kind.startswith("io_") else delta_p(kernel)
-    return _nyquist_value(kind, _reduced_params(kind, params), kernel.t_samp, dp)
+    p, _, dp = _kind_rules(kind, params, kernel)
+    return _nyquist_value(kind, p, kernel.t_samp, dp)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,17 @@ import sys
 import numpy as np
 import pytest
 
+import fovisc
 from fovisc.cli import dispatch
 from fovisc.glkernel import build_kernel
 from fovisc.models import FoSlsParams
 from fovisc.passivity import passivity_function
+
+
+def subprocess_env():
+    """The environment for a child interpreter that imports the fovisc under test."""
+    src = os.path.dirname(os.path.dirname(fovisc.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def read_csv(path):
@@ -302,6 +309,18 @@ class TestReduce:
             assert float(re_s) == pytest.approx(h.real, rel=1e-9)
             assert float(im_s) == pytest.approx(h.imag, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["io_sls", "io_kv", "io_maxwell"])
+    def test_integer_order_kinds_refuse_zero_memory(self, tmp_path, capsys, kind):
+        out = tmp_path / "io.csv"
+        code = dispatch(
+            ["reduce", "--kind", kind, "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", "0",
+             "--points", "4", "-o", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "at least one memory term" in err and "Traceback" not in err
+
 
 class TestGnuplot:
     def test_plot_script_written(self, tmp_path):
@@ -316,8 +335,6 @@ class TestGnuplot:
 
 class TestColdStart:
     def test_commands_without_records_leave_scipy_signal_and_optimize_unimported(self, tmp_path):
-        import fovisc
-
         readme_runs = [
             ["coeffs", "--alpha", "0.5", "--n", "101", "--t", "0.001", "--json"],
             ["bound", "--k0", "0", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", "101",
@@ -336,13 +353,11 @@ class TestColdStart:
             "    assert dispatch([*argv, '-o', f'{sys.argv[2]}/out{i}']) == 0, argv\n"
             "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))\n"
         )
-        src = os.path.dirname(os.path.dirname(fovisc.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps(readme_runs), str(tmp_path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
@@ -379,6 +394,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "fovisc.cli", "coeffs", "--alpha", "1.0", "--n", "2", "--t", "0.001"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "index,coefficient"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fovisc import fitting
@@ -128,15 +128,33 @@ class TestPassiveParams:
 
 
 def central_jacobian(residuals, theta, h=1e-4):
-    """Fourth-order central differences of the residual, column by column."""
-    cols = []
-    for j in range(theta.size):
-        e = np.zeros(theta.size)
-        e[j] = h
-        near = residuals(theta + e) - residuals(theta - e)
-        far = residuals(theta + 2 * e) - residuals(theta - 2 * e)
-        cols.append((8.0 * near - far) / (12.0 * h))
-    return np.column_stack(cols)
+    """Fourth-order central differences of the residual, column by column, at
+    the widest step h/10^k whose matrix agrees with the next step's to 5e-7 of
+    its largest entry (half the bound the Jacobian is held to).
+
+    A step wider than the distance to a singular point of the residual (a
+    creep filter with its zero on the unit circle) straddles it, and the
+    differences miss by most of the matrix; steps below that distance agree.
+    """
+
+    def at(h):
+        cols = []
+        for j in range(theta.size):
+            e = np.zeros(theta.size)
+            e[j] = h
+            near = residuals(theta + e) - residuals(theta - e)
+            far = residuals(theta + 2 * e) - residuals(theta - 2 * e)
+            cols.append((8.0 * near - far) / (12.0 * h))
+        return np.column_stack(cols)
+
+    wide = at(h)
+    while h > 1e-10:
+        h /= 10.0
+        narrow = at(h)
+        if np.max(np.abs(wide - narrow)) <= 5e-7 * np.max(np.abs(narrow)):
+            return wide
+        wide = narrow
+    raise AssertionError("no two steps of the reference differences agree")
 
 
 class TestJacobian:
@@ -151,6 +169,13 @@ class TestJacobian:
         t_hold=st.sampled_from([0.6, 0.15]),  # the recovery undone over 1 or 4 blocks
     )
     @settings(max_examples=80, deadline=None)
+    # K0 = -K1*B1/(B1 + K1*T) at K1 = B1 = alpha = 1: the creep filter's zero
+    # sits on the unit circle, and steps of 1e-4 to 1e-7 straddle it
+    @example(slack=5.0, log_k1=0.0, log_b1=0.0, u=50.0, n_mem=101, kinds=("creep",), f_hold=3.0, t_hold=0.6)
+    @example(
+        slack=5.0, log_k1=0.0, log_b1=0.0, u=50.0, n_mem=1, kinds=("creep", "relaxation"),
+        f_hold=0.0, t_hold=0.15,
+    )
     def test_matches_central_differences(self, slack, log_k1, log_b1, u, n_mem, kinds, f_hold, t_hold):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         protocols = {

@@ -8,16 +8,15 @@ import numpy as np
 import pytest
 
 from fovisc import impedance
-from fovisc.glkernel import build_kernel, delta_s
+from fovisc.glkernel import build_kernel, delta_s, s_of_omega
 from fovisc.impedance import (
-    BfoElement,
     bfo_response,
     es_ed_asymptotic,
     es_ed_finite,
     es_ed_lowfreq,
     special_case_es_ed,
 )
-from fovisc.models import DiscreteVE, FoSlsParams, reduce_model
+from fovisc.models import KINDS, FoSlsParams, freq_response
 
 T = 0.001
 SWEEP_PARAMS = FoSlsParams(k0=10.0, k1=32.0, b1=0.01, alpha=0.5)
@@ -39,9 +38,8 @@ class TestDefinitionConsistency:
         for params in random_draws(25, rng):
             n_mem = int(rng.integers(1, 200))
             kern = build_kernel(params.alpha, n_mem, T)
-            ve = DiscreteVE(params, kern)
             for w in np.linspace(0.03, 1.0, 7) * kern.nyquist:
-                h = ve.freq_response(w)
+                h = freq_response("fo_sls", params, kern, w)
                 scale = max(1.0, abs(h))
                 assert abs(es_ed_finite(params, kern, w)[0] - h.real) < 1e-12 * scale
                 assert abs(es_ed_finite(params, kern, w)[1] - h.imag / w) < 1e-12 * scale
@@ -165,26 +163,22 @@ class TestLowFrequency:
 
 class TestBfo:
     def test_low_frequency_limit(self):
-        el = BfoElement(b1=2.0, alpha=0.5, t_samp=T)
         w = 1e-3 / T  # wT = 1e-3
-        ref = el.b1 * (1j * w) ** el.alpha
-        assert abs(bfo_response(el, w) / ref - 1.0) < 1e-3
+        ref = 2.0 * (1j * w) ** 0.5
+        assert abs(bfo_response(2.0, 0.5, w, T) / ref - 1.0) < 1e-3
 
     def test_nyquist_magnitude(self):
-        el = BfoElement(b1=2.0, alpha=0.3, t_samp=T)
-        assert abs(bfo_response(el, math.pi / T)) == pytest.approx(
+        assert abs(bfo_response(2.0, 0.3, math.pi / T, T)) == pytest.approx(
             2.0 * 2.0**0.3 / T**0.3, rel=1e-12
         )
 
     def test_order_one_backward_difference(self):
-        el = BfoElement(b1=0.7, alpha=1.0, t_samp=T)
         for w in (10.0, 400.0, 2000.0):
             expected = 0.7 / T * (1.0 - cmath.exp(-1j * w * T))
-            assert bfo_response(el, w) == pytest.approx(expected, rel=1e-12)
+            assert bfo_response(0.7, 1.0, w, T) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_frequency(self):
-        el = BfoElement(b1=1.0, alpha=0.5, t_samp=T)
-        assert bfo_response(el, 0.0) == 0.0
+        assert bfo_response(1.0, 0.5, 0.0, T) == 0.0
 
 
 class TestSpecialCases:
@@ -262,7 +256,8 @@ class TestSpecialCases:
             assert ed == pytest.approx(ed_ref, rel=1e-13, abs=1e-13 * h_scale / w)
 
     def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
+        message = f"unsupported kind 'burgers'; expected one of {KINDS}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             special_case_es_ed("burgers", SWEEP_PARAMS, 1.0, T)
 
 
@@ -285,27 +280,43 @@ class TestVectorisedSweep:
         [
             lambda kern, w: es_ed_finite(SWEEP_PARAMS, kern, w),
             lambda kern, w: es_ed_asymptotic(SWEEP_PARAMS, w, kern.t_samp),
+            *[
+                lambda kern, w, kind=kind: special_case_es_ed(kind, SWEEP_PARAMS, w, kern.t_samp)
+                for kind in KINDS
+            ],
+            *[lambda kern, w, kind=kind: freq_response(kind, SWEEP_PARAMS, kern, w) for kind in KINDS],
+            lambda kern, w: s_of_omega(kern, w),
+            lambda kern, w: bfo_response(SWEEP_PARAMS.b1, SWEEP_PARAMS.alpha, w, kern.t_samp),
         ],
-        ids=["finite", "asymptotic"],
+        ids=[
+            "finite",
+            "asymptotic",
+            *[f"special_case_es_ed-{kind}" for kind in KINDS],
+            *[f"freq_response-{kind}" for kind in KINDS],
+            "s_of_omega",
+            "bfo_response",
+        ],
     )
     def test_scalar_array_and_empty_calls(self, evaluate):
-        # a scalar takes the 1-element array path: the same bits as [w].  Off
-        # the uniform grid a longer array sums the spectrum as one matrix
-        # product, whose rounding may differ from the 1-row product by an ulp.
+        # a scalar takes the 1-element array path: the same bits as [w], as a
+        # Python float or complex.  Off the uniform grid a longer array sums the
+        # spectrum as one matrix product, whose rounding may differ from the
+        # 1-row product by an ulp.
+        def results(kern, w):
+            out = evaluate(kern, w)
+            return out if isinstance(out, tuple) else (out,)
+
         kern = build_kernel(SWEEP_PARAMS.alpha, 100, T)
         omegas = np.random.default_rng(6).uniform(1.0, kern.nyquist, (3, 4))
-        es, ed = evaluate(kern, omegas)
-        assert es.shape == ed.shape == (3, 4)
-        for idx in np.ndindex(es.shape):
+        arrays = results(kern, omegas)
+        assert all(a.shape == (3, 4) for a in arrays)
+        for idx in np.ndindex(omegas.shape):
             w = float(omegas[idx])
-            es_w, ed_w = evaluate(kern, w)
-            assert type(es_w) is float and type(ed_w) is float
-            es_1, ed_1 = evaluate(kern, np.array([w]))
-            assert (es_w, ed_w) == (es_1[0], ed_1[0])
-            assert es_w == pytest.approx(es[idx], rel=1e-13)
-            assert ed_w == pytest.approx(ed[idx], rel=1e-13)
-        es, ed = evaluate(kern, np.array([]))
-        assert es.shape == ed.shape == (0,)
+            for v_w, v_1, a in zip(results(kern, w), results(kern, np.array([w])), arrays):
+                assert type(v_w) is type(a[idx].item())
+                assert v_w == v_1[0]
+                assert v_w == pytest.approx(a[idx], rel=1e-13)
+        assert all(a.shape == (0,) for a in results(kern, np.array([])))
 
     @pytest.mark.parametrize("bad", [0.0, -5.0, 1.01 * math.pi / T])
     def test_out_of_band_frequency_is_rejected(self, bad):
@@ -321,7 +332,7 @@ class TestVectorisedSweep:
         with pytest.raises(ValueError, match="omega must lie in"):
             special_case_es_ed("fo_sls", SWEEP_PARAMS, bad, T)
         with pytest.raises(ValueError, match="omega must lie in"):
-            reduce_model("fo_kv", SWEEP_PARAMS, kern).freq_response(bad)
+            freq_response("fo_kv", SWEEP_PARAMS, kern, bad)
 
     @pytest.mark.parametrize("branch, what", [(-1.0 + 0.0j, "branch ES"), (1.0 - 1.0j, "ED")])
     def test_sign_check_still_fires(self, monkeypatch, branch, what):

@@ -15,9 +15,10 @@ from fovisc.impedance import es_ed_lowfreq
 from fovisc.models import (
     DiscreteVE,
     FoSlsParams,
+    KINDS,
     _branch_filter,
     creep_response,
-    reduce_model,
+    freq_response,
     relaxation_response,
 )
 from fovisc.util import n_samples
@@ -140,7 +141,7 @@ class TestForceStep:
         design = np.column_stack([np.sin(w * n[sl] * T), np.cos(w * n[sl] * T)])
         a, b = np.linalg.lstsq(design, f[sl], rcond=None)[0]
         measured = a + 1j * b
-        assert abs(measured / ve.freq_response(w) - 1.0) < 1e-3
+        assert abs(measured / freq_response("fo_sls", ve.params, ve.kernel, w) - 1.0) < 1e-3
 
 
 class TestFreqResponse:
@@ -148,17 +149,16 @@ class TestFreqResponse:
         p = ve.params
         ds = delta_s(p.alpha, ve.kernel.n_mem)
         expected = p.k0 + p.k1 * p.b1 * ds / (p.b1 * ds + p.k1 * T**p.alpha)
-        h = ve.freq_response(1e-6)
+        h = freq_response("fo_sls", ve.params, ve.kernel, 1e-6)
         assert h.real == pytest.approx(expected, rel=1e-6)
         assert abs(h.imag) < 1e-6
 
     def test_nyquist_real_value(self):
         params = FoSlsParams(k0=0.0, k1=1.0, b1=1.0, alpha=0.5)
         kern = build_kernel(0.5, 101, T)
-        ve = DiscreteVE(params, kern)
         dp = delta_p(kern)
         expected = params.k1 * params.b1 * dp / T**0.5 / (params.k1 + params.b1 * dp / T**0.5)
-        h = ve.freq_response(math.pi / T)
+        h = freq_response("fo_sls", params, kern, math.pi / T)
         assert h.real == pytest.approx(expected, rel=1e-12)
         assert abs(h.imag) < 1e-12
         # independent oracle: raw complex summation of the rendered law
@@ -170,17 +170,17 @@ class TestFreqResponse:
     def test_order_one_any_memory_is_io_form(self):
         params = FoSlsParams(k0=2.0, k1=7.0, b1=0.5, alpha=1.0)
         for n_mem in (1, 5, 50):
-            ve1 = DiscreteVE(params, build_kernel(1.0, n_mem, T))
+            kern = build_kernel(1.0, n_mem, T)
             for w in (10.0, 500.0, math.pi / T):
                 d = (1.0 - np.exp(-1j * w * T)) / T
                 expected = params.k0 + params.k1 * params.b1 * d / (params.k1 + params.b1 * d)
-                assert ve1.freq_response(w) == pytest.approx(expected, rel=1e-12)
+                assert freq_response("fo_sls", params, kern, w) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_out_of_band(self, ve):
         with pytest.raises(ValueError):
-            ve.freq_response(0.0)
+            freq_response("fo_sls", ve.params, ve.kernel, 0.0)
         with pytest.raises(ValueError):
-            ve.freq_response(1.02 * math.pi / T)
+            freq_response("fo_sls", ve.params, ve.kernel, 1.02 * math.pi / T)
 
 
 class TestRelaxation:
@@ -304,49 +304,48 @@ class TestCreep:
 
 class TestReduceModel:
     def test_io_kv_row(self):
+        # the integer-order kinds take only T from a kernel of any order
         params = FoSlsParams(k0=10.0, k1=1.0, b1=0.01, alpha=1.0)
-        kern = build_kernel(1.0, 5, T)
-        reduced = reduce_model("io_kv", params, kern)
-        for w in (50.0, 1000.0, math.pi / T):
-            expected = 10.0 + 0.01 / T * (1.0 - np.exp(-1j * w * T))
-            assert reduced.freq_response(w) == pytest.approx(expected, rel=1e-12)
+        for kern in (build_kernel(1.0, 5, T), build_kernel(0.3, 5, T)):
+            for w in (50.0, 1000.0, math.pi / T):
+                expected = 10.0 + 0.01 / T * (1.0 - np.exp(-1j * w * T))
+                assert freq_response("io_kv", params, kern, w) == pytest.approx(expected, rel=1e-12)
 
     def test_io_sls_matches_general(self):
         params = FoSlsParams(k0=10.0, k1=32.0, b1=0.01, alpha=1.0)
         kern = build_kernel(1.0, 7, T)
-        reduced = reduce_model("io_sls", params, kern)
-        ve = DiscreteVE(params, kern)
         for w in np.linspace(1.0, math.pi / T, 25):
-            assert reduced.freq_response(w) == pytest.approx(ve.freq_response(w), rel=1e-12)
+            general = freq_response("fo_sls", params, kern, w)
+            assert freq_response("io_sls", params, kern, w) == pytest.approx(general, rel=1e-12)
 
     def test_fo_maxwell_is_zero_k0_path(self):
         params = FoSlsParams(k0=3.0, k1=2.0, b1=1.0, alpha=0.5)
         kern = build_kernel(0.5, 31, T)
-        reduced = reduce_model("fo_maxwell", params, kern)
-        ve = DiscreteVE(FoSlsParams(0.0, 2.0, 1.0, 0.5), kern)
         for w in (10.0, 700.0, math.pi / T):
-            assert reduced.freq_response(w) == pytest.approx(ve.freq_response(w), rel=1e-12)
+            general = freq_response("fo_sls", FoSlsParams(0.0, 2.0, 1.0, 0.5), kern, w)
+            assert freq_response("fo_maxwell", params, kern, w) == pytest.approx(general, rel=1e-12)
 
     def test_fo_kv_is_large_k1_limit(self):
         kern = build_kernel(0.5, 31, T)
-        reduced = reduce_model("fo_kv", FoSlsParams(1.0, 1.0, 0.5, 0.5), kern)
-        big = DiscreteVE(FoSlsParams(1.0, 1e9, 0.5, 0.5), kern)
         for w in (10.0, 700.0, math.pi / T):
-            assert reduced.freq_response(w) == pytest.approx(big.freq_response(w), rel=1e-6)
+            general = freq_response("fo_sls", FoSlsParams(1.0, 1e9, 0.5, 0.5), kern, w)
+            row = freq_response("fo_kv", FoSlsParams(1.0, 1.0, 0.5, 0.5), kern, w)
+            assert row == pytest.approx(general, rel=1e-6)
 
     @pytest.mark.parametrize("kind", ["fo_kv", "fo_maxwell", "io_sls", "io_kv", "io_maxwell"])
     def test_array_matches_per_point(self, kind):
         kern = build_kernel(0.5, 40, T)
-        reduced = reduce_model(kind, FoSlsParams(3.0, 2.0, 0.1, 0.5), kern)
+        params = FoSlsParams(3.0, 2.0, 0.1, 0.5)
         omegas = np.linspace(0.0, math.pi / T, 65)[1:]  # the uniform grid: FFT path
-        h = reduced.freq_response(omegas)
+        h = freq_response(kind, params, kern, omegas)
         assert h.shape == omegas.shape
-        assert isinstance(reduced.freq_response(omegas[3]), complex)
-        want = np.array([reduced.freq_response(w) for w in omegas])
+        assert isinstance(freq_response(kind, params, kern, omegas[3]), complex)
+        want = np.array([freq_response(kind, params, kern, w) for w in omegas])
         np.testing.assert_allclose(h, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
         with pytest.raises(ValueError):
-            reduced.freq_response(np.array([1.0, 0.0]))
+            freq_response(kind, params, kern, np.array([1.0, 0.0]))
 
     def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
-            reduce_model("zener", FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 3, T))
+        message = f"unsupported kind 'zener'; expected one of {KINDS}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            freq_response("zener", FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 3, T), 1.0)

@@ -1,6 +1,7 @@
 """Passivity function, closed-form bounds, reductions, and region scans."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from fovisc import passivity
 from fovisc.glkernel import build_kernel, delta_p
 from fovisc.impedance import es_ed_finite
-from fovisc.models import FoSlsParams
+from fovisc.models import KINDS, FoSlsParams, freq_response
 from fovisc.passivity import (
     bound_closed_form,
     bound_variants,
@@ -144,6 +145,9 @@ class TestClosedFormBound:
             passivity_function(params, build_kernel(0.5, 101, T), 100.0)
         with pytest.raises(ValueError, match="does not match parameter order"):
             es_ed_finite(params, build_kernel(0.5, 101, T), 100.0)
+        for kind in ("fo_sls", "fo_kv", "fo_maxwell"):
+            with pytest.raises(ValueError, match="does not match parameter order"):
+                freq_response(kind, params, build_kernel(0.5, 101, T), 100.0)
         assert bound_closed_form(params, build_kernel(0.3, 101, T)).b_min == pytest.approx(
             4.536e-4, rel=1e-3
         )
@@ -266,7 +270,8 @@ class TestSpecialCaseBound:
             assert special_case_bound(kind, params, kern) == pytest.approx(expected, rel=1e-14)
 
     def test_unsupported_kind(self):
-        with pytest.raises(ValueError):
+        message = f"unsupported kind 'burgers'; expected one of {KINDS}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             special_case_bound("burgers", UNIT_FM, build_kernel(0.5, 3, T))
 
     @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell"])
