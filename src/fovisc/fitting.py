@@ -27,7 +27,9 @@ import numpy as np
 from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
 from .models import (
     FoSlsParams,
+    _creep_den,
     _creep_sensitivities,
+    _poles_outside,
     _relaxation_sensitivities,
     creep_response,
     relaxation_response,
@@ -178,6 +180,8 @@ def synth_experiment(
     """Model output under a protocol, optionally with additive Gaussian noise.
 
     average_16 emulates averaging 16 repeated trials (noise scaled by 1/4).
+    A creep record is refused when the force law has no stable inverse: its
+    creep filter has a pole outside the unit circle, so the record diverges.
     """
     if isinstance(protocol, RelaxationProtocol):
         t, values = relaxation_response(params, kernel, protocol.x0, protocol.duration)
@@ -186,6 +190,12 @@ def synth_experiment(
         t, values = creep_response(
             params, kernel, protocol.f_hold, protocol.t_hold, protocol.f_recover, protocol.t_recover
         )
+        unstable = _poles_outside(_creep_den(params, kernel))
+        if unstable:
+            raise ValueError(
+                f"the creep record diverges: the force law's inverse has {unstable} "
+                "pole(s) outside the unit circle"
+            )
         kind = "creep"
     else:
         raise ValueError(f"unknown protocol {protocol!r}")

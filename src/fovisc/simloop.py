@@ -348,6 +348,30 @@ def is_unstable(trace: SimTrace) -> bool:
     return last > _ENVELOPE_FLOOR and last > _GROWTH_FACTOR * ref
 
 
+def _scaled(trace: SimTrace, s: float) -> SimTrace:
+    """The run of the same loop under an impulse s times as large.
+
+    The loop is linear and starts at rest, so position, velocity and forces
+    scale by s and the port energy by s^2.  The scaled run is cut, and
+    flagged diverged, where simulate would cut it: at the first sample with
+    |s*x| > 1e6 mm or s*x not finite.
+    """
+    x = s * trace.position
+    over = np.flatnonzero(~(np.abs(x) <= DIVERGENCE_LIMIT_MM))
+    n = int(over[0]) + 1 if over.size else x.size
+    return SimTrace(
+        t=trace.t[:n],
+        position=x[:n],
+        velocity=s * trace.velocity[:n],
+        force=s * trace.force[:n],
+        force_cmd=s * trace.force_cmd[:n],
+        energy=(s * s) * trace.energy[:n],
+        t_samp=trace.t_samp,
+        excite_end=trace.excite_end,
+        diverged=trace.diverged or bool(over.size),
+    )
+
+
 def empirical_boundary(
     plant: PlantParams,
     alpha: float,
@@ -361,10 +385,13 @@ def empirical_boundary(
 ) -> float:
     """Largest branch stiffness the simulated loop tolerates (k0 = 0).
 
-    Impulse-excited runs at `n_trials` momenta give the per-candidate
-    verdict (any unstable trial condemns the candidate); the K1 axis is then
-    bisected down to `resolution` [N/mm], which must be positive.  At most
-    five trials are defined (momentum scales 1, 0.5, 1.5, 0.75, 2).  The
+    Impulse trials at `n_trials` momenta give the per-candidate verdict (any
+    unstable trial condemns the candidate); the K1 axis is then bisected
+    down to `resolution` [N/mm], which must be positive.  At most five
+    trials are defined: `base_momentum` (nonzero and finite; its sign is
+    free) times 1, 0.5, 1.5, 0.75 and 2.  The loop is linear and starts at
+    rest, so each candidate runs one simulation, at `base_momentum`, and
+    reads every other trial from it as an exact scaling (see _scaled).  The
     supplied range must bracket the boundary: stable at the low end,
     unstable at the high end.
     """
@@ -373,18 +400,17 @@ def empirical_boundary(
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if n_trials not in range(1, len(_MOMENTUM_SCALES) + 1):
         raise ValueError(f"n_trials must lie in 1..{len(_MOMENTUM_SCALES)}, got {n_trials}")
+    if not (math.isfinite(base_momentum) and base_momentum != 0.0):
+        raise ValueError(f"base_momentum must be nonzero and finite, got {base_momentum}")
     lo, hi = float(k1_range[0]), float(k1_range[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < k1_lo < k1_hi, got {k1_range}")
-    momenta = base_momentum * np.array(_MOMENTUM_SCALES[: int(n_trials)])
+    scales = _MOMENTUM_SCALES[: int(n_trials)]
 
     def unstable(k1: float) -> bool:
         ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kernel)
-        for j in momenta:
-            trace = simulate(plant, ve, Impulse(momentum=float(j)), duration)
-            if is_unstable(trace):
-                return True
-        return False
+        unit = simulate(plant, ve, Impulse(momentum=float(base_momentum)), duration)
+        return any(is_unstable(_scaled(unit, s)) for s in scales)
 
     if unstable(lo):
         raise ValueError(f"k1 range does not bracket the boundary: {lo} is already unstable")

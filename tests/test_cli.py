@@ -189,6 +189,9 @@ class TestSimulate:
             (["--resolution", "0"], "resolution"),
             (["--resolution", "-1"], "resolution"),
             (["--resolution", "nan"], "resolution"),
+            (["--momentum", "0"], "momentum"),
+            (["--momentum", "nan"], "momentum"),
+            (["--momentum", "inf"], "momentum"),
         ],
     )
     def test_bad_boundary_search_settings_are_domain_errors(self, flags, match, capsys):
@@ -258,6 +261,22 @@ class TestSynthFitRoundtrip:
         err = capsys.readouterr().err
         assert "3001" in err and "2001" in err
         assert "Traceback" not in err
+
+    def test_diverging_creep_record_is_a_domain_error(self, tmp_path, capsys):
+        # passive by the closed-form bound (b_min 0.002403 < 0.0025), but the
+        # force law has no stable inverse: this record grew to 8.6e35 mm
+        creep = tmp_path / "creep.csv"
+        flags = ["--k0", "-9.663399485574615", "--k1", "19.95069809321432",
+                 "--b1", "7.059139793870999", "--alpha", "0.26436587608063844"]
+        argv = ["synth", *flags, "--protocol", "creep", "--t-hold", "1", "--t-recover", "1"]
+        assert dispatch([*argv, "-o", str(creep)]) == 3
+        err = capsys.readouterr().err
+        assert "creep record diverges" in err
+        assert "Traceback" not in err
+        assert not creep.exists()
+        # the relaxation record of the same material is bounded, and is written
+        assert dispatch(["synth", *flags, "--protocol", "relaxation", "--duration", "1",
+                         "-o", str(tmp_path / "relax.csv")]) == 0
 
     def test_non_finite_record_is_a_domain_error(self, tmp_path, capsys):
         relax = tmp_path / "relax.csv"

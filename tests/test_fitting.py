@@ -21,7 +21,7 @@ from fovisc.fitting import (
     synth_experiment,
 )
 from fovisc.glkernel import build_kernel
-from fovisc.models import FoSlsParams, creep_response, relaxation_response
+from fovisc.models import FoSlsParams, _creep_den, _poles_outside, creep_response, relaxation_response
 from fovisc.passivity import bound_closed_form
 
 T = 0.001
@@ -368,10 +368,11 @@ class TestCsvRoundTrip:
         # at 12 significant digits and read back by fit
         d = tmp_path_factory.mktemp("roundtrip")
         true, kern = _passive_params([slack, log_k1, log_b1, u], 101, T, 0.0025)
-        # a generator whose force law loses its inverse somewhere on the unit
-        # circle has a diverging creep record: no material to recover. The
-        # record synth would write (its default forces 3 and 0.5) is checked
-        # before synth runs, since one that overflows float64 is refused.
+        # a generator whose force law has no stable inverse has a diverging
+        # creep record: no material to recover, and synth refuses it. The
+        # record synth would write (its default forces 3 and 0.5) must also
+        # stay bounded.
+        assume(_poles_outside(_creep_den(true, kern)) == 0)
         _, x = creep_response(true, kern, 3.0, 1.0, 0.5, 1.0)
         assume(np.max(np.abs(x)) < 1e3)
         flags = ["--k0", repr(true.k0), "--k1", repr(true.k1), "--b1", repr(true.b1),

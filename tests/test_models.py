@@ -17,6 +17,8 @@ from fovisc.models import (
     FoSlsParams,
     KINDS,
     _branch_filter,
+    _creep_den,
+    _poles_outside,
     creep_response,
     freq_response,
     relaxation_response,
@@ -300,6 +302,31 @@ class TestCreep:
         assert x[-1] == pytest.approx(1.0 / params.k0, rel=1e-3)
         mid = x[x.size // 2]
         assert abs(mid - 1.0 / params.k0) < abs(x[0] - 1.0 / params.k0)
+
+
+class TestPolesOutside:
+    def test_counts_the_poles_a_polynomial_was_built_from(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            radii = rng.choice([rng.uniform(0.05, 0.97), rng.uniform(1.03, 3.0)], size=rng.integers(1, 12))
+            angles = rng.uniform(0.0, math.pi, size=radii.size)
+            paired = rng.random(radii.size) < 0.6
+            poles = np.concatenate([
+                radii * np.exp(1j * angles * paired),
+                (radii * np.exp(-1j * angles))[paired],
+            ])
+            den = np.real(np.poly(poles)) * rng.uniform(-5.0, 5.0)
+            expected = int(np.sum(radii > 1.0) + np.sum((radii > 1.0) & paired))
+            assert _poles_outside(den) == expected
+
+    @pytest.mark.parametrize("n_mem, unstable", [(1, 0), (101, 0), (476, 0), (477, 1)])
+    def test_creep_filter_of_the_material(self, n_mem, unstable):
+        # K0 < 0: the truncated kernel's static gain falls as N grows, and from
+        # N = 477 on den(1) = sum(den) < 0 < den(0): a real pole has left the
+        # unit circle through z = 1
+        den = _creep_den(MATERIAL_N101, build_kernel(MATERIAL_N101.alpha, n_mem, T))
+        assert _poles_outside(den) == unstable
+        assert (np.sum(den) < 0.0) == bool(unstable)
 
 
 class TestReduceModel:

@@ -384,6 +384,10 @@ class TestEmpiricalBoundary:
             (dict(n_trials=0), "n_trials"),
             (dict(n_trials=6), "n_trials"),
             (dict(n_trials=7), "n_trials"),
+            (dict(base_momentum=0.0), "momentum"),
+            (dict(base_momentum=math.nan), "momentum"),
+            (dict(base_momentum=math.inf), "momentum"),
+            (dict(base_momentum=-math.inf), "momentum"),
         ],
     )
     def test_search_settings_are_checked_before_simulating(self, monkeypatch, kw, match):
@@ -394,7 +398,7 @@ class TestEmpiricalBoundary:
         with pytest.raises(ValueError, match=match):
             empirical_boundary(PLANT, 0.5, 100.0, loop_kernel(0.5), (1.0, 10.0), **kw)
 
-    def test_each_trial_is_one_simulation(self, monkeypatch):
+    def test_each_candidate_is_one_simulation(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -406,10 +410,44 @@ class TestEmpiricalBoundary:
         analytical = float(region_scan(0.5, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
         empirical_boundary(
             PLANT, 0.5, 100.0, kern, (0.5 * analytical, 2.0 * analytical),
-            resolution=0.5 * analytical, n_trials=5, duration=1.0,
+            resolution=0.5 * analytical, n_trials=5, duration=1.0, base_momentum=0.02,
         )
-        # the stable low end runs all five momenta
-        assert calls[:5] == pytest.approx([0.01, 0.005, 0.015, 0.0075, 0.02])
+        # the two endpoints and two bisection steps, each one run at base_momentum
+        assert calls == [0.02] * 4
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_scaled_trials_match_direct_runs(self, alpha):
+        kern = loop_kernel(alpha)
+        analytical = float(region_scan(alpha, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
+        verdicts = set()
+        for ratio in (0.6, 0.95, 1.1, 1.6):
+            ve = DiscreteVE(FoSlsParams(k0=0.0, k1=ratio * analytical, b1=100.0, alpha=alpha), kern)
+            unit = simulate(PLANT, ve, Impulse(momentum=-0.01), 3.0)
+            for s in simloop._MOMENTUM_SCALES:
+                direct = simulate(PLANT, ve, Impulse(momentum=-0.01 * s), 3.0)
+                verdict = is_unstable(simloop._scaled(unit, s))
+                assert verdict == is_unstable(direct), (ratio, s)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_scaled_trial_is_cut_where_the_direct_run_diverges(self):
+        kern = loop_kernel(1.0)
+        analytical = float(region_scan(1.0, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
+        ve = DiscreteVE(FoSlsParams(k0=0.0, k1=1.6 * analytical, b1=100.0, alpha=1.0), kern)
+        peak = float(np.max(np.abs(simulate(PLANT, ve, Impulse(momentum=0.01), 1.0).position)))
+        # a unit momentum whose run peaks at 0.8e6 mm: the 0.5x and 0.75x
+        # trials stay under the divergence limit, the 1.5x and 2x trials cross it
+        j0 = 0.01 * 0.8 * simloop.DIVERGENCE_LIMIT_MM / peak
+        unit = simulate(PLANT, ve, Impulse(momentum=j0), 1.0)
+        assert not unit.diverged
+        for s in simloop._MOMENTUM_SCALES:
+            scaled = simloop._scaled(unit, s)
+            direct = simulate(PLANT, ve, Impulse(momentum=j0 * s), 1.0)
+            assert scaled.diverged == direct.diverged == (s > 1.0)
+            assert scaled.t.size == direct.t.size
+            np.testing.assert_allclose(scaled.position, direct.position, rtol=1e-9, atol=1e-12 * peak)
+            np.testing.assert_allclose(scaled.energy, direct.energy, rtol=1e-9, atol=1e-9)
+            assert is_unstable(scaled) == is_unstable(direct)
 
     def test_undamped_plant_has_no_passive_margin(self):
         # with zero plant damping any rendered stiffness is active, so the
