@@ -215,8 +215,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             },
         )
         return EXIT_OK
-    params = _params_from(args)
-    ve = models.DiscreteVE(params, kern) if args.k1 > 0 else None
+    if args.k1 == 0.0 and args.k0 != 0.0:
+        raise ValueError(f"--k0 {args.k0} needs a rendered law, but --k1 0 renders none")
+    ve = models.DiscreteVE(_params_from(args), kern) if args.k1 != 0.0 else None
     trace = simloop.simulate(plant, ve, _parse_excitation(args.excite), args.duration, args.t)
     rows = zip(trace.t, trace.position, trace.velocity, trace.force, trace.force_cmd, trace.energy)
     _write_csv(

@@ -27,8 +27,8 @@ import numpy as np
 from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
 from .models import (
     FoSlsParams,
-    _creep_den,
     _creep_sensitivities,
+    _law_filter,
     _poles_outside,
     _relaxation_sensitivities,
     creep_response,
@@ -97,6 +97,10 @@ class ExperimentData:
     def __post_init__(self):
         if self.kind not in ("creep", "relaxation"):
             raise ValueError(f"kind must be 'creep' or 'relaxation', got {self.kind!r}")
+        protocol = CreepProtocol if self.kind == "creep" else RelaxationProtocol
+        if not isinstance(self.stimulus, protocol):
+            name = type(self.stimulus).__name__
+            raise ValueError(f"a {self.kind} record needs a {protocol.__name__} stimulus, got {name}")
         t = np.asarray(self.time, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two samples")
@@ -190,7 +194,7 @@ def synth_experiment(
         t, values = creep_response(
             params, kernel, protocol.f_hold, protocol.t_hold, protocol.f_recover, protocol.t_recover
         )
-        unstable = _poles_outside(_creep_den(params, kernel))
+        unstable = _poles_outside(_law_filter(params, kernel)[0])
         if unstable:
             raise ValueError(
                 f"the creep record diverges: the force law's inverse has {unstable} "

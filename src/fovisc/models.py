@@ -8,13 +8,13 @@ The rendered impedance (force per unit position) is
 evaluated on the unit circle with z^-i = e^{-i w T i}.  With that convention
 the imaginary part of H is nonnegative for positive parameters, i.e. the
 dissipative component carries the physical sign (see README, sign
-conventions).  Time-domain stepping uses the equivalent recursion
+conventions).  In the time domain the same law is one sampled filter
+F = (num/den) x in z^-1 (see _law_filter), with s = B1/T^a,
 
-    y[n] = (K1*B1/T^a * sum_i c_i x[n-i] - B1/T^a * sum_{i>=1} c_i y[n-i])
-           / (K1 + B1/T^a),
-    F[n] = K0*x[n] + y[n],
+    den = s*c + K1,    num = (K0 + K1)*s*c + K0*K1,
 
-with zero-padded history before startup (system at rest for t < 0).
+and zero-padded history before startup (system at rest for t < 0): force
+records run it forward, creep records run its inverse den/num.
 """
 
 from __future__ import annotations
@@ -109,13 +109,19 @@ def _reduced_impedance(kind: str, params: FoSlsParams, t_samp: float, s):
     return params.k0 + _branch_impedance(params, t_samp, s)
 
 
-def _branch_filter(params: FoSlsParams, kernel: GLKernel):
-    """(b, a) coefficients of the branch filter y = lfilter(b, a, x)."""
+def _law_filter(params: FoSlsParams, kernel: GLKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den) of the law's filter F = lfilter(num, den, x): H = num/den in z^-1.
+
+    With s = B1/T^a, den = s*c + K1 is the branch's own denominator and
+    num = (K0+K1)*s*c + K0*K1 = K0*den + K1*s*c.  At K0 = 0 it is the
+    branch filter alone.
+    """
     scale = params.b1 / kernel.t_samp**params.alpha
-    b = params.k1 * scale * kernel.coeffs
-    a = scale * kernel.coeffs.copy()
-    a[0] += params.k1
-    return b, a
+    den = scale * kernel.coeffs
+    den[0] += params.k1
+    num = (params.k0 + params.k1) * scale * kernel.coeffs
+    num[0] += params.k0 * params.k1
+    return num, den
 
 
 def _check_order(alpha: float, kernel: GLKernel) -> None:
@@ -160,9 +166,10 @@ class DiscreteVE:
     """The viscoelastic law at one (params, kernel), with a stateful per-sample
     evaluator.
 
-    force_step owns ring buffers of the last N+1 positions and last N branch
-    forces, zero-initialized; stepping is deterministic and single-writer.  It
-    is the per-sample form of the filters that relaxation_response and
+    force_step steps the law's filter num/den (see _law_filter) in direct
+    form, owning buffers of the last N+1 positions and last N forces,
+    zero-initialized; stepping is deterministic and single-writer.  It is the
+    per-sample reference for the same filter that relaxation_response and
     simulate run over whole records.  simulate takes a DiscreteVE as the
     rendered law and reads only its params and kernel; the law's impedance is
     freq_response("fo_sls", params, kernel, omegas).
@@ -172,31 +179,24 @@ class DiscreteVE:
         _check_order(params.alpha, kernel)
         self.params = params
         self.kernel = kernel
-        t_a = kernel.t_samp**params.alpha
-        den = params.k1 + params.b1 / t_a
-        self._x_gain = (params.k1 * params.b1 / t_a) / den
-        self._y_gain = (params.b1 / t_a) / den
-        self._c = kernel.coeffs
-        self._c_tail = kernel.coeffs[1:]
+        self._num, self._den = _law_filter(params, kernel)
         self.reset()
 
     def reset(self):
-        """Return to rest: zero position and branch-force history."""
+        """Return to rest: zero position and force history."""
         self._xh = np.zeros(self.kernel.n_mem + 1)
-        self._yh = np.zeros(self.kernel.n_mem)
+        self._fh = np.zeros(self.kernel.n_mem)
 
     def force_step(self, x_new: float) -> float:
         """Advance one sample with position x_new [mm]; return force [N]."""
-        xh, yh = self._xh, self._yh
+        xh, fh = self._xh, self._fh
         xh[1:] = xh[:-1]
         xh[0] = x_new
-        y = self._x_gain * float(np.dot(self._c, xh)) - self._y_gain * float(
-            np.dot(self._c_tail, yh)
-        )
-        if self.kernel.n_mem > 0:
-            yh[1:] = yh[:-1]
-            yh[0] = y
-        return self.params.k0 * x_new + y
+        f = (float(np.dot(self._num, xh)) - float(np.dot(self._den[1:], fh))) / self._den[0]
+        if fh.size:
+            fh[1:] = fh[:-1]
+            fh[0] = f
+        return f
 
 
 def relaxation_response(
@@ -216,8 +216,8 @@ def relaxation_response(
     n = n_samples(duration, kernel.t_samp) + 1
     t = np.arange(n) * kernel.t_samp
     x = np.full(n, float(x0))
-    b, a = _branch_filter(params, kernel)
-    force = params.k0 * x + _lfilter(b, a, x)
+    # K0*x outside the filter keeps it exact for the fit's y = F/x0 - K0
+    force = params.k0 * x + _lfilter(*_law_filter(replace(params, k0=0.0), kernel), x)
     return t, force
 
 
@@ -231,9 +231,9 @@ def creep_response(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Displacement history under a held force step followed by recovery.
 
-    The force law F[n] = K0 x[n] + y[n] is affine in x[n] at every step, so
-    the displacement follows from the exact per-step inversion; in filter
-    form x = lfilter(a_branch, den, F) with den[0] = K0*K1 + (K0+K1)*B1/T^a.
+    The displacement runs the law's filter inverted, x = lfilter(den, num, F)
+    (see _law_filter); it needs the instantaneous stiffness
+    num[0]/den[0] to be nonzero.
     """
     _check_order(params.alpha, kernel)
     if t_hold <= 0.0 or t_recover < 0.0:
@@ -243,9 +243,10 @@ def creep_response(
     n_rec = n_samples(t_recover, T)
     force = np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
     t = np.arange(force.size) * T
-    _, a = _branch_filter(params, kernel)
-    x = _lfilter(a, _creep_den(params, kernel), force)
-    return t, x
+    num, den = _law_filter(params, kernel)
+    if abs(num[0]) < 1e-300:
+        raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
+    return t, _lfilter(den, num, force)
 
 
 def _lfilter(b, a, x):
@@ -254,16 +255,6 @@ def _lfilter(b, a, x):
     from scipy.signal import lfilter
 
     return lfilter(b, a, x)
-
-
-def _creep_den(params: FoSlsParams, kernel: GLKernel) -> np.ndarray:
-    """den = (K0+K1)*s*c + K0*K1 of the creep filter x = (a/den) F, s = B1/T^a."""
-    scale = params.b1 / kernel.t_samp**params.alpha
-    den = (params.k0 + params.k1) * scale * kernel.coeffs.copy()
-    den[0] += params.k0 * params.k1
-    if abs(den[0]) < 1e-300:
-        raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
-    return den
 
 
 def _poles_outside(den: np.ndarray) -> int:
@@ -337,17 +328,18 @@ def _relaxation_sensitivities(
 
     force is relaxation_response's record at params (any leading part of it);
     dc the order derivatives of the weights.  With F = x0*(K0 + y), y the unit
-    step response of the branch b/a (a = s*c + K1, b = K1*s*c):
+    step response of the branch, the law's filter num/den at K0 = 0
+    (den = s*c + K1, num = K1*s*c):
 
-        dy/dK1 = (s*c)^2 / a^2,   dy/dalpha = K1^2 d(s*c)/dalpha / a^2,
+        dy/dK1 = (s*c)^2 / den^2,   dy/dalpha = K1^2 d(s*c)/dalpha / den^2,
 
-    dy/dB1 from Euler's relation K1*dy/dK1 + B1*dy/dB1 = y (b/a is
-    homogeneous of degree 1), and 1/a from the record: b/a = K1 - K1^2/a.
+    dy/dB1 from Euler's relation K1*dy/dK1 + B1*dy/dB1 = y (num/den is
+    homogeneous of degree 1), and 1/den from the record: num/den = K1 - K1^2/den.
     """
     k1 = params.k1
     y = force / x0 - params.k0
-    inv_a = np.diff((k1 - y) / k1**2, prepend=0.0)
-    products = _squared_products(params, kernel, dc, inv_a, lambda s, ds: [s**2, k1**2 * ds])
+    inv_den = np.diff((k1 - y) / k1**2, prepend=0.0)
+    products = _squared_products(params, kernel, dc, inv_den, lambda s, ds: [s**2, k1**2 * ds])
     y_k1, y_alpha = np.cumsum(products, axis=1)
     y_b1 = (y - k1 * y_k1) / params.b1
     return x0 * np.array([np.ones_like(y), y_k1, y_b1, y_alpha])
@@ -365,15 +357,15 @@ def _creep_sensitivities(
     """Rows dx/dK0, dx/dK1, dx/dB1, dx/dalpha of a creep record.
 
     x is creep_response's record at params (any leading part of it); dc the
-    order derivatives of the weights.  With x = (a/den) F, den = (K0+K1)*s*c
-    + K0*K1:
+    order derivatives of the weights.  With x = (den/num) F, the law's filter
+    inverted (den = s*c + K1, num = (K0+K1)*s*c + K0*K1):
 
-        d(a/den)/dK0 = -a^2/den^2,   d(a/den)/dK1 = -(s*c)^2/den^2,
-        d(a/den)/dalpha = -K1^2 d(s*c)/dalpha / den^2,
+        d(den/num)/dK0 = -den^2/num^2,   d(den/num)/dK1 = -(s*c)^2/num^2,
+        d(den/num)/dalpha = -K1^2 d(s*c)/dalpha / num^2,
 
     dx/dB1 from Euler's relation K0*x_K0 + K1*x_K1 + B1*x_B1 = -x (degree
-    -1).  Since (K0+K1)*(a/den) - 1 = K1^2/den, the impulse response of 1/den
-    comes from the unit step response of a/den, which the record gives once
+    -1).  Since (K0+K1)*(den/num) - 1 = K1^2/num, the impulse response of 1/num
+    comes from the unit step response of den/num, which the record gives once
     the two-level force is undone block by block; with no hold force it takes
     one filter pass instead.
     """
@@ -386,13 +378,13 @@ def _creep_sensitivities(
         for lo in range(n_hold, m, n_hold):
             hi = min(lo + n_hold, m)
             step[lo:hi] -= jump / f_hold * step[lo - n_hold : hi - n_hold]
-        inv_den = np.diff(((k0 + k1) * step - 1.0) / k1**2, prepend=0.0)
+        inv_num = np.diff(((k0 + k1) * step - 1.0) / k1**2, prepend=0.0)
     else:
         impulse = np.zeros(m)
         impulse[0] = 1.0
-        inv_den = _lfilter([1.0], _creep_den(params, kernel), impulse)
+        inv_num = _lfilter([1.0], _law_filter(params, kernel)[0], impulse)
     products = _squared_products(
-        params, kernel, dc, inv_den, lambda s, ds: [(s + k1) ** 2, s**2, k1**2 * ds]
+        params, kernel, dc, inv_num, lambda s, ds: [(s + k1) ** 2, s**2, k1**2 * ds]
     )
     unit = np.cumsum(products, axis=1)
     response = -float(f_hold) * unit

@@ -19,7 +19,6 @@ local refinement, never by the Nyquist shortcut.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ from .models import (
     _kind_rules,
     _reduced_impedance,
 )
-from .util import worker_count
 
 __all__ = [
     "PassivityResult",
@@ -241,8 +239,7 @@ def region_scan(
     bisects the grid-search bound down to `resolution` [N/mm].  The grid
     spectrum does not depend on (K1, B1), so it is computed once per call, and
     a candidate whose grid maximum already exceeds the plant damping is
-    refused unrefined.  Columns run concurrently on the even-length path
-    (worker cap: FOVISC_THREADS).
+    refused unrefined.
     """
     _check_order(alpha, kernel)
     if k1_max <= 0.0:
@@ -285,7 +282,6 @@ def region_scan(
                 hi = mid
         return lo, False
 
-    with ThreadPoolExecutor(max_workers=worker_count(b1_grid.size)) as pool:
-        for j, (val, cap) in enumerate(pool.map(column, b1_grid)):
-            k1[j], capped[j] = val, cap
+    for j, b1 in enumerate(b1_grid):
+        k1[j], capped[j] = column(b1)
     return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)

@@ -19,8 +19,8 @@ the plant maps net force to position through Pn/Pd with
 
     Pd = 1 - (1 + d) z^-1 + d z^-2,    Pn = c1 z^-1 + (g_x*g_f - c1*d) z^-2,
 
-and the rendered impedance is a ratio H = num/den (K0*a + b over a for the
-branch filter (b, a) of DiscreteVE), so with x[0] = 0 and v[0] = v0
+and the rendered impedance is a ratio H = num/den (for a DiscreteVE, the
+law's filter models._law_filter), so with x[0] = 0 and v[0] = v0
 
     x = [den / (Pd*den + Pn*num)] (g_x*v0*delta[n-1] + Pn F_cmd),
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .glkernel import GLKernel
-from .models import DiscreteVE, FoSlsParams, _branch_filter, _check_order
+from .models import DiscreteVE, FoSlsParams, _check_order, _law_filter
 from .util import n_samples
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 
 DIVERGENCE_LIMIT_MM = 1e6
 _MOMENTUM_SCALES = (1.0, 0.5, 1.5, 0.75, 2.0)  # impulse trials of empirical_boundary
-# is_unstable's thresholds: energy drift [N*mm], envelope growth ratio, envelope floor [mm]
+# verdict thresholds: energy drift [N*mm], envelope growth ratio, envelope floor [mm]
 _DRIFT_TOL = 1e-6
 _GROWTH_FACTOR = 1.05
 _ENVELOPE_FLOOR = 1e-9
@@ -173,8 +173,7 @@ def _rendered_filter(ve) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(ve, PureSpring):
         return np.array([float(ve.k)]), np.ones(1)
     if isinstance(ve, DiscreteVE):
-        b, a = _branch_filter(ve.params, ve.kernel)
-        return ve.params.k0 * a + b, a
+        return _law_filter(ve.params, ve.kernel)
     raise TypeError(f"cannot render {type(ve).__name__}; expected DiscreteVE, PureSpring or None")
 
 
@@ -297,7 +296,7 @@ class ObserverReport:
     violation: bool
 
 
-def energy_observer(trace: SimTrace, drift_tol: float = 1e-9) -> ObserverReport:
+def energy_observer(trace: SimTrace) -> ObserverReport:
     """Passivity verdict from the port-energy record.
 
     Even a well-damped loop leaks a little energy out of the rendered port
@@ -305,8 +304,9 @@ def energy_observer(trace: SimTrace, drift_tol: float = 1e-9) -> ObserverReport:
     cumulative record of a stable run converges to a possibly negative value.
     A violation is a *sustained* downward drift after the excitation ends:
     the final fifth of the record keeps falling at least as fast (80%) as the
-    fifth before it, instead of flattening out.  A diverged run is a
-    violation by definition.
+    fifth before it, instead of flattening out.  A fall smaller than 1e-6
+    N*mm or 1e-9 of the record's peak, whichever is larger, is roundoff.  A
+    diverged run is a violation by definition.
     """
     post = trace.energy[trace.t >= trace.excite_end - 1e-12]
     if post.size == 0:
@@ -320,7 +320,7 @@ def energy_observer(trace: SimTrace, drift_tol: float = 1e-9) -> ObserverReport:
     i80 = int(0.8 * (post.size - 1))
     d_prev = float(post[i80] - post[i60])
     d_last = float(post[-1] - post[i80])
-    tol = max(abs(drift_tol), 1e-9 * float(np.max(np.abs(post))))
+    tol = max(_DRIFT_TOL, 1e-9 * float(np.max(np.abs(post))))
     sustained = d_last < -tol and abs(d_last) >= 0.8 * abs(d_prev)
     return ObserverReport(min_energy=min_energy, violation=sustained)
 
@@ -336,7 +336,7 @@ def is_unstable(trace: SimTrace) -> bool:
     """
     if trace.diverged:
         return True
-    if energy_observer(trace, drift_tol=_DRIFT_TOL).violation:
+    if energy_observer(trace).violation:
         return True
     mask = trace.t >= trace.excite_end - 1e-12
     x = np.abs(trace.position[mask])

@@ -26,7 +26,7 @@ def n_samples(duration: float, t_samp: float) -> int:
 
 
 def worker_count(n_tasks: int) -> int:
-    """Worker cap for embarrassingly parallel scans.
+    """Worker cap for fit's multi-start pool.
 
     FOVISC_THREADS limits the pool size; otherwise the CPU count does.
     """

@@ -181,6 +181,32 @@ class TestSimulate:
     def test_bad_excitation_spec(self):
         assert dispatch(["simulate", "--excite", "kick:1", "--duration", "0.1"]) == 3
 
+    def test_free_plant_chirp(self, tmp_path):
+        # the default --k1 0 renders no law: the plant alone under the chirp
+        out = tmp_path / "free.csv"
+        code = dispatch(
+            ["simulate", "--excite", "chirp:1,20,0.5,0.05", "--duration", "1", "-o", str(out)]
+        )
+        assert code == 0
+        _, rows, comments = read_csv(out)
+        assert len(rows) == 1000
+        assert all(float(row[3]) == 0.0 for row in rows)
+        assert max(abs(float(row[4])) for row in rows) > 0.04
+        assert comments["diverged"] == "False"
+
+    @pytest.mark.parametrize(
+        "flags, match",
+        [
+            (["--k1", "-1"], "k1 must be positive"),
+            (["--k0", "1"], "--k1 0 renders none"),
+        ],
+    )
+    def test_bad_rendered_law_is_a_domain_error(self, flags, match, capsys):
+        assert dispatch(["simulate", "--duration", "0.01", *flags]) == 3
+        err = capsys.readouterr().err
+        assert match in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "flags, match",
         [

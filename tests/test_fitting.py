@@ -21,7 +21,7 @@ from fovisc.fitting import (
     synth_experiment,
 )
 from fovisc.glkernel import build_kernel
-from fovisc.models import FoSlsParams, _creep_den, _poles_outside, creep_response, relaxation_response
+from fovisc.models import FoSlsParams, _law_filter, _poles_outside, creep_response, relaxation_response
 from fovisc.passivity import bound_closed_form
 
 T = 0.001
@@ -89,6 +89,11 @@ class TestSynth:
             ExperimentData("creep", np.array([0.0, 0.0, 1.0]), np.zeros(3), CreepProtocol())
         with pytest.raises(ValueError):
             ExperimentData("wrong", np.array([0.0, 1.0]), np.zeros(2), CreepProtocol())
+        # a stimulus of the other kind: fit would read a field it does not have
+        with pytest.raises(ValueError, match="creep record needs a CreepProtocol stimulus, got Relax"):
+            ExperimentData("creep", np.arange(3) * T, np.zeros(3), RelaxationProtocol())
+        with pytest.raises(ValueError, match="relaxation record needs a RelaxationProtocol .*got Creep"):
+            ExperimentData("relaxation", np.arange(3) * T, np.zeros(3), CreepProtocol())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_records(self, bad):
@@ -372,7 +377,7 @@ class TestCsvRoundTrip:
         # creep record: no material to recover, and synth refuses it. The
         # record synth would write (its default forces 3 and 0.5) must also
         # stay bounded.
-        assume(_poles_outside(_creep_den(true, kern)) == 0)
+        assume(_poles_outside(_law_filter(true, kern)[0]) == 0)
         _, x = creep_response(true, kern, 3.0, 1.0, 0.5, 1.0)
         assume(np.max(np.abs(x)) < 1e3)
         flags = ["--k0", repr(true.k0), "--k1", repr(true.k1), "--b1", repr(true.b1),

@@ -16,8 +16,7 @@ from fovisc.models import (
     DiscreteVE,
     FoSlsParams,
     KINDS,
-    _branch_filter,
-    _creep_den,
+    _law_filter,
     _poles_outside,
     creep_response,
     freq_response,
@@ -128,8 +127,7 @@ class TestForceStep:
         params = FoSlsParams(k0=k0, k1=k1, b1=b1, alpha=alpha)
         kern = build_kernel(alpha, n_mem, T)
         x = np.array(x)
-        b, a = _branch_filter(params, kern)
-        want = k0 * x + lfilter(b, a, x)
+        want = lfilter(*_law_filter(params, kern), x)
         got = run_filter(DiscreteVE(params, kern), x)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * np.max(np.abs(want)))
 
@@ -322,11 +320,29 @@ class TestPolesOutside:
     @pytest.mark.parametrize("n_mem, unstable", [(1, 0), (101, 0), (476, 0), (477, 1)])
     def test_creep_filter_of_the_material(self, n_mem, unstable):
         # K0 < 0: the truncated kernel's static gain falls as N grows, and from
-        # N = 477 on den(1) = sum(den) < 0 < den(0): a real pole has left the
-        # unit circle through z = 1
-        den = _creep_den(MATERIAL_N101, build_kernel(MATERIAL_N101.alpha, n_mem, T))
-        assert _poles_outside(den) == unstable
-        assert (np.sum(den) < 0.0) == bool(unstable)
+        # N = 477 on num(1) = sum(num) < 0 < num(0): a real pole of the creep
+        # filter den/num has left the unit circle through z = 1
+        num, _ = _law_filter(MATERIAL_N101, build_kernel(MATERIAL_N101.alpha, n_mem, T))
+        assert _poles_outside(num) == unstable
+        assert (np.sum(num) < 0.0) == bool(unstable)
+
+
+class TestLawFilter:
+    @pytest.mark.parametrize(
+        "params",
+        [MATERIAL_N101, FoSlsParams(k0=0.7, k1=3.0, b1=0.02, alpha=1.0)],
+        ids=["k0_negative", "order_one"],
+    )
+    @pytest.mark.parametrize("n_mem", [0, 1, 101])
+    def test_unit_circle_values_are_the_impedance(self, params, n_mem):
+        # the one time-domain filter and the one frequency response agree
+        kern = build_kernel(params.alpha, n_mem, T)
+        num, den = _law_filter(params, kern)
+        omegas = np.linspace(0.002, 1.0, 500) * math.pi / T
+        z_inv = np.exp(-1j * np.outer(omegas * T, np.arange(n_mem + 1)))
+        got = (z_inv @ num) / (z_inv @ den)
+        want = freq_response("fo_sls", params, kern, omegas)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestReduceModel:
