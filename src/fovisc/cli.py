@@ -36,7 +36,7 @@ def _fmt(x) -> str:
 def _config_echo(args: argparse.Namespace) -> dict:
     out = {}
     for key, value in vars(args).items():
-        if key in ("handler", "output", "gnuplot"):
+        if key in ("handler", "output", "gnuplot", "ignored"):
             continue
         if isinstance(value, float):
             value = _f12(value)
@@ -95,6 +95,14 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gnuplot", action="store_true", help="also emit a .gp plot script (CSV outputs with -o)")
 
 
+def _positive_count(args: argparse.Namespace, name: str) -> int:
+    """An integer flag that sizes the output; below 1 it would write no rows."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+    return value
+
+
 def _params_from(args: argparse.Namespace) -> models.FoSlsParams:
     return models.FoSlsParams(k0=getattr(args, "k0", 0.0), k1=args.k1, b1=args.b1, alpha=args.alpha)
 
@@ -138,7 +146,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_region(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    b1_grid = np.linspace(args.b1_min, args.b1_max, args.steps)
+    b1_grid = np.linspace(args.b1_min, args.b1_max, _positive_count(args, "steps"))
     region = passivity.region_scan(
         args.alpha, kern, args.b_plant, b1_grid, args.k1_max, resolution=args.resolution
     )
@@ -150,8 +158,7 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    nyq = kern.nyquist
-    omegas = np.linspace(0.0, nyq, args.points + 1)[1:]
+    omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
     if args.what == "f":
         values = passivity.passivity_function(params, kern, omegas)
         rows = [(float(w * args.t), _f12(f)) for w, f in zip(omegas, values)]
@@ -219,6 +226,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--k0 {args.k0} needs a rendered law, but --k1 0 renders none")
     ve = models.DiscreteVE(_params_from(args), kern) if args.k1 != 0.0 else None
     trace = simloop.simulate(plant, ve, _parse_excitation(args.excite), args.duration, args.t)
+    if trace.t.size == 0:
+        raise ValueError(f"duration {args.duration} s is shorter than one sample period {args.t} s")
     rows = zip(trace.t, trace.position, trace.velocity, trace.force, trace.force_cmd, trace.energy)
     _write_csv(
         args,
@@ -259,13 +268,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         experiments.append(fitting.ExperimentData("relaxation", t, v, proto))
     if not experiments:
         raise ValueError("supply at least one of --creep/--relax")
-    config = fitting.FitConfig(
-        b_plant=args.b_plant,
-        n_starts=args.starts,
-        max_evals_per_start=args.max_evals,
-        normalization=args.normalization,
-        seed=args.seed,
-    )
+    config = fitting.FitConfig(args.b_plant, args.max_evals, args.normalization)
     result = fitting.fit(experiments, args.n, config)
     _write_json(
         args,
@@ -308,7 +311,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     params = _params_from(args)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    omegas = np.linspace(0.0, kern.nyquist, args.points + 1)[1:]
+    omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
     h = models.freq_response(args.kind, params, kern, omegas)
     rows = [(float(w), _f12(v.real), _f12(v.imag)) for w, v in zip(omegas, h)]
     _write_csv(args, ["omega", "re_H", "im_H"], rows)
@@ -385,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relax", help="CSV time_s,value force record")
     p.add_argument("--n", type=int, default=101)
     p.add_argument("--b-plant", type=float, default=0.0025)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=8)
+    p.add_argument("--seed", "--starts", type=int, dest="ignored", metavar="N",
+                   help="ignored (older command lines still run): the start comes from the records")
     p.add_argument("--max-evals", type=int, default=20000)
     p.add_argument("--normalization", choices=fitting.NORMALIZATIONS, default="range")
     p.add_argument("--f-hold", type=float, default=3.0)

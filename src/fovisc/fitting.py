@@ -7,19 +7,20 @@ affine in K0, so the search never leaves the passive set: it varies
     K0 = (2/T) * (b_plant - branch(K1, B1, alpha)) - slack,
 
 the largest parallel stiffness the plant damping admits, less the slack.
-Each start runs one trust-region-reflective least-squares solve (box bounds
-kept exactly) on the residuals of all experiments, each scaled by its NRMSE
-scale.  The Jacobian is exact: the record sensitivities of ``models``,
-built from the forward records the residual has just computed, chained
-through the passive map.  An evaluation is one residual or one Jacobian;
-the budget caps their sum.  The returned set is re-verified against the
-bound afterwards.
+The start comes from the records: once alpha is fixed the law is linear in
+its parameters, so an equation-error estimate at each order of a fixed grid
+gives a candidate, and the one whose forward records fit best starts one
+trust-region-reflective least-squares solve (box bounds kept exactly) on
+the residuals of all experiments, each scaled by its NRMSE scale.  The
+Jacobian is exact: the record sensitivities of ``models``, built from the
+forward records the residual has just computed, chained through the passive
+map.  An evaluation is one residual or one Jacobian; the budget caps the
+solve's.  The returned set is re-verified against the bound afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ import numpy as np
 from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
 from .models import (
     FoSlsParams,
+    _creep_force,
     _creep_sensitivities,
+    _fir,
     _law_filter,
     _poles_outside,
     _relaxation_sensitivities,
@@ -35,7 +38,6 @@ from .models import (
     relaxation_response,
 )
 from .passivity import _nyquist_value, bound_closed_form
-from .util import worker_count
 
 __all__ = [
     "ExperimentData",
@@ -52,13 +54,17 @@ NORMALIZATIONS = ("range", "mean", "rms")
 
 _ALPHA_LO = 0.01  # logit floor keeps the order away from the degenerate spring
 
-# Search box: wide enough for any plausible material in {N, mm, s} units,
-# finite so candidates cannot reach degenerate corners (astronomical
-# stiffness with vanishing damping still satisfies the bound).  The slack
-# spans the width of the K0 box.
+# Search box of theta = (slack, log K1, log B1, logit alpha): wide enough for
+# any plausible material in {N, mm, s} units, finite so candidates cannot reach
+# degenerate corners (astronomical stiffness with vanishing damping still
+# satisfies the bound).  The slack spans the width of the K0 box.
 _K0_BOX = 1e3
 _LOG_BOX = math.log(1e3)
 _U_BOX = 50.0
+_BOUNDS = np.array([[0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX], [2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, _U_BOX]])
+
+# Orders at which the start is estimated from the records
+_START_ALPHAS = np.linspace(0.02, 1.0, 50)
 
 # Cap on a single residual.  Unstable creep inverse filters and undefined
 # predictions land on it; a record that touches it gives zero Jacobian rows,
@@ -132,16 +138,12 @@ class FitResult:
 @dataclass(frozen=True)
 class FitConfig:
     b_plant: float = 0.0025  # N*s/mm available for dissipation
-    n_starts: int = 8
-    max_evals_per_start: int = 20000  # residual plus Jacobian evaluations
+    max_evals: int = 20000  # residual plus Jacobian evaluations
     normalization: str = "range"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("need at least one start")
-        if self.max_evals_per_start < 2:  # one residual and one Jacobian
-            raise ValueError("max_evals_per_start must be at least 2")
+        if self.max_evals < 2:  # one residual and one Jacobian
+            raise ValueError("max_evals must be at least 2")
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -173,6 +175,16 @@ def _scale(measured: np.ndarray, normalization: str) -> float:
     return scale
 
 
+def _response(params: FoSlsParams, kernel, protocol) -> tuple[np.ndarray, np.ndarray]:
+    """(t, record) of the law under a protocol: displacement for creep, force for relaxation."""
+    p = protocol
+    if isinstance(p, RelaxationProtocol):
+        return relaxation_response(params, kernel, p.x0, p.duration)
+    if isinstance(p, CreepProtocol):
+        return creep_response(params, kernel, p.f_hold, p.t_hold, p.f_recover, p.t_recover)
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
 def synth_experiment(
     params: FoSlsParams,
     kernel,
@@ -187,22 +199,12 @@ def synth_experiment(
     A creep record is refused when the force law has no stable inverse: its
     creep filter has a pole outside the unit circle, so the record diverges.
     """
-    if isinstance(protocol, RelaxationProtocol):
-        t, values = relaxation_response(params, kernel, protocol.x0, protocol.duration)
-        kind = "relaxation"
-    elif isinstance(protocol, CreepProtocol):
-        t, values = creep_response(
-            params, kernel, protocol.f_hold, protocol.t_hold, protocol.f_recover, protocol.t_recover
-        )
-        unstable = _poles_outside(_law_filter(params, kernel)[0])
-        if unstable:
-            raise ValueError(
-                f"the creep record diverges: the force law's inverse has {unstable} "
-                "pole(s) outside the unit circle"
-            )
-        kind = "creep"
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    t, values = _response(params, kernel, protocol)
+    kind = "creep" if isinstance(protocol, CreepProtocol) else "relaxation"
+    unstable = kind == "creep" and _poles_outside(_law_filter(params, kernel)[0])
+    if unstable:
+        msg = f"the force law's inverse has {unstable} pole(s) outside the unit circle"
+        raise ValueError(f"the creep record diverges: {msg}")
     if noise_sd < 0.0:
         raise ValueError("noise_sd must be nonnegative")
     if noise_sd > 0.0:
@@ -255,12 +257,7 @@ def _passive_map_jacobian(theta, params: FoSlsParams, kern: GLKernel, dc: np.nda
 
 
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
-    s = exp.stimulus
-    if exp.kind == "relaxation":
-        _, pred = relaxation_response(params, kernel, s.x0, s.duration)
-    else:
-        _, pred = creep_response(params, kernel, s.f_hold, s.t_hold, s.f_recover, s.t_recover)
-    return pred[: exp.values.size]
+    return _response(params, kernel, exp.stimulus)[1][: exp.values.size]
 
 
 def _sensitivities(params: FoSlsParams, kernel, dc, exp: ExperimentData, pred) -> np.ndarray:
@@ -334,6 +331,43 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config: FitConfig) -> list:
+    """Start thetas from the records' own law: one per order of _START_ALPHAS
+    that gives K1 > 0, B1 > 0 and K0 inside the box, K0 taken as slack below its cap.
+
+    Once alpha fixes the weights c, den*F = num*x (models._law_filter) is linear
+    in (a, b, p, q) = lambda*(s, K1, (K0+K1)*s, K0*K1).  The smallest right
+    singular vector of [c*F, F, -c*x, -x], stacked over the records (each over
+    its scale) with normalized columns, is the equation-error (ARX) estimate of
+    Ljung, System Identification (1999), step one of Steiglitz-McBride (1965).
+    """
+    t_samp = experiments[0].t_samp
+    series = []  # (F, x) of each record, over the record's scale
+    for exp in experiments:
+        m, s, scale = exp.values.size, exp.stimulus, _scale(exp.values, config.normalization)
+        if exp.kind == "creep":
+            f, x = _creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
+        else:
+            f, x = exp.values, np.full(m, float(s.x0))
+        series.append((f / scale, x / scale))
+    starts = []
+    for alpha in _START_ALPHAS:
+        c = build_kernel(alpha, n_mem, t_samp).coeffs
+        rows = np.vstack([np.column_stack([_fir(c, f), f, -_fir(c, x), -x]) for f, x in series])
+        norms = np.linalg.norm(rows, axis=0)
+        a, b, p, q = np.linalg.svd(rows / norms, full_matrices=False)[2][-1] / norms
+        with np.errstate(all="ignore"):  # a degenerate vector gives inf or NaN, and is skipped
+            k0, k1 = q / b, p / a - q / b
+            # (slack, log K1, log B1, logit alpha) with slack log(1) = 0 until the cap is known
+            theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - _ALPHA_LO) / (1.0 - alpha)])
+        if np.all(np.isfinite(theta[1:3])) and abs(k0) <= _K0_BOX:
+            theta = np.clip(theta, *_BOUNDS)  # alpha = 1 has logit inf: the box edge
+            cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
+            theta[0] = np.clip(cap - k0, *_BOUNDS[:, 0])
+            starts.append(theta)
+    return starts
+
+
 def fit(
     data: ExperimentData | list[ExperimentData],
     n_mem: int,
@@ -341,10 +375,10 @@ def fit(
 ) -> FitResult:
     """Identify the constitutive parameters from one or more experiments.
 
-    Deterministic given config.seed.  Every candidate, the returned one
+    Deterministic: one trust-region-reflective solve from the equation-error
+    start whose forward records fit best.  Every candidate, the returned one
     included, satisfies the closed-form bound at config.b_plant.  Returns the
-    best candidate even when the evaluation budget runs out, with
-    converged = False in that case.
+    solve's result even when its budget runs out, with converged = False.
     """
     experiments = [data] if isinstance(data, ExperimentData) else list(data)
     if not experiments:
@@ -355,52 +389,27 @@ def fit(
     for exp in experiments[1:]:
         if abs(exp.t_samp - t_samp) > 1e-9 * t_samp:
             raise ValueError("experiments must share one sampling period")
-
-    def candidate(theta):
-        return _passive_params(theta, n_mem, t_samp, config.b_plant)
-
-    rng = np.random.default_rng(config.seed)
-    lo = np.array([-5.0, math.log(0.1), math.log(0.1), -3.0])
-    hi = np.array([5.0, math.log(50.0), math.log(50.0), 3.0])
-    # (k0, log k1, log b1, logit alpha); the first is k0=0, k1=b1=1, alpha~0.5
-    starts = [np.zeros(4)] + [rng.uniform(lo, hi) for _ in range(config.n_starts - 1)]
-    lower = np.array([0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX])
-    upper = np.array([2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, _U_BOX])
-    for x in starts:  # k0 becomes the slack below its cap, clipped to the box
-        x[0] = min(max(candidate([0.0, *x[1:]])[0].k0 - x[0], 0.0), upper[0])
-
-    probe = candidate(starts[0])  # a prediction's length depends only on protocol and T
-    for exp in experiments:
+    probe = _passive_params(np.zeros(4), n_mem, t_samp, config.b_plant)
+    for exp in experiments:  # a prediction's length depends only on protocol and T
         if _predict(*probe, exp).size < exp.values.size:
             raise ValueError(f"{exp.kind} protocol shorter than the measured record")
 
-    def run_start(x0: np.ndarray) -> tuple[float, np.ndarray, bool, int]:
-        residuals, jacobian = _objective(experiments, n_mem, config)
-        # each step costs one residual, and each accepted one a Jacobian too
-        res = least_squares(
-            residuals,
-            x0,
-            jac=jacobian,
-            bounds=(lower, upper),
-            method="trf",
-            max_nfev=config.max_evals_per_start // 2,
-        )
-        return float(res.cost), res.x, bool(res.status > 0), res.nfev + res.njev
+    residuals, jacobian = _objective(experiments, n_mem, config)
+    fallback = np.clip([probe[0].k0, 0.0, 0.0, 0.0], *_BOUNDS)  # K0 = 0, K1 = B1 = 1, alpha ~ 0.5
+    starts = _equation_error_starts(experiments, n_mem, config) or [fallback]
+    x0 = min(starts, key=lambda x: float(np.sum(residuals(x) ** 2)))
+    # each step costs one residual, and each accepted one a Jacobian too; the
+    # gradient test sits at roundoff, since a start near a zero residual meets 1e-8
+    res = least_squares(residuals, x0, jac=jacobian, bounds=tuple(_BOUNDS), method="trf", gtol=1e-15,
+                        max_nfev=config.max_evals // 2)
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(starts))) as pool:
-        outcomes = list(pool.map(run_start, starts))
-    evals = sum(o[3] for o in outcomes)
-    _, best_x, best_ok, _ = min(outcomes, key=lambda o: o[0])
-
-    params, kern = candidate(best_x)
+    params, kern = _passive_params(res.x, n_mem, t_samp, config.b_plant)
     errs = [nrmse(_predict(params, kern, e), e.values, config.normalization) for e in experiments]
-    final_err = float(np.mean(errs))
-    passivity_ok = bool(bound_closed_form(params, kern).b_min <= config.b_plant)
     return FitResult(
         params=params,
         n_mem=n_mem,
-        nrmse=final_err,
-        passivity_ok=passivity_ok,
-        objective_evals=evals,
-        converged=best_ok,
+        nrmse=float(np.mean(errs)),
+        passivity_ok=bool(bound_closed_form(params, kern).b_min <= config.b_plant),
+        objective_evals=len(starts) + res.nfev + res.njev,
+        converged=bool(res.status > 0),
     )

@@ -236,17 +236,25 @@ def creep_response(
     num[0]/den[0] to be nonzero.
     """
     _check_order(params.alpha, kernel)
-    if t_hold <= 0.0 or t_recover < 0.0:
-        raise ValueError("hold duration must be positive and recovery nonnegative")
-    T = kernel.t_samp
-    n_hold = n_samples(t_hold, T) + 1
-    n_rec = n_samples(t_recover, T)
-    force = np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
-    t = np.arange(force.size) * T
+    force = _creep_force(f_hold, t_hold, f_recover, t_recover, kernel.t_samp)
+    t = np.arange(force.size) * kernel.t_samp
     num, den = _law_filter(params, kernel)
     if abs(num[0]) < 1e-300:
         raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
     return t, _lfilter(den, num, force)
+
+
+def _creep_force(f_hold: float, t_hold: float, f_recover: float, t_recover: float, t_samp: float):
+    """The creep protocol's force [N]: f_hold from t = 0 through t_hold, then f_recover."""
+    if t_hold <= 0.0 or t_recover < 0.0:
+        raise ValueError("hold duration must be positive and recovery nonnegative")
+    n_hold, n_rec = n_samples(t_hold, t_samp) + 1, n_samples(t_recover, t_samp)
+    return np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
+
+
+def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Causal FIR filter h applied to u, same length as u."""
+    return np.convolve(u, h)[: u.size] if u.size else u.copy()
 
 
 def _lfilter(b, a, x):

@@ -236,7 +236,8 @@ def region_scan(
     """Boundary of the admissible (B1, K1) region at k0 = 0.
 
     Odd memory length inverts the closed form exactly; even memory length
-    bisects the grid-search bound down to `resolution` [N/mm].  The grid
+    bisects the grid-search bound down to `resolution` [N/mm], which must be
+    positive and finite.  The grid
     spectrum does not depend on (K1, B1), so it is computed once per call, and
     a candidate whose grid maximum already exceeds the plant damping is
     refused unrefined.
@@ -244,6 +245,8 @@ def region_scan(
     _check_order(alpha, kernel)
     if k1_max <= 0.0:
         raise ValueError(f"k1_max must be positive, got {k1_max}")
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     b1_grid = np.asarray(list(b1_grid), dtype=float)
     if np.any(b1_grid <= 0.0):
         raise ValueError("b1 grid values must be positive")

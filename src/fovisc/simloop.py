@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .glkernel import GLKernel
-from .models import DiscreteVE, FoSlsParams, _check_order, _law_filter
+from .models import DiscreteVE, FoSlsParams, _check_order, _fir, _law_filter
 from .util import n_samples
 
 __all__ = [
@@ -208,11 +208,6 @@ def _plant_gains(plant: PlantParams, t_samp: float) -> tuple[float, float, float
         phi2 = (math.expm1(-h) + h) / (h * h)
         pn = (-math.expm1(-h) - h * math.exp(-h)) / (h * h)
     return math.exp(-h), T * phi1 / m, T * phi1, T * T * phi2 / m, T * T * pn / m
-
-
-def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Causal FIR filter h applied to u, same length as u."""
-    return np.convolve(u, h)[: u.size] if u.size else u.copy()
 
 
 def simulate(

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
 
-__all__ = ["n_samples", "worker_count"]
+__all__ = ["n_samples"]
 
 _SAMPLE_RTOL = 1e-9
 
@@ -24,20 +23,3 @@ def n_samples(duration: float, t_samp: float) -> int:
     k = round(q)
     return int(k) if abs(q - k) <= _SAMPLE_RTOL * max(1.0, abs(q)) else math.floor(q)
 
-
-def worker_count(n_tasks: int) -> int:
-    """Worker cap for fit's multi-start pool.
-
-    FOVISC_THREADS limits the pool size; otherwise the CPU count does.
-    """
-    env = os.environ.get("FOVISC_THREADS", "").strip()
-    if env:
-        try:
-            limit = int(env)
-        except ValueError as exc:
-            raise ValueError(f"FOVISC_THREADS must be an integer, got {env!r}") from exc
-        if limit < 1:
-            raise ValueError(f"FOVISC_THREADS must be >= 1, got {limit}")
-    else:
-        limit = os.cpu_count() or 1
-    return max(1, min(int(n_tasks), limit))

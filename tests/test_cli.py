@@ -122,6 +122,40 @@ class TestRegion:
             assert k1 == pytest.approx(2.0 * b * b1 / (0.001 * (b1 - b)), rel=1e-9)
 
 
+class TestDegenerateSizes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2",
+              "--steps", "0"], "--steps must be at least 1, got 0"),
+            (["sweep", "--what", "f", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--points", "0"],
+             "--points must be at least 1, got 0"),
+            (["reduce", "--kind", "io_kv", "--k1", "1", "--b1", "1", "--alpha", "1", "--points", "-1"],
+             "--points must be at least 1, got -1"),
+            (["simulate", "--duration", "0.0005"], "duration 0.0005 s is shorter than one sample period"),
+        ],
+        ids=["region-steps-0", "sweep-points-0", "reduce-points-negative", "simulate-under-one-period"],
+    )
+    def test_refused_instead_of_a_header_only_csv(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert dispatch([*argv, "-o", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("resolution", ["0", "-0.1", "nan"])
+    def test_region_resolution_must_be_positive(self, tmp_path, capsys, resolution):
+        # at an even N the bisection runs down to the resolution: at 0 it never ended
+        out = tmp_path / "r.csv"
+        argv = ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.1", "--b1-max", "1",
+                "--steps", "2", "--n", "100", "--resolution", resolution, "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"resolution must be positive and finite, got {float(resolution)}" in err
+        assert "Traceback" not in err
+
+
 class TestSweep:
     def test_passivity_sweep_matches_module(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -243,8 +277,7 @@ class TestSynthFitRoundtrip:
         out = tmp_path / "fit.json"
         code = dispatch(
             ["fit", "--creep", str(creep), "--relax", str(relax), "--n", "101",
-             "--b-plant", "0.0025", "--seed", "0", "--starts", "2",
-             "--max-evals", "2000", "-o", str(out)]
+             "--b-plant", "0.0025", "--max-evals", "2000", "-o", str(out)]
         )
         payload = json.loads(out.read_text())
         assert code in (0, 4)
@@ -270,10 +303,25 @@ class TestSynthFitRoundtrip:
             ["synth", *material, "--protocol", "creep", "--t-hold", "0.7", "--t-recover", "0.7", "-o", str(creep)]
         ) == 0
         code = dispatch(
-            ["fit", "--creep", str(creep), "--t-hold", "0.7", "--starts", "1", "--max-evals", "2000", "-o", str(out)]
+            ["fit", "--creep", str(creep), "--t-hold", "0.7", "--max-evals", "2000", "-o", str(out)]
         )
         assert code == 0
         assert json.loads(out.read_text())["nrmse"] < 1e-6
+
+    def test_ignored_start_flags_parse_and_change_nothing(self, tmp_path):
+        # the start is estimated from the records, so --starts and --seed no
+        # longer steer the fit; older command lines still run, to the same bytes
+        creep, relax = tmp_path / "creep.csv", tmp_path / "relax.csv"
+        material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203", "--t", "0.001"]
+        assert dispatch(["synth", *material, "--protocol", "creep", "--t-hold", "1", "--t-recover", "1",
+                         "-o", str(creep)]) == 0
+        assert dispatch(["synth", *material, "--protocol", "relaxation", "--duration", "1", "-o", str(relax)]) == 0
+        argv = ["fit", "--creep", str(creep), "--relax", str(relax), "--t-hold", "1"]
+        plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+        assert dispatch([*argv, "-o", str(plain)]) == 0
+        assert dispatch([*argv, "--starts", "8", "--seed", "3", "-o", str(legacy)]) == 0
+        assert plain.read_bytes() == legacy.read_bytes()
+        assert "seed" not in json.loads(plain.read_text())["config"]
 
     def test_hold_past_the_end_of_the_record_is_a_domain_error(self, tmp_path, capsys):
         creep = tmp_path / "creep.csv"
@@ -283,7 +331,7 @@ class TestSynthFitRoundtrip:
         ) == 0
         capsys.readouterr()
         # the default --t-hold 3 needs 3001 hold samples; the record has 2001 rows
-        assert dispatch(["fit", "--creep", str(creep), "--starts", "1"]) == 3
+        assert dispatch(["fit", "--creep", str(creep)]) == 3
         err = capsys.readouterr().err
         assert "3001" in err and "2001" in err
         assert "Traceback" not in err
@@ -307,7 +355,7 @@ class TestSynthFitRoundtrip:
     def test_non_finite_record_is_a_domain_error(self, tmp_path, capsys):
         relax = tmp_path / "relax.csv"
         relax.write_text("time_s,value\n0,5\n0.001,4.5\n0.002,nan\n0.003,4.2\n")
-        assert dispatch(["fit", "--relax", str(relax), "--starts", "1"]) == 3
+        assert dispatch(["fit", "--relax", str(relax)]) == 3
         err = capsys.readouterr().err
         assert "finite" in err
         assert "Traceback" not in err

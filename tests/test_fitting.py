@@ -27,7 +27,12 @@ from fovisc.passivity import bound_closed_form
 T = 0.001
 MATERIAL_N101 = FoSlsParams(k0=-2.89, k1=5.70, b1=5.89, alpha=0.203)
 
-QUICK = FitConfig(n_starts=3, max_evals_per_start=6000, seed=0)
+QUICK = FitConfig(max_evals=6000)
+
+
+def order_logit(alpha):
+    """theta's order coordinate of alpha; the box edge, where alpha rounds to 1, at alpha = 1."""
+    return math.log((alpha - fitting._ALPHA_LO) / (1.0 - alpha)) if alpha < 1.0 else fitting._U_BOX
 
 
 class TestNrmse:
@@ -109,9 +114,9 @@ class TestFitConfig:
     @pytest.mark.parametrize("evals", [-1, 0, 1])
     def test_rejects_a_budget_below_one_step(self, evals):
         # one residual plus one Jacobian is the least a step needs
-        with pytest.raises(ValueError, match="max_evals_per_start"):
-            FitConfig(max_evals_per_start=evals)
-        assert FitConfig(max_evals_per_start=2).max_evals_per_start == 2
+        with pytest.raises(ValueError, match="max_evals"):
+            FitConfig(max_evals=evals)
+        assert FitConfig(max_evals=2).max_evals == 2
 
 
 class TestPassiveParams:
@@ -247,7 +252,7 @@ class TestFit:
         # generator kept inside the b_plant = 0.0025 admissible region, so the
         # optimum is unconstrained and the order should be pushed to the top
         true = FoSlsParams(k0=0.5, k1=2.0, b1=0.4, alpha=1.0)
-        result = fit(self.make_data(true), 101, FitConfig(n_starts=6, max_evals_per_start=12000, seed=0))
+        result = fit(self.make_data(true), 101, FitConfig(max_evals=12000))
         assert result.params.alpha >= 0.95
         assert result.nrmse < 0.005
 
@@ -255,7 +260,7 @@ class TestFit:
         # with no dissipation budget every well-fitting candidate violates the
         # bound; the search stays on passive sets, trading fit quality for
         # formal feasibility
-        config = FitConfig(b_plant=0.0, n_starts=2, max_evals_per_start=1500, seed=0)
+        config = FitConfig(b_plant=0.0, max_evals=1500)
         result = fit(self.make_data(MATERIAL_N101), 101, config)
         kern = build_kernel(result.params.alpha, 101, T)
         bound = bound_closed_form(result.params, kern).b_min
@@ -269,14 +274,25 @@ class TestFit:
         bound = bound_closed_form(result.params, kern).b_min
         assert result.passivity_ok == (bound <= QUICK.b_plant)
 
-    def test_deterministic_given_seed(self):
+    def test_two_calls_give_identical_results(self):
         data = self.make_data(MATERIAL_N101)
-        config = FitConfig(n_starts=2, max_evals_per_start=1200, seed=7)
+        config = FitConfig(max_evals=1200)
         r1 = fit(data, 101, config)
         r2 = fit(data, 101, config)
         assert r1.params == r2.params
         assert r1.nrmse == r2.nrmse
         assert r1.objective_evals == r2.objective_evals
+
+    def test_a_start_on_the_record_stops_at_once(self):
+        # at alpha = 1 the estimate reproduces this exact record, to a zero
+        # residual: the solve must stop there, not run to its budget
+        true, kern = _passive_params([0.16398485195103757, 0.345220708939621, 1.6634181588816266, 50.0],
+                                     101, T, 0.0025)
+        data = synth_experiment(true, kern, CreepProtocol(t_hold=1.0, t_recover=1.0))
+        result = fit(data, 101, FitConfig(max_evals=1000))
+        assert result.converged
+        assert result.nrmse < 1e-12
+        assert result.objective_evals <= len(fitting._START_ALPHAS) + 2
 
     def test_rejects_even_memory(self):
         with pytest.raises(ValueError):
@@ -295,7 +311,7 @@ class TestFit:
 
     @pytest.mark.parametrize("b_plant", [0.0, 1e-4, 0.0025])
     def test_identified_set_is_passive_by_construction(self, b_plant):
-        config = FitConfig(b_plant=b_plant, n_starts=2, max_evals_per_start=300, seed=0)
+        config = FitConfig(b_plant=b_plant, max_evals=300)
         result = fit(self.make_data(MATERIAL_N101), 101, config)
         kern = build_kernel(result.params.alpha, 101, T)
         assert result.passivity_ok
@@ -324,13 +340,14 @@ class TestFit:
 
         monkeypatch.setattr(fitting, "relaxation_response", counting)
         monkeypatch.setattr(fitting, "_objective", counting_objective)
-        result = fit(data, 51, FitConfig(n_starts=2, max_evals_per_start=40, seed=0))
+        result = fit(data, 51, FitConfig(max_evals=40))
         # an evaluation is a residual (one model run) or a Jacobian (none: it
-        # reuses the residual's record); plus the up-front length check and
-        # the final report
+        # reuses the residual's record), the estimate's one residual per valid
+        # order included; plus the up-front length check and the final report.
+        # The budget caps the solve.
         assert jacobians
         assert len(runs) + len(jacobians) == result.objective_evals + 2
-        assert result.objective_evals <= 2 * 40
+        assert result.objective_evals <= len(fitting._START_ALPHAS) + 40
 
     def test_short_protocol_fails_before_the_search(self, monkeypatch):
         kern = build_kernel(0.5, 51, T)
@@ -340,24 +357,27 @@ class TestFit:
         with pytest.raises(ValueError, match="shorter than the measured record"):
             fit(short, 51, QUICK)
 
-    def test_unstable_creep_candidates_meet_a_finite_wall(self, monkeypatch):
-        # with seed 1 a start crosses sets whose creep inverse filter is
-        # unstable; their non-finite predictions must not reach the solver
+    def test_unstable_creep_candidates_meet_a_finite_wall(self):
+        # a passive set (b_min 0.002403 < 0.0025) whose force law has no stable
+        # inverse: its creep prediction grows to ~1e35 mm, and must reach the
+        # solver as finite residuals on the wall with zero Jacobian rows
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         data = synth_experiment(MATERIAL_N101, kern, CreepProtocol(t_hold=1.0, t_recover=1.0))
-        unstable = []
-
-        def recording(*args):
-            t, x = creep_response(*args)
-            if not np.all(np.isfinite(x)):
-                unstable.append(args[0])
-            return t, x
-
-        monkeypatch.setattr(fitting, "creep_response", recording)
-        result = fit(data, 101, FitConfig(n_starts=2, max_evals_per_start=300, seed=1))
-        assert unstable
-        assert np.isfinite(result.nrmse)
-        assert result.passivity_ok
+        unstable = FoSlsParams(k0=-9.663399485574615, k1=19.95069809321432, b1=7.059139793870999,
+                               alpha=0.26436587608063844)
+        theta = np.array([0.0, math.log(unstable.k1), math.log(unstable.b1), order_logit(unstable.alpha)])
+        theta[0] = _passive_params(theta, 101, T, 0.0025)[0].k0 - unstable.k0  # the slack below the cap
+        params, kern_u = _passive_params(theta, 101, T, 0.0025)
+        for name in ("k0", "k1", "b1", "alpha"):
+            assert getattr(params, name) == pytest.approx(getattr(unstable, name), rel=1e-9)
+        assert _poles_outside(_law_filter(params, kern_u)[0]) > 0
+        residuals, jacobian = fitting._objective([data], 101, FitConfig())
+        r = residuals(theta)
+        assert np.all(np.isfinite(r))
+        assert np.any(np.abs(r) == fitting._WALL)
+        with np.errstate(all="raise"):
+            jac = jacobian(theta)
+        assert np.all(jac == 0.0)
 
 
 class TestCsvRoundTrip:
@@ -389,8 +409,62 @@ class TestCsvRoundTrip:
                          "-o", str(relax)]) == 0
         assert np.max(np.abs(np.loadtxt(creep, delimiter=",", skiprows=1)[:, 1])) < 1e3
         code = dispatch(["fit", "--creep", str(creep), "--relax", str(relax), "--t-hold", "1",
-                         "--starts", "2", "--seed", "0", "-o", str(out)])
+                         "-o", str(out)])
         result = json.loads(out.read_text())
         assert code == 0
         assert result["params"]["alpha"] == pytest.approx(true.alpha, abs=0.02)
         assert result["nrmse"] < 0.005
+
+
+def synth_and_fit(d, true, kinds=("creep", "relaxation")):
+    """Write the generator's records with synth (1 s protocols) and fit them at
+    the generator's N = 101; returns (exit code, fit JSON)."""
+    flags = ["--k0", repr(true.k0), "--k1", repr(true.k1), "--b1", repr(true.b1), "--alpha", repr(true.alpha)]
+    argv = ["fit", "--t-hold", "1", "-o", str(d / "fit.json")]
+    if "creep" in kinds:
+        assert dispatch(["synth", *flags, "--protocol", "creep", "--t-hold", "1", "--t-recover", "1",
+                         "-o", str(d / "creep.csv")]) == 0
+        argv += ["--creep", str(d / "creep.csv")]
+    if "relaxation" in kinds:
+        assert dispatch(["synth", *flags, "--protocol", "relaxation", "--duration", "1",
+                         "-o", str(d / "relax.csv")]) == 0
+        argv += ["--relax", str(d / "relax.csv")]
+    code = dispatch(argv)
+    return code, json.loads((d / "fit.json").read_text())
+
+
+def test_round_trip_trap_is_recovered(tmp_path):
+    # a random start once ended on the box corner alpha 0.01, B1 ~ 1000, with
+    # NRMSE 0.047 and exit 0; the records' own estimate starts in the basin
+    true = FoSlsParams(k0=3.878863797685739, k1=1.0, b1=1.0, alpha=0.505)
+    code, result = synth_and_fit(tmp_path, true)
+    assert code == 0
+    assert result["params"]["alpha"] == pytest.approx(0.505, abs=1e-3)
+    assert result["nrmse"] < 1e-6
+
+
+class TestRecovery:
+    @given(
+        slack=st.floats(0.05, 3.0),
+        log_k1=st.floats(0.0, math.log(20.0)),
+        log_b1=st.floats(0.0, math.log(20.0)),
+        alpha=st.floats(0.05, 1.0),
+        kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    # the trap of the random multi-start (see test_round_trip_trap_is_recovered)
+    @example(slack=0.1422074159314801, log_k1=0.0, log_b1=0.0, alpha=0.505, kinds=("creep", "relaxation"))
+    # a start within NRMSE ~1e-5 of the record: it meets TRF's default gradient
+    # test (1e-8) at once, which left alpha at the start's 0.06
+    @example(slack=2.7511245335471606, log_k1=0.1397576148719802, log_b1=0.09073723733721725,
+             alpha=0.06920479468833954, kinds=("creep",))
+    def test_fit_recovers_passive_generators(self, tmp_path_factory, slack, log_k1, log_b1, alpha, kinds):
+        # a passive generator K0 = cap - slack, read back from its synth records
+        # at matched memory, must be recovered: the fit lands in its basin
+        true, kern = _passive_params([slack, log_k1, log_b1, order_logit(alpha)], 101, T, 0.0025)
+        # synth refuses a creep record whose force law has no stable inverse
+        assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
+        code, result = synth_and_fit(tmp_path_factory.mktemp("recovery"), true, kinds)
+        assert code == 0
+        assert result["params"]["alpha"] == pytest.approx(true.alpha, abs=1e-3)
+        assert result["nrmse"] < 1e-6
