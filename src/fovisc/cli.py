@@ -1,14 +1,18 @@
 """Command-line front end.
 
-Every subcommand writes either CSV (header row mandatory, comma delimiter,
-12 significant digits) or JSON with the invoking configuration echoed, so a
-run is reproducible from its flag set plus seed.  Exit codes: 0 success,
-2 usage error, 3 domain/precondition error, 4 non-convergence.
+Every subcommand writes either CSV or JSON with the invoking configuration
+echoed, so a run is reproducible from its flag set plus seed.  A CSV has a
+mandatory header row and a comma delimiter; integer columns print as ``%d``,
+every other value as ``%.12g``, and trailing comment lines as
+``# key = value``.  CSV is formatted and written a block of rows at a time,
+so memory stays bounded for long traces.  Exit codes: 0 success, 2 usage
+error, 3 domain/precondition error, 4 non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -20,6 +24,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
+
+# rows per `%` when formatting CSV: bounds the text held at once
+_CSV_BLOCK_ROWS = 4096
 
 
 def _f12(x: float) -> float:
@@ -44,22 +51,30 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-def _write_text(args: argparse.Namespace, text: str) -> None:
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _write_csv(args: argparse.Namespace, header: list[str], rows, comments: dict | None = None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    if comments:
-        for key, value in comments.items():
-            lines.append(f"# {key} = {_fmt(value)}")
-    _write_text(args, "\n".join(lines) + "\n")
+def _write_csv(args: argparse.Namespace, header: list[str], columns, comments: dict | None = None):
+    """Write one row per index of the equal-length 1-D ``columns``, one per header name.
+
+    Beside float columns an integer column passes through float64, which is
+    exact below 2**53.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.12g" for c in columns) + "\n"
+    with _output(args) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        for key, value in (comments or {}).items():
+            fh.write(f"# {key} = {_fmt(value)}\n")
     if getattr(args, "gnuplot", False) and getattr(args, "output", None):
         _write_gnuplot(args.output, header)
 
@@ -78,7 +93,8 @@ def _write_gnuplot(csv_path: str, header: list[str]) -> None:
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
     payload = {"config": _config_echo(args), **payload}
-    _write_text(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _output(args) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -118,8 +134,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args, {"coefficients": [_f12(c) for c in kern.coeffs], "summary": summary})
     else:
-        rows = [(i, float(c)) for i, c in enumerate(kern.coeffs)]
-        _write_csv(args, ["index", "coefficient"], rows, comments=summary)
+        index = np.arange(kern.coeffs.size)
+        _write_csv(args, ["index", "coefficient"], [index, kern.coeffs], comments=summary)
     return EXIT_OK
 
 
@@ -150,8 +166,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     region = passivity.region_scan(
         args.alpha, kern, args.b_plant, b1_grid, args.k1_max, resolution=args.resolution
     )
-    rows = [(float(b), float(k)) for b, k in zip(region.b1, region.k1)]
-    _write_csv(args, ["b1", "k1_max"], rows, comments={"feasible": region.feasible})
+    _write_csv(args, ["b1", "k1_max"], [region.b1, region.k1], comments={"feasible": region.feasible})
     return EXIT_OK
 
 
@@ -161,8 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
     if args.what == "f":
         values = passivity.passivity_function(params, kern, omegas)
-        rows = [(float(w * args.t), _f12(f)) for w, f in zip(omegas, values)]
-        _write_csv(args, ["omega_t", "f"], rows)
+        _write_csv(args, ["omega_t", "f"], [omegas * args.t, values])
         return EXIT_OK
     if args.form == "lowfreq":
         # one row at w = 0, where ED is only defined as the limit
@@ -172,8 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         es, ed = impedance.es_ed_finite(params, kern, omegas)
     else:
         es, ed = impedance.es_ed_asymptotic(params, omegas, kern.t_samp)
-    rows = [(float(w), _f12(v)) for w, v in zip(omegas, es if args.what == "es" else ed)]
-    _write_csv(args, ["omega", args.what], rows)
+    _write_csv(args, ["omega", args.what], [omegas, es if args.what == "es" else ed])
     return EXIT_OK
 
 
@@ -228,11 +241,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = simloop.simulate(plant, ve, _parse_excitation(args.excite), args.duration, args.t)
     if trace.t.size == 0:
         raise ValueError(f"duration {args.duration} s is shorter than one sample period {args.t} s")
-    rows = zip(trace.t, trace.position, trace.velocity, trace.force, trace.force_cmd, trace.energy)
     _write_csv(
         args,
         ["time_s", "position_mm", "velocity_mm_s", "force_n", "force_cmd_n", "energy_nmm"],
-        [tuple(float(v) for v in row) for row in rows],
+        [trace.t, trace.position, trace.velocity, trace.force, trace.force_cmd, trace.energy],
         comments={"diverged": trace.diverged},
     )
     return EXIT_OK
@@ -304,7 +316,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     exp = fitting.synth_experiment(
         params, kern, proto, noise_sd=args.noise, seed=args.seed, average_16=args.avg16
     )
-    _write_csv(args, ["time_s", "value"], list(zip(exp.time, exp.values)))
+    _write_csv(args, ["time_s", "value"], [exp.time, exp.values])
     return EXIT_OK
 
 
@@ -313,8 +325,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
     h = models.freq_response(args.kind, params, kern, omegas)
-    rows = [(float(w), _f12(v.real), _f12(v.imag)) for w, v in zip(omegas, h)]
-    _write_csv(args, ["omega", "re_H", "im_H"], rows)
+    _write_csv(args, ["omega", "re_H", "im_H"], [omegas, h.real, h.imag])
     return EXIT_OK
 
 

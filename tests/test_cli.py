@@ -1,5 +1,6 @@
 """Command-line contracts: formats, exit codes, determinism."""
 
+import argparse
 import ast
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import fovisc
+from fovisc import cli, fitting, glkernel, impedance, models, passivity, simloop
 from fovisc.cli import dispatch
 from fovisc.glkernel import build_kernel
 from fovisc.models import FoSlsParams
@@ -424,6 +426,214 @@ class TestGnuplot:
         assert code == 0
         script = (tmp_path / "c.csv.gp").read_text()
         assert "plot" in script and "c.csv" in script
+
+
+def _f12(x):
+    return float(f"{float(x):.12g}")
+
+
+def _one_value(v):
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
+
+
+def reference_csv(header, rows, comments=None):
+    """The CSV as written one value at a time: ``.12g`` for floats, ``str`` for the rest."""
+    lines = [",".join(header)]
+    lines += [",".join(_one_value(v) for v in row) for row in rows]
+    lines += [f"# {key} = {_one_value(value)}" for key, value in (comments or {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+def reference_gnuplot(csv_path, header):
+    plots = ", ".join(f"'{csv_path}' using 1:{i + 2} with lines" for i in range(len(header) - 1))
+    return (
+        "set datafile separator ','\nset key autotitle columnhead\n"
+        f"set xlabel '{header[0]}'\nplot {plots}\npause -1\n"
+    )
+
+
+# Each table is rebuilt from the library row by row, floats through float()
+# and sweep and reduce values rounded to 12 digits first, so the CLI's
+# column writer is held to a value-at-a-time reference.
+T = 0.001
+MATERIAL = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203"]
+TRACE_HEADER = ["time_s", "position_mm", "velocity_mm_s", "force_n", "force_cmd_n", "energy_nmm"]
+
+
+def _coeffs_table():
+    kern = build_kernel(0.5, 101, T)
+    summary = {
+        "delta_p": _f12(glkernel.delta_p(kern)),
+        "delta_s": _f12(glkernel.delta_s(0.5, 101)),
+        "delta_d": _f12(glkernel.delta_d(0.5, 101)),
+        "delta_p_asymptotic": _f12(glkernel.delta_p_asymptotic(0.5)),
+    }
+    return ["index", "coefficient"], [(i, float(c)) for i, c in enumerate(kern.coeffs)], summary
+
+
+def _region_table():
+    region = passivity.region_scan(0.5, build_kernel(0.5, 101, T), 0.0025, np.linspace(0.05, 2, 40), 1000.0)
+    rows = [(float(b), float(k)) for b, k in zip(region.b1, region.k1)]
+    return ["b1", "k1_max"], rows, {"feasible": region.feasible}
+
+
+SWEEP_PARAMS, SWEEP_KERNEL = FoSlsParams(10.0, 32.0, 0.01, 0.5), build_kernel(0.5, 101, T)
+SWEEP_OMEGAS = np.linspace(0.0, math.pi / T, 201)[1:]
+
+
+def _sweep_f_table():
+    values = passivity_function(SWEEP_PARAMS, SWEEP_KERNEL, SWEEP_OMEGAS)
+    return ["omega_t", "f"], [(float(w * T), _f12(f)) for w, f in zip(SWEEP_OMEGAS, values)], None
+
+
+def _sweep_table(what, form):
+    def table():
+        omegas = SWEEP_OMEGAS
+        if form == "lowfreq":
+            es, ed = impedance.es_ed_lowfreq(SWEEP_PARAMS, SWEEP_KERNEL)
+            omegas, es, ed = [0.0], [es], [ed]
+        elif form == "finite":
+            es, ed = impedance.es_ed_finite(SWEEP_PARAMS, SWEEP_KERNEL, omegas)
+        else:
+            es, ed = impedance.es_ed_asymptotic(SWEEP_PARAMS, omegas, T)
+        rows = [(float(w), _f12(v)) for w, v in zip(omegas, es if what == "es" else ed)]
+        return ["omega", what], rows, None
+
+    return table
+
+
+def _reduce_table(kind):
+    def table():
+        h = models.freq_response(kind, SWEEP_PARAMS, SWEEP_KERNEL, SWEEP_OMEGAS)
+        rows = [(float(w), _f12(v.real), _f12(v.imag)) for w, v in zip(SWEEP_OMEGAS, h)]
+        return ["omega", "re_H", "im_H"], rows, None
+
+    return table
+
+
+def _synth_table(protocol, noise_sd=0.0, seed=0, average_16=False):
+    def table():
+        params, kern = FoSlsParams(-2.89, 5.7, 5.89, 0.203), build_kernel(0.203, 101, T)
+        exp = fitting.synth_experiment(params, kern, protocol, noise_sd, seed, average_16)
+        return ["time_s", "value"], list(zip(exp.time, exp.values)), None
+
+    return table
+
+
+def _trace_table(params, excitation, duration, n_mem=101):
+    def table():
+        plant = simloop.PlantParams(mass=7.34e-5, damping=0.0025)
+        ve = models.DiscreteVE(params, build_kernel(params.alpha, n_mem, T))
+        trace = simloop.simulate(plant, ve, excitation, duration, T)
+        rows = zip(trace.t, trace.position, trace.velocity, trace.force, trace.force_cmd, trace.energy)
+        return TRACE_HEADER, [tuple(float(v) for v in row) for row in rows], {"diverged": trace.diverged}
+
+    return table
+
+
+_SWEEP_FLAGS = "--k0 10 --k1 32 --b1 0.01 --alpha 0.5 --n 101 --t 0.001 --points 200"
+CSV_CASES = {
+    "coeffs": ("coeffs --alpha 0.5 --n 101 --t 0.001", _coeffs_table),
+    "region": ("region --alpha 0.5 --b-plant 0.0025 --b1-min 0.05 --b1-max 2 --steps 40", _region_table),
+    "sweep-f": (f"sweep --what f {_SWEEP_FLAGS}", _sweep_f_table),
+    **{
+        f"sweep-{what}-{form}": (
+            f"sweep --what {what} --form {form} {_SWEEP_FLAGS}", _sweep_table(what, form)
+        )
+        for what in ("es", "ed")
+        for form in ("finite", "asymptotic", "lowfreq")
+    },
+    **{
+        f"reduce-{kind}": (f"reduce --kind {kind} {_SWEEP_FLAGS}", _reduce_table(kind))
+        for kind in models.REDUCTION_KINDS
+    },
+    "synth-creep": (
+        f"synth {' '.join(MATERIAL)} --protocol creep",
+        _synth_table(fitting.CreepProtocol()),
+    ),
+    "synth-relaxation-noise": (
+        f"synth {' '.join(MATERIAL)} --protocol relaxation --noise 0.01 --seed 3 --avg16",
+        _synth_table(fitting.RelaxationProtocol(), 0.01, 3, True),
+    ),
+    "simulate-impulse": (
+        "simulate --k1 2 --b1 100 --alpha 0.5 --excite impulse:0.01 --duration 10",
+        _trace_table(FoSlsParams(0.0, 2.0, 100.0, 0.5), simloop.Impulse(momentum=0.01), 10.0),
+    ),
+    "simulate-chirp": (
+        "simulate --k0 1 --k1 2 --b1 5 --alpha 0.3 --n 51 --excite chirp:1,20,2,0.05 --duration 3",
+        _trace_table(FoSlsParams(1.0, 2.0, 5.0, 0.3), simloop.ForceChirp(1.0, 20.0, 2.0, 0.05), 3.0, 51),
+    ),
+    "simulate-diverging": (
+        "simulate --k1 50 --b1 100 --alpha 0.5 --duration 10",
+        _trace_table(FoSlsParams(0.0, 50.0, 100.0, 0.5), simloop.Impulse(momentum=0.01), 10.0),
+    ),
+}
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("name", list(CSV_CASES))
+    def test_file_stdout_and_plot_script_match_the_reference_writer(self, tmp_path, capsys, name):
+        argv, table = CSV_CASES[name]
+        header, rows, comments = table()
+        expected = reference_csv(header, rows, comments)
+        out = tmp_path / "out.csv"
+        assert dispatch([*argv.split(), "-o", str(out), "--gnuplot"]) == 0
+        assert out.read_bytes() == expected.encode()
+        assert (tmp_path / "out.csv.gp").read_text() == reference_gnuplot(str(out), header)
+        capsys.readouterr()
+        assert dispatch(argv.split()) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_diverging_trace_ends_past_the_limit(self, tmp_path):
+        out = tmp_path / "div.csv"
+        assert dispatch([*CSV_CASES["simulate-diverging"][0].split(), "-o", str(out)]) == 0
+        _, rows, comments = read_csv(out)
+        assert comments["diverged"] == "True"
+        assert abs(float(rows[-1][1])) > simloop.DIVERGENCE_LIMIT_MM
+
+    def test_the_long_trace_spans_several_blocks(self):
+        rows = len(CSV_CASES["simulate-impulse"][1]()[1])
+        assert rows > 2 * cli._CSV_BLOCK_ROWS
+
+
+def _write(tmp_path, header, columns, comments=None):
+    out = tmp_path / "w.csv"
+    cli._write_csv(argparse.Namespace(output=str(out), gnuplot=False), header, columns, comments)
+    return out.read_text()
+
+
+class TestWriteCsv:
+    EDGES = [-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300, 5e-324, 0.1, -123456789.123456789, 2.0**53]
+
+    def test_edge_values(self, tmp_path):
+        index = np.arange(len(self.EDGES)) - 3
+        values = np.array(self.EDGES)
+        comments = {"diverged": True, "delta_d": None, "zero": -0.0}
+        got = _write(tmp_path, ["i", "x", "reversed"], [index, values, values[::-1]], comments)
+        rows = [(int(i), float(x), float(y)) for i, x, y in zip(index, values, values[::-1])]
+        assert got == reference_csv(["i", "x", "reversed"], rows, comments)
+        assert got.splitlines()[1] == "-3,-0,9.00719925474e+15"
+
+    def test_integer_column_alone_and_large_indices(self, tmp_path):
+        index = np.array([0, 7, 2**40, -(2**40)])
+        got = _write(tmp_path, ["index"], [index])
+        assert got == "index\n0\n7\n1099511627776\n-1099511627776\n"
+
+    def test_zero_rows_write_the_header_and_comments(self, tmp_path):
+        got = _write(tmp_path, ["index", "coefficient"], [np.arange(0), np.empty(0)], {"feasible": False})
+        assert got == "index,coefficient\n# feasible = False\n"
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_row_counts_around_the_block_size(self, tmp_path, capsys, blocks, offset):
+        n = blocks * cli._CSV_BLOCK_ROWS + offset
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        index = np.arange(n)
+        expected = reference_csv(["index", "value"], [(int(i), float(v)) for i, v in zip(index, values)])
+        assert _write(tmp_path, ["index", "value"], [index, values]) == expected
+        cli._write_csv(argparse.Namespace(output=None), ["index", "value"], [index, values])
+        assert capsys.readouterr().out == expected
 
 
 class TestColdStart:
