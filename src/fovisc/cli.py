@@ -6,13 +6,15 @@ mandatory header row and a comma delimiter; integer columns print as ``%d``,
 every other value as ``%.12g``, and trailing comment lines as
 ``# key = value``.  CSV is formatted and written a block of rows at a time,
 so memory stays bounded for long traces.  Exit codes: 0 success, 2 usage
-error, 3 domain/precondition error, 4 non-convergence.
+error, 3 domain/precondition error, 4 non-convergence.  dispatch builds the
+parser once per process and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -162,7 +164,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_region(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    b1_grid = np.linspace(args.b1_min, args.b1_max, _positive_count(args, "steps"))
+    with np.errstate(invalid="ignore"):  # an infinite end gives nan columns, refused below
+        b1_grid = np.linspace(args.b1_min, args.b1_max, _positive_count(args, "steps"))
     region = passivity.region_scan(
         args.alpha, kern, args.b_plant, b1_grid, args.k1_max, resolution=args.resolution
     )
@@ -435,10 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every dispatch in this process shares: building it (~100
+    arguments) costs more than most parses, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE

@@ -218,7 +218,10 @@ def _flat_omegas(omegas, t_samp: float, allow_dc: bool = False) -> tuple[np.ndar
 
     Evaluators compute on this 1-D array only, so a scalar omega takes the
     same arithmetic as that omega inside an array (0-d operands can round
-    differently).
+    differently): off the FFT grid each frequency's spectrum is its own row
+    product (see _s_conj_values), so a batch equals its elementwise scalar
+    calls bit for bit.  A batch that is exactly the grid takes the FFT
+    instead, which agrees with the direct sum to roundoff, not to the bit.
     """
     omegas = _check_omegas(omegas, t_samp, allow_dc)
     return omegas.ravel(), omegas.shape
@@ -256,11 +259,16 @@ def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np
 
     On the grid ``np.linspace(0, pi/T, G + 1)[1:]`` (G >= 2) this is the real FFT
     of the coefficients folded mod 2G (e^{-ik w T} has period 2G in k there);
-    elsewhere it is the direct sum, chunked to cap memory.
+    elsewhere it is the direct sum, chunked to cap memory.  The direct sum is
+    a stack of one-row products, not one matrix-vector product (whose BLAS
+    blocking rounds a row differently with the rows around it): a frequency's
+    value does not depend on the other frequencies in the call.
     """
     omegas = np.asarray(omegas, dtype=float)
     g = omegas.size
-    if g >= 2 and np.array_equal(omegas, np.linspace(0.0, kernel.nyquist, g + 1)[1:]):
+    # linspace ends exactly on its stop, so the last-point test only saves building the grid
+    on_grid = g >= 2 and omegas[-1] == kernel.nyquist
+    if on_grid and np.array_equal(omegas, np.linspace(0.0, kernel.nyquist, g + 1)[1:]):
         k = np.arange(kernel.n_mem + 1)
         folded = np.bincount(k % (2 * g), weights=kernel.coeffs, minlength=2 * g)
         return np.fft.rfft(folded)[1 : g + 1]
@@ -268,5 +276,6 @@ def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np
     out = np.empty(omegas.shape, dtype=complex)
     for lo in range(0, omegas.size, chunk):
         w = omegas[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(-1j * np.outer(w * kernel.t_samp, k)) @ kernel.coeffs
+        rows = np.exp(-1j * ((w * kernel.t_samp)[:, None] * k))[:, None, :]
+        out[lo : lo + chunk] = (rows @ kernel.coeffs)[:, 0]
     return out

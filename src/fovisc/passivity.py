@@ -14,12 +14,17 @@ with dp the alternating coefficient sum, the spectrum at w = pi/T.  The
 classical reductions are the same value of their reduced impedance.  Even memory lengths shift the
 maximum into the interior, so they are always resolved by grid search plus
 local refinement, never by the Nyquist shortcut.
+
+The even-N search runs over arrays of candidates, one (k0, k1, b1) per row,
+each row taking the arithmetic of a search for it alone: max_passivity is
+the one-row case, region_scan a row per damping column.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +72,26 @@ class PassivityResult:
     margin_ok: bool | None = None
 
 
-def _f_values(params: FoSlsParams, T: float, omegas: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """f(w) on a 1-D array of frequencies in (0, pi/T] whose spectrum is s."""
+class _Rows(NamedTuple):
+    """Candidate parameter sets at one order, one per row: k0, k1 and b1 are
+    equal-length 1-D arrays.  _f_values reads them as it reads FoSlsParams."""
+
+    k0: np.ndarray
+    k1: np.ndarray
+    b1: np.ndarray
+    alpha: float
+
+    @classmethod
+    def of(cls, params: FoSlsParams) -> "_Rows":
+        return cls(np.array([params.k0]), np.array([params.k1]), np.array([params.b1]), params.alpha)
+
+    def take(self, rows) -> "_Rows":
+        return _Rows(self.k0[rows], self.k1[rows], self.b1[rows], self.alpha)
+
+
+def _f_values(params, T: float, omegas: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """f(w) at frequencies in (0, pi/T] whose spectrum is s, for FoSlsParams or
+    _Rows whose fields broadcast against omegas."""
     th = omegas * T
     h = _reduced_impedance("fo_sls", params, T, s)
     lead = 1.0 - np.exp(-1j * th)
@@ -89,22 +112,42 @@ def _nyquist_value(kind: str, params: FoSlsParams, t_samp: float, dp: float) -> 
     return t_samp / 2.0 * float(_reduced_impedance(kind, params, t_samp, dp))
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _f_points(rows: _Rows, kernel: GLKernel, omegas: np.ndarray) -> np.ndarray:
+    """f of each candidate row at its own frequency."""
+    return _f_values(rows, kernel.t_samp, omegas, _s_conj_values(kernel, omegas))
+
+
+def _golden_max(rows: _Rows, kernel: GLKernel, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """(omega, f) arrays at the golden-section maximum of f, one per candidate
+    row on its own bracket [lo, hi].
+
+    The rows step together, one f evaluation each per step; a row leaves once
+    its own bracket is at most tol wide, so it takes exactly the steps of a
+    search run for it alone.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+    fc, fd = _f_points(rows, kernel, c), _f_points(rows, kernel, d)
+    a_end, b_end = np.empty_like(lo), np.empty_like(hi)
+    live, sub, span = np.arange(lo.size), rows, b - a
+    while live.size:
+        go = span > tol
+        if not go.all():
+            a_end[live[~go]], b_end[live[~go]] = a[~go], b[~go]
+            live, a, b, c, d, fc, fd, span = (v[go] for v in (live, a, b, c, d, fc, fd, span))
+            sub = sub.take(go)
+            continue
+        up = fc < fd  # the maximum lies in [c, b]: a moves up to c, else b down to d
+        a, b = np.where(up, c, a), np.where(up, b, d)
+        span = b - a
+        step = _GOLDEN * span
+        x = np.where(up, a + step, b - step)  # the new d where a moved, else the new c
+        c, d = np.where(up, d, x), np.where(up, x, c)
+        f_new = _f_points(sub, kernel, x)
+        fc, fd = np.where(up, fd, f_new), np.where(up, f_new, fc)
+    x = 0.5 * (a_end + b_end)
+    return x, _f_points(rows, kernel, x)
 
 
 def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
@@ -114,31 +157,29 @@ def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
     return np.linspace(0.0, kernel.nyquist, grid_points + 1)[1:]
 
 
-def _grid_max(
-    params: FoSlsParams, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, refine_at_most: float
-):
-    """(omega, f) at the maximum of f over the search grid whose spectrum is s.
+def _grid_max(rows: _Rows, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, refine_at_most: float):
+    """(omega, f) arrays at the maximum of f over the search grid whose
+    spectrum is s, one per candidate row, from one (rows x grid) pass.
 
-    A grid maximum at most refine_at_most is refined by golden section inside
-    the best grid cell (f oscillates under truncation, so refinement must stay
-    local); the result is never below the grid maximum.
+    A row's grid maximum at most refine_at_most is refined by golden section
+    inside its best grid cell (f oscillates under truncation, so refinement
+    must stay local); the result is never below the grid maximum.
     """
-    T = kernel.t_samp
-    values = _f_values(params, T, omegas, s)
-    i_best = int(np.argmax(values))
-    w_grid, f_grid = float(omegas[i_best]), float(values[i_best])
-    if f_grid > refine_at_most:
-        return w_grid, f_grid
-    lo = omegas[max(i_best - 1, 0)]
-    hi = omegas[min(i_best + 1, omegas.size - 1)]
-    tol = (omegas[1] - omegas[0]) * 1e-6
-
-    def f_at(w: float) -> float:
-        w = np.array([w])
-        return float(_f_values(params, T, w, _s_conj_values(kernel, w))[0])
-
-    w_star, f_star = _golden_max(f_at, lo, hi, tol)
-    return (w_grid, f_grid) if f_star < f_grid else (w_star, f_star)
+    columns = _Rows(rows.k0[:, None], rows.k1[:, None], rows.b1[:, None], rows.alpha)
+    values = _f_values(columns, kernel.t_samp, omegas, s)
+    i_best = np.argmax(values, axis=1)
+    w, f = omegas[i_best], values[np.arange(i_best.size), i_best]
+    refine = ~(f > refine_at_most)
+    if refine.any():
+        i = i_best[refine]
+        lo = omegas[np.maximum(i - 1, 0)]
+        hi = omegas[np.minimum(i + 1, omegas.size - 1)]
+        tol = (omegas[1] - omegas[0]) * 1e-6
+        w_star, f_star = _golden_max(rows.take(refine), kernel, lo, hi, tol)
+        keep = f_star < f[refine]
+        w[refine] = np.where(keep, w[refine], w_star)
+        f[refine] = np.where(keep, f[refine], f_star)
+    return w, f
 
 
 def max_passivity(params: FoSlsParams, kernel: GLKernel, grid_points: int = 8192) -> PassivityResult:
@@ -152,9 +193,9 @@ def max_passivity(params: FoSlsParams, kernel: GLKernel, grid_points: int = 8192
     omegas = _grid(kernel, grid_points)
     s = _s_conj_values(kernel, omegas)
     if kernel.n_mem % 2 == 0:
-        w_star, f_star = _grid_max(params, kernel, omegas, s, math.inf)
-        return PassivityResult(b_min=f_star, omega_star=w_star, method="grid")
-    f_grid = _grid_max(params, kernel, omegas, s, -math.inf)[1]
+        w_star, f_star = _grid_max(_Rows.of(params), kernel, omegas, s, math.inf)
+        return PassivityResult(b_min=float(f_star[0]), omega_star=float(w_star[0]), method="grid")
+    f_grid = float(_grid_max(_Rows.of(params), kernel, omegas, s, -math.inf)[1][0])
     f_nyq = _nyquist_value("fo_sls", params, kernel.t_samp, delta_p(kernel))
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
@@ -236,20 +277,34 @@ def region_scan(
     """Boundary of the admissible (B1, K1) region at k0 = 0.
 
     Odd memory length inverts the closed form exactly; even memory length
-    bisects the grid-search bound down to `resolution` [N/mm], which must be
-    positive and finite.  The grid
-    spectrum does not depend on (K1, B1), so it is computed once per call, and
-    a candidate whose grid maximum already exceeds the plant damping is
-    refused unrefined.
+    bisects the grid-search bound down to `resolution` [N/mm].  resolution,
+    k1_max and the b1 values must be positive and finite, resolution at least
+    the float spacing at k1_max, and b_plant not nan.
+
+    The even-N bisection runs all uncapped columns in lock-step.  A step is
+    one (columns x grid) pass on the grid spectrum, which does not depend on
+    (K1, B1) and is computed once per call, plus one golden-section
+    refinement of the candidates whose grid maximum does not already exceed
+    the plant damping.  Each column keeps its own bracket and stops at its
+    own resolution (a rounded midpoint can leave one bracket an ulp wider
+    than another), so it returns exactly what a bisection of it alone returns.
     """
     _check_order(alpha, kernel)
-    if k1_max <= 0.0:
-        raise ValueError(f"k1_max must be positive, got {k1_max}")
+    if not (math.isfinite(k1_max) and k1_max > 0.0):
+        raise ValueError(f"k1_max must be positive and finite, got {k1_max}")
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    if resolution < math.ulp(k1_max):
+        # a bracket stops halving one float spacing wide, so the bisection would never end
+        raise ValueError(
+            f"resolution {resolution} is below the float spacing {math.ulp(k1_max)} at k1_max"
+        )
+    if math.isnan(b_plant):
+        raise ValueError("plant damping must be a number, got nan")
     b1_grid = np.asarray(list(b1_grid), dtype=float)
-    if np.any(b1_grid <= 0.0):
-        raise ValueError("b1 grid values must be positive")
+    bad = b1_grid[~(np.isfinite(b1_grid) & (b1_grid > 0.0))]
+    if bad.size:
+        raise ValueError(f"b1 grid values must be positive and finite, got {bad[0]}")
     k1 = np.zeros(b1_grid.size)
     capped = np.zeros(b1_grid.size, dtype=bool)
     if b_plant <= 0.0:
@@ -269,22 +324,22 @@ def region_scan(
     omegas = _grid(kernel, grid_points)
     s = _s_conj_values(kernel, omegas)
 
-    def column(b1: float) -> tuple[float, bool]:
-        def admissible(k1_val: float) -> bool:
-            params = FoSlsParams(k0=0.0, k1=k1_val, b1=b1, alpha=alpha)
-            return _grid_max(params, kernel, omegas, s, b_plant)[1] <= b_plant
+    def admissible(cols: np.ndarray, k1_vals: np.ndarray) -> np.ndarray:
+        rows = _Rows(np.zeros(cols.size), k1_vals, b1_grid[cols], alpha)
+        return _grid_max(rows, kernel, omegas, s, b_plant)[1] <= b_plant
 
-        if admissible(k1_max):
-            return k1_max, True
-        lo, hi = 0.0, k1_max
-        while hi - lo > resolution:
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo, False
-
-    for j, b1 in enumerate(b1_grid):
-        k1[j], capped[j] = column(b1)
+    cols = np.arange(b1_grid.size)
+    capped = admissible(cols, np.full(cols.size, k1_max))
+    k1 = np.where(capped, k1_max, 0.0)
+    cols = cols[~capped]
+    lo, hi = np.zeros(cols.size), np.full(cols.size, k1_max)
+    while cols.size:
+        done = ~(hi - lo > resolution)
+        if done.any():
+            k1[cols[done]] = lo[done]
+            cols, lo, hi = cols[~done], lo[~done], hi[~done]
+            continue
+        mid = 0.5 * (lo + hi)
+        ok = admissible(cols, mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
     return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)

@@ -157,6 +157,40 @@ class TestDegenerateSizes:
         assert f"resolution must be positive and finite, got {float(resolution)}" in err
         assert "Traceback" not in err
 
+    def test_region_resolution_below_the_float_spacing_is_refused(self, tmp_path, capsys):
+        # a bracket one float spacing wide no longer halves: at an even N the
+        # bisection down to 1e-300 never ended
+        out = tmp_path / "r.csv"
+        argv = ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.1", "--b1-max", "1",
+                "--steps", "2", "--n", "100", "--resolution", "1e-300", "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "resolution 1e-300 is below the float spacing" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_mem", ["100", "101"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--b1-min", "nan", "b1 grid values must be positive and finite"),
+            ("--b1-max", "inf", "b1 grid values must be positive and finite"),
+            ("--k1-max", "nan", "k1_max must be positive and finite, got nan"),
+            ("--k1-max", "inf", "k1_max must be positive and finite, got inf"),
+            ("--b-plant", "nan", "plant damping must be a number, got nan"),
+        ],
+    )
+    def test_region_refuses_non_finite_inputs(self, tmp_path, capsys, n_mem, flag, value, message):
+        # the odd-N inversion wrote nan and inf rows for these and exited 0
+        out = tmp_path / "r.csv"
+        flags = {"--b1-min": "0.1", "--b1-max": "1", "--k1-max": "1000", "--b-plant": "0.0025"}
+        flags[flag] = value
+        argv = ["region", "--alpha", "0.5", "--steps", "3", "--n", n_mem,
+                *[item for pair in flags.items() for item in pair], "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and "Warning" not in err
+
 
 class TestSweep:
     def test_passivity_sweep_matches_module(self, tmp_path):
@@ -701,6 +735,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "index,coefficient"
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, capsys):
+        # dispatch builds its parser once; a usage error must not leave state
+        # behind, so each later call writes what a fresh interpreter writes
+        runs = [
+            ["coeffs", "--alpha", "0.5", "--n", "5", "--t", "0.001"],
+            ["bound", "--k1", "2", "--b1", "0.5", "--alpha", "0.4", "--n", "100", "--b-plant", "0.003"],
+            ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2",
+             "--steps", "4", "--n", "101"],
+            ["sweep", "--what", "es", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--points", "16"],
+        ]
+        assert dispatch(["bound", "--k1", "1"]) == 2
+        for i, argv in enumerate(runs):
+            assert dispatch([*argv, "-o", str(tmp_path / f"here{i}")]) == 0
+            assert dispatch([argv[0], "--bogus"]) == 2
+        capsys.readouterr()
+        for i, argv in enumerate(runs):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fovisc.cli", *argv, "-o", str(tmp_path / f"fresh{i}")],
+                capture_output=True, env=subprocess_env(),
+            )
+            assert proc.returncode == 0
+            assert (tmp_path / f"here{i}").read_bytes() == (tmp_path / f"fresh{i}").read_bytes()
+        assert cli.build_parser() is not cli.build_parser()
 
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["bound", "--alpha", "0.3", "--k0", "1", "--k1", "4", "--b1", "2",

@@ -20,6 +20,8 @@ from fovisc.glkernel import (
     delta_s,
     s_of_omega,
 )
+from fovisc.models import KINDS, FoSlsParams, freq_response
+from fovisc.passivity import passivity_function
 
 
 def binomial_route(alpha, n_mem):
@@ -254,6 +256,20 @@ class TestSpectrum:
             s_of_omega(k, -1.0)
         with pytest.raises(ValueError):
             s_of_omega(k, 1.01 * k.nyquist)
+
+    @pytest.mark.parametrize("n_mem, count", [(10, 300), (100, 300), (10001, 37)])
+    def test_batch_equals_scalar_calls_off_the_grid(self, n_mem, count):
+        # a frequency's value must not depend on the other frequencies in the
+        # call: off the FFT grid each one is its own row product (300 spans a
+        # chunk boundary)
+        k = build_kernel(0.43, n_mem, 0.001)
+        params = FoSlsParams(k0=0.7, k1=3.0, b1=1.5, alpha=0.43)
+        omegas = np.random.default_rng(n_mem).uniform(0.0, k.nyquist, count)
+        evaluators = [lambda w: s_of_omega(k, w), lambda w: passivity_function(params, k, w)]
+        evaluators += [lambda w, kind=kind: freq_response(kind, params, k, w) for kind in KINDS]
+        for evaluate in evaluators:
+            batch = evaluate(omegas)
+            assert batch.tolist() == [evaluate(w) for w in omegas]
 
 
 def direct_spectrum(kernel, omegas, rows=128):

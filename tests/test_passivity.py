@@ -37,6 +37,31 @@ def random_admissible(rng, odd_n=True, n_max=400):
     return params, build_kernel(params.alpha, n, T)
 
 
+def scalar_grid_search(params, kern, grid):
+    """The even-N search one frequency at a time: grid maximum of f, then a
+    golden section inside the best grid cell that never ends below it."""
+    omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
+    values = passivity_function(params, kern, omegas)
+    i = int(np.argmax(values))
+    a, b = omegas[max(i - 1, 0)], omegas[min(i + 1, grid - 1)]
+    tol = (omegas[1] - omegas[0]) * 1e-6
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = passivity_function(params, kern, c), passivity_function(params, kern, d)
+    while b - a > tol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = passivity_function(params, kern, d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = passivity_function(params, kern, c)
+    x = 0.5 * (a + b)
+    f_star = passivity_function(params, kern, x)
+    return (omegas[i], values[i]) if f_star < values[i] else (x, f_star)
+
+
 class TestPassivityFunction:
     def test_nyquist_value_zero_k0(self):
         kern = build_kernel(0.5, 101, T)
@@ -99,6 +124,34 @@ class TestMaxPassivity:
         dp_inf = 2.0**0.5
         asym = (UNIT_FM.k1 * T / 2.0) * UNIT_FM.b1 * dp_inf / (UNIT_FM.b1 * dp_inf + UNIT_FM.k1 * T**0.5)
         assert passivity_function(UNIT_FM, kern, kern.nyquist) < asym
+
+    def test_one_row_search_is_the_scalar_golden_section(self):
+        # max_passivity runs the array search with one row; it must take the
+        # arithmetic of a search run one frequency at a time, to the bit
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            params, kern = random_admissible(rng, odd_n=False, n_max=300)
+            grid = int(rng.choice([256, 1024, 8192]))
+            result = max_passivity(params, kern, grid)
+            assert (result.omega_star, result.b_min) == scalar_grid_search(params, kern, grid)
+
+    def test_rows_refined_together_end_as_rows_refined_alone(self):
+        # at alpha 0.5, N = 10 some maxima sit in the last grid cell and some
+        # inside, so the lock-step golden section carries brackets of two widths
+        # that stop at different steps
+        kern = build_kernel(0.5, 10, T)
+        grid = 256
+        omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
+        b1, k1 = np.meshgrid([0.001, 0.01, 0.05, 0.4, 2.0], [0.01, 0.1, 1.0, 10.0])
+        rows = passivity._Rows(np.zeros(b1.size), k1.ravel(), b1.ravel(), 0.5)
+        w, f = passivity._grid_max(rows, kern, omegas, passivity._s_conj_values(kern, omegas), math.inf)
+        cells = set()
+        for j in range(b1.size):
+            params = FoSlsParams(0.0, float(rows.k1[j]), float(rows.b1[j]), 0.5)
+            cells.add(int(np.argmax(passivity_function(params, kern, omegas))) == grid - 1)
+            alone = max_passivity(params, kern, grid)
+            assert (w[j], f[j]) == (alone.omega_star, alone.b_min)
+        assert cells == {True, False}
 
     def test_long_memory_surrogate_is_monotone(self):
         kern = build_kernel(0.5, 10001, T)
@@ -288,6 +341,9 @@ class TestSpecialCaseBound:
         )
 
 
+FIVE_COLUMNS = [0.001, 0.05, 0.4, 1.0, 2.0]
+
+
 class TestRegionScan:
     def test_order_one_closed_inversion(self):
         b = 0.0025
@@ -383,35 +439,71 @@ class TestRegionScan:
         with pytest.raises(ValueError):
             region_scan(0.4, build_kernel(0.5, 101, T), 0.0025, [1.0], 10.0)
 
-    @pytest.mark.parametrize(
-        "alpha, n_mem, b_plant, grid",
-        [(0.5, 100, 0.0025, 256), (0.3, 60, 0.004, 512), (0.8, 200, 0.0015, 1024)],
-    )
-    def test_even_memory_matches_reference_bisection(self, alpha, n_mem, b_plant, grid):
-        # the scan shares one grid spectrum and skips refinement of candidates
-        # already refused on the grid; the answer must be exactly that of a
-        # plain bisection on max_passivity
-        kern = build_kernel(alpha, n_mem, T)
-        b1_grid = np.array([0.001, 0.05, 0.4, 1.0, 2.0])
-        k1_max, resolution = 1000.0, 0.1
+    @staticmethod
+    def scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, k1_max, resolution, grid):
+        """region_scan, required to return exactly what a plain bisection on
+        max_passivity returns for each column alone."""
         region = region_scan(alpha, kern, b_plant, b1_grid, k1_max, resolution, grid)
+        for b1, k1, capped in zip(b1_grid, region.k1, region.capped):
 
-        def reference(b1):
-            def bound(k1):
-                return max_passivity(FoSlsParams(0.0, k1, b1, alpha), kern, grid).b_min
+            def bound(k1_val):
+                return max_passivity(FoSlsParams(0.0, k1_val, b1, alpha), kern, grid).b_min
 
             if bound(k1_max) <= b_plant:
-                return k1_max, True
+                assert (k1, capped) == (k1_max, True)
+                continue
             lo, hi = 0.0, k1_max
             while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if bound(mid) <= b_plant else (lo, mid)
-            return lo, False
+            assert (k1, capped) == (lo, False)
+        return region
 
-        want = [reference(b1) for b1 in b1_grid]
-        assert region.k1.tolist() == [k1 for k1, _ in want]
-        assert region.capped.tolist() == [cap for _, cap in want]
+    @pytest.mark.parametrize(
+        "alpha, n_mem, b_plant, grid, b1_grid",
+        [
+            pytest.param(0.5, 100, 0.0025, 256, FIVE_COLUMNS, id="0.5-100-0.0025-256"),
+            pytest.param(0.3, 60, 0.004, 512, FIVE_COLUMNS, id="0.3-60-0.004-512"),
+            pytest.param(0.8, 200, 0.0015, 1024, FIVE_COLUMNS, id="0.8-200-0.0015-1024"),
+            pytest.param(0.5, 100, 0.0025, 2048, np.linspace(0.05, 2.0, 40).tolist(), id="bench-40-columns"),
+            pytest.param(1.0, 100, 0.0025, 256, FIVE_COLUMNS, id="last-grid-cell"),
+            # refinements that step last-cell and interior brackets, of two widths, together
+            pytest.param(0.5, 10, 0.004, 256, [0.01, 0.05, 0.4, 2.0], id="mixed-cells"),
+        ],
+    )
+    def test_even_memory_matches_reference_bisection(self, alpha, n_mem, b_plant, grid, b1_grid):
+        # the scan bisects all columns in lock-step, shares one grid spectrum and
+        # skips refinement of candidates already refused on the grid; the answer
+        # must be exactly that of a plain bisection on max_passivity per column
+        kern = build_kernel(alpha, n_mem, T)
+        region = self.scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, 1000.0, 0.1, grid)
         assert any(region.capped) and not all(region.capped)
+        if alpha == 1.0:
+            omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
+            for b1, k1 in zip(b1_grid, region.k1):
+                f = passivity_function(FoSlsParams(0.0, k1, b1, alpha), kern, omegas)
+                assert int(np.argmax(f)) == grid - 1
+
+    def test_each_column_stops_at_its_own_resolution(self):
+        # from [0, 102.4] a bracket is 0.1 wide after ten halvings where every
+        # midpoint was exact, and a rounded midpoint leaves it wider, so
+        # columns bisected together stop after 10 or 11 steps
+        kern = build_kernel(0.5, 100, T)
+        b1_grid = np.linspace(0.05, 2.0, 40)[::3]
+        self.scan_against_reference_bisection(0.5, kern, 0.0025, b1_grid, 102.4, 0.1, 256)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alpha=st.floats(0.02, 1.0),
+        half_n=st.integers(0, 150),
+        b1_grid=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=4),
+        b_plant=st.floats(5e-4, 0.01),
+        k1_max=st.floats(1.0, 2000.0),
+        resolution=st.floats(0.01, 1.0),
+    )
+    def test_even_memory_lock_step_property(self, alpha, half_n, b1_grid, b_plant, k1_max, resolution):
+        kern = build_kernel(alpha, 2 * half_n, T)
+        self.scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, k1_max, resolution, 256)
 
     def test_even_memory_spectrum_computed_once(self, monkeypatch):
         sizes = []
@@ -423,9 +515,11 @@ class TestRegionScan:
 
         monkeypatch.setattr(passivity, "_s_conj_values", counted)
         kern = build_kernel(0.5, 100, T)
-        region_scan(0.5, kern, 0.0025, [0.05, 0.5, 2.0], 1000.0, grid_points=512)
-        assert sizes.count(512) == 1
-        assert set(sizes) == {1, 512}  # the rest are single-point refinements
+        b1_grid = [0.05, 0.5, 2.0]
+        region_scan(0.5, kern, 0.0025, b1_grid, 1000.0, grid_points=512)
+        assert sizes[0] == 512 and sizes.count(512) == 1
+        # the rest are golden-section steps: one frequency per column refined together
+        assert len(sizes) > 1 and max(sizes[1:]) <= len(b1_grid)
         sizes.clear()
         region_scan(0.5, build_kernel(0.5, 101, T), 0.0025, [0.05, 0.5, 2.0], 1000.0)
         assert sizes == []  # odd N: closed form, no spectrum at all
