@@ -30,6 +30,12 @@ EXIT_NO_CONVERGENCE = 4
 # rows per `%` when formatting CSV: bounds the text held at once
 _CSV_BLOCK_ROWS = 4096
 
+# Upper limits of the count flags, checked before anything is sized by them:
+# far past any plot's resolution, and small enough that a run stays within
+# memory.  An even-N region step holds --steps x 2048 complex f values.
+_MAX_POINTS = 10**6  # sweep/reduce --points, bound --grid-points
+_MAX_STEPS = 10**4  # region --steps
+
 
 def _f12(x: float) -> float:
     """Round-trip through 12 significant digits for stable output."""
@@ -113,11 +119,15 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gnuplot", action="store_true", help="also emit a .gp plot script (CSV outputs with -o)")
 
 
-def _positive_count(args: argparse.Namespace, name: str) -> int:
-    """An integer flag that sizes the output; below 1 it would write no rows."""
+def _count(args: argparse.Namespace, name: str, upper: int) -> int:
+    """An integer flag that sizes the output or the work: below 1 it would
+    write no rows, above upper it would allocate past memory."""
     value = getattr(args, name)
+    flag = "--" + name.replace("_", "-")
     if value < 1:
-        raise ValueError(f"--{name} must be at least 1, got {value}")
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+    if value > upper:
+        raise ValueError(f"{flag} must be at most {upper}, got {value}")
     return value
 
 
@@ -143,18 +153,19 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    grid_points = _count(args, "grid_points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     if args.n % 2 == 1:
-        result = passivity.bound_closed_form(params, kern)
+        result = passivity.bound_closed_form(params, kern, args.b_plant)
         variants = {k: _f12(v) for k, v in passivity.bound_variants(params, kern).items()}
     else:
-        result = passivity.max_passivity(params, kern, args.grid_points)
+        result = passivity.max_passivity(params, kern, grid_points, args.b_plant)
         variants = None
     payload = {
         "b_min": _f12(result.b_min),
         "omega_star": _f12(result.omega_star),
         "method": result.method,
-        "margin_ok": None if args.b_plant is None else bool(args.b_plant > result.b_min),
+        "margin_ok": result.margin_ok,
     }
     if variants is not None:
         payload["variants"] = variants
@@ -163,9 +174,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    steps = _count(args, "steps", _MAX_STEPS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     with np.errstate(invalid="ignore"):  # an infinite end gives nan columns, refused below
-        b1_grid = np.linspace(args.b1_min, args.b1_max, _positive_count(args, "steps"))
+        b1_grid = np.linspace(args.b1_min, args.b1_max, steps)
     region = passivity.region_scan(
         args.alpha, kern, args.b_plant, b1_grid, args.k1_max, resolution=args.resolution
     )
@@ -175,8 +187,9 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    points = _count(args, "points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
+    omegas = np.linspace(0.0, kern.nyquist, points + 1)[1:]
     if args.what == "f":
         values = passivity.passivity_function(params, kern, omegas)
         _write_csv(args, ["omega_t", "f"], [omegas * args.t, values])
@@ -283,7 +296,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         experiments.append(fitting.ExperimentData("relaxation", t, v, proto))
     if not experiments:
         raise ValueError("supply at least one of --creep/--relax")
-    config = fitting.FitConfig(args.b_plant, args.max_evals, args.normalization)
+    config = fitting.FitConfig(args.b_plant, args.max_evals)
     result = fitting.fit(experiments, args.n, config)
     _write_json(
         args,
@@ -325,8 +338,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    points = _count(args, "points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    omegas = np.linspace(0.0, kern.nyquist, _positive_count(args, "points") + 1)[1:]
+    omegas = np.linspace(0.0, kern.nyquist, points + 1)[1:]
     h = models.freq_response(args.kind, params, kern, omegas)
     _write_csv(args, ["omega", "re_H", "im_H"], [omegas, h.real, h.imag])
     return EXIT_OK
@@ -405,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", "--starts", type=int, dest="ignored", metavar="N",
                    help="ignored (older command lines still run): the start comes from the records")
     p.add_argument("--max-evals", type=int, default=20000)
-    p.add_argument("--normalization", choices=fitting.NORMALIZATIONS, default="range")
     p.add_argument("--f-hold", type=float, default=3.0)
     p.add_argument("--t-hold", type=float, default=3.0)
     p.add_argument("--f-recover", type=float, default=0.5)

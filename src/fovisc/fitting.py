@@ -50,8 +50,6 @@ __all__ = [
     "synth_experiment",
 ]
 
-NORMALIZATIONS = ("range", "mean", "rms")
-
 _ALPHA_LO = 0.01  # logit floor keeps the order away from the degenerate spring
 
 # Search box of theta = (slack, log K1, log B1, logit alpha): wide enough for
@@ -139,37 +137,23 @@ class FitResult:
 class FitConfig:
     b_plant: float = 0.0025  # N*s/mm available for dissipation
     max_evals: int = 20000  # residual plus Jacobian evaluations
-    normalization: str = "range"
 
     def __post_init__(self):
         if self.max_evals < 2:  # one residual and one Jacobian
             raise ValueError("max_evals must be at least 2")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
 
-def nrmse(predicted, measured, normalization: str = "range") -> float:
-    """Root-mean-square error over the measured signal's scale.
-
-    The default scale is the measured range (max - min); 'mean' and 'rms'
-    are available for comparability with other conventions.
-    """
+def nrmse(predicted, measured) -> float:
+    """Root-mean-square error over the measured signal's range (max - min)."""
     predicted = np.asarray(predicted, dtype=float)
     measured = np.asarray(measured, dtype=float)
     if predicted.shape != measured.shape or measured.size < 2:
         raise ValueError("series must have equal length >= 2")
-    return float(np.sqrt(np.mean((predicted - measured) ** 2))) / _scale(measured, normalization)
+    return float(np.sqrt(np.mean((predicted - measured) ** 2))) / _scale(measured)
 
 
-def _scale(measured: np.ndarray, normalization: str) -> float:
-    if normalization == "range":
-        scale = float(np.max(measured) - np.min(measured))
-    elif normalization == "mean":
-        scale = abs(float(np.mean(measured)))
-    elif normalization == "rms":
-        scale = float(np.sqrt(np.mean(measured**2)))
-    else:
-        raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
+def _scale(measured: np.ndarray) -> float:
+    scale = float(np.max(measured) - np.min(measured))
     if scale <= 0.0:
         raise ValueError("measured series has zero scale; NRMSE undefined")
     return scale
@@ -279,7 +263,7 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
     t_samp = experiments[0].t_samp
     measured = np.concatenate([exp.values for exp in experiments])
     # 1 / (scale * sqrt(n)): the squared residual norm sums the squared NRMSEs
-    scales = [_scale(e.values, config.normalization) * e.values.size**0.5 for e in experiments]
+    scales = [_scale(e.values) * e.values.size**0.5 for e in experiments]
     weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
     edges = np.cumsum([0] + [e.values.size for e in experiments])
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
@@ -344,7 +328,7 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
     t_samp = experiments[0].t_samp
     series = []  # (F, x) of each record, over the record's scale
     for exp in experiments:
-        m, s, scale = exp.values.size, exp.stimulus, _scale(exp.values, config.normalization)
+        m, s, scale = exp.values.size, exp.stimulus, _scale(exp.values)
         if exp.kind == "creep":
             f, x = _creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
         else:
@@ -404,7 +388,7 @@ def fit(
                         max_nfev=config.max_evals // 2)
 
     params, kern = _passive_params(res.x, n_mem, t_samp, config.b_plant)
-    errs = [nrmse(_predict(params, kern, e), e.values, config.normalization) for e in experiments]
+    errs = [nrmse(_predict(params, kern, e), e.values) for e in experiments]
     return FitResult(
         params=params,
         n_mem=n_mem,

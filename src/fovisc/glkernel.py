@@ -12,6 +12,10 @@ expressed in terms of these weights and three derived sums:
     delta_p = sum_i (-1)^i c_i        (alternating sum, binds at Nyquist)
     delta_s = sum_i c_i               (plain sum, binds at DC)
     delta_d = -sum_i i * c_i          (first-moment sum, DC damping)
+
+Their closed forms C(N - alpha, N), alpha * C(N - alpha, N - 1) and the tail
+bound 2^alpha - C(alpha, N + 1) are generalized binomials: binom_general takes
+each as one falling-factorial product in extended precision, at any N.
 """
 
 from __future__ import annotations
@@ -32,14 +36,6 @@ __all__ = [
     "delta_d",
     "s_of_omega",
 ]
-
-# The falling-factorial product, accumulated in extended precision, is the
-# accurate route over the whole practical range (it has to hold 1e-12 against
-# direct summation up to N ~ 500, which the log-gamma route cannot).  The
-# log-gamma/sign route remains for extreme arguments where the product would
-# be too long or too large.
-_PRODUCT_MAX_K = 2048
-_PRODUCT_MAX_UPPER = 1e6
 
 
 def _check_alpha(alpha: float) -> float:
@@ -114,11 +110,15 @@ def _coeffs_dalpha(kernel: GLKernel) -> np.ndarray:
 def binom_general(alpha: float, k: int) -> float:
     """Generalized binomial coefficient C(alpha, k) for real upper argument.
 
-    Evaluates Gamma(alpha+1) / (Gamma(k+1) Gamma(alpha-k+1)).  Integer upper
-    arguments reduce to the ordinary binomial (0 above the diagonal, where
-    the reciprocal Gamma vanishes).  The practical range goes through the
-    falling-factorial product in extended precision; extreme arguments fall
-    back to log-gamma with explicit sign tracking.
+    Integer upper arguments reduce exactly to the ordinary binomial (0 above
+    the diagonal); any other is the weights' falling-factorial product
+    prod_{j<k} (a - j)/(j + 1) in extended precision.  Above the diagonal
+    (a > k - 1, as in C(N - alpha, N)) its partial products climb to ~2^a, so
+    from a ~ 16383 (the extended range) the upper argument is first reflected,
+    exactly: C(a, k) = (-1)^k C(k - a - 1, k), whose factors all lie on one
+    side of 1 in magnitude, so its partial products run monotonically to the
+    result.  Below that the product is left as it is: reflected, it rounds
+    differently, which cancellation in the low-frequency ES shows at 12 digits.
     """
     if k != int(k) or int(k) < 0:
         raise ValueError(f"lower index must be a nonnegative integer, got {k}")
@@ -135,30 +135,11 @@ def binom_general(alpha: float, k: int) -> float:
         # negative integer upper argument: C(-m, k) = (-1)^k C(m+k-1, k)
         m = -n
         return float((-1) ** (k % 2) * math.comb(m + k - 1, k))
-    if k <= _PRODUCT_MAX_K and abs(a) <= _PRODUCT_MAX_UPPER:
-        out = np.longdouble(1.0)
-        au = np.longdouble(a)
-        for j in range(k):
-            out *= (au - j) / (j + 1)
-        return float(out)
-    if a - k + 1.0 > 0.0:
-        sign = _gamma_sign(a + 1.0) * _gamma_sign(a - k + 1.0)
-        logmag = math.lgamma(a + 1.0) - math.lgamma(k + 1.0) - math.lgamma(a - k + 1.0)
-        return float(sign) * math.exp(logmag)
-    # Below Gamma's poles the float a - k + 1 drops a's low digits, so reflect:
-    # 1/Gamma(a-k+1) = Gamma(k-a) sin(pi(a-k+1)) / pi, sin(pi(a-k+1)) = (-1)^(k-1) sin(pi a)
-    sin_pa = math.sin(math.pi * math.fmod(a, 2.0))
-    sign = _gamma_sign(a + 1.0) * (-1.0) ** ((k - 1) % 2) * math.copysign(1.0, sin_pa)
-    logmag = (
-        math.lgamma(a + 1.0) + math.lgamma(k - a) - math.lgamma(k + 1.0)
-        + math.log(abs(sin_pa) / math.pi)
-    )
-    return sign * math.exp(logmag)
-
-
-def _gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for a non-integer x: +1 above 0, (-1)^ceil(-x) below."""
-    return 1.0 if x > 0.0 else (-1.0) ** math.ceil(-x)
+    upper, sign = np.longdouble(a), 1.0
+    if k - 1 < a and a + 1 >= np.finfo(np.longdouble).maxexp:
+        upper, sign = k - upper - 1, (-1.0) ** (k % 2)
+    j = np.arange(k, dtype=np.longdouble)
+    return sign * float(np.prod((upper - j) / (j + 1)))
 
 
 def delta_p(kernel: GLKernel) -> float:

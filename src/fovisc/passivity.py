@@ -68,7 +68,7 @@ class PassivityResult:
 
     b_min: float  # N*s/mm
     omega_star: float  # rad/s
-    method: str  # closed_form_odd_n | asymptotic | sufficient | grid
+    method: str  # closed_form_odd_n | grid
     margin_ok: bool | None = None
 
 
@@ -110,6 +110,23 @@ def _nyquist_value(kind: str, params: FoSlsParams, t_samp: float, dp: float) -> 
     """f at w = pi/T, (T/2)*Re H there, where the spectrum is the real dp (the
     alternating sum, or a stand-in for it): no trigonometric roundoff."""
     return t_samp / 2.0 * float(_reduced_impedance(kind, params, t_samp, dp))
+
+
+def _nyquist_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> float:
+    """Minimum damping of one kind as its Nyquist value, where that is the bound:
+    io_* kinds at any N >= 1 (spectrum 2 at pi/T), fo_* kinds at odd N only
+    (even N moves the maximum of f inside the band, above this value)."""
+    p, _, dp = _kind_rules(kind, params, kernel)
+    if kind.startswith("fo_") and kernel.n_mem % 2 == 0:
+        raise ValueError(f"{kind} bound requires an odd memory length; use max_passivity for even N")
+    return _nyquist_value(kind, p, kernel.t_samp, dp)
+
+
+def _margin_ok(b_plant: float | None, b_min: float) -> bool | None:
+    """Whether a plant damping, if one is given, exceeds b_min; nan is refused."""
+    if b_plant is not None and math.isnan(b_plant):
+        raise ValueError("plant damping must be a number, got nan")
+    return None if b_plant is None else bool(b_plant > b_min)
 
 
 def _f_points(rows: _Rows, kernel: GLKernel, omegas: np.ndarray) -> np.ndarray:
@@ -182,27 +199,30 @@ def _grid_max(rows: _Rows, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, 
     return w, f
 
 
-def max_passivity(params: FoSlsParams, kernel: GLKernel, grid_points: int = 8192) -> PassivityResult:
+def max_passivity(
+    params: FoSlsParams, kernel: GLKernel, grid_points: int = 8192, b_plant: float | None = None
+) -> PassivityResult:
     """Maximum of f over (0, pi/T], located by parity-aware search.
 
     Odd memory length: the maximum is at Nyquist; the grid is still swept and
     required to agree.  Even memory length: grid maximum followed by local
-    golden-section refinement.
+    golden-section refinement.  margin_ok compares b_plant, if given (not nan).
     """
     _check_order(params.alpha, kernel)
     omegas = _grid(kernel, grid_points)
     s = _s_conj_values(kernel, omegas)
     if kernel.n_mem % 2 == 0:
         w_star, f_star = _grid_max(_Rows.of(params), kernel, omegas, s, math.inf)
-        return PassivityResult(b_min=float(f_star[0]), omega_star=float(w_star[0]), method="grid")
+        b_min = float(f_star[0])
+        return PassivityResult(b_min, float(w_star[0]), "grid", _margin_ok(b_plant, b_min))
     f_grid = float(_grid_max(_Rows.of(params), kernel, omegas, s, -math.inf)[1][0])
-    f_nyq = _nyquist_value("fo_sls", params, kernel.t_samp, delta_p(kernel))
+    f_nyq = _nyquist_bound("fo_sls", params, kernel)
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
         raise AssertionError(
             f"grid maximum {f_grid} exceeds the Nyquist value {f_nyq} for an odd memory length"
         )
-    return PassivityResult(b_min=f_nyq, omega_star=kernel.nyquist, method="closed_form_odd_n")
+    return PassivityResult(f_nyq, kernel.nyquist, "closed_form_odd_n", _margin_ok(b_plant, f_nyq))
 
 
 def bound_closed_form(
@@ -211,18 +231,11 @@ def bound_closed_form(
     """Minimum damping from the odd-memory closed form.
 
     Even memory lengths are refused (the Nyquist shortcut is invalid there);
-    use max_passivity instead.  So is a kernel of another order than params.
+    use max_passivity instead.  So is a kernel of another order than params,
+    and a nan b_plant.
     """
-    _check_order(params.alpha, kernel)
-    if kernel.n_mem % 2 == 0:
-        raise ValueError(
-            "closed-form bound requires an odd memory length; use max_passivity for even N"
-        )
-    b_min = _nyquist_value("fo_sls", params, kernel.t_samp, delta_p(kernel))
-    ok = None if b_plant is None else bool(b_plant > b_min)
-    return PassivityResult(
-        b_min=b_min, omega_star=kernel.nyquist, method="closed_form_odd_n", margin_ok=ok
-    )
+    b_min = _nyquist_bound("fo_sls", params, kernel)
+    return PassivityResult(b_min, kernel.nyquist, "closed_form_odd_n", _margin_ok(b_plant, b_min))
 
 
 def bound_variants(params: FoSlsParams, kernel: GLKernel) -> dict[str, float]:
@@ -244,10 +257,10 @@ def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> floa
     The Nyquist value of the reduced impedance.  Kelvin-Voigt kinds use the
     dedicated infinite-branch-stiffness formula; integer-order kinds are exact
     for any N >= 1 (the alternating sum is 2).  The fractional kinds take the
-    alternating sum from the kernel, so its order must match params.alpha.
+    alternating sum from the kernel, so its order must match params.alpha, and
+    are refused at even N, where the Nyquist value is below the bound.
     """
-    p, _, dp = _kind_rules(kind, params, kernel)
-    return _nyquist_value(kind, p, kernel.t_samp, dp)
+    return _nyquist_bound(kind, params, kernel)
 
 
 @dataclass(frozen=True)
@@ -299,15 +312,13 @@ def region_scan(
         raise ValueError(
             f"resolution {resolution} is below the float spacing {math.ulp(k1_max)} at k1_max"
         )
-    if math.isnan(b_plant):
-        raise ValueError("plant damping must be a number, got nan")
     b1_grid = np.asarray(list(b1_grid), dtype=float)
     bad = b1_grid[~(np.isfinite(b1_grid) & (b1_grid > 0.0))]
     if bad.size:
         raise ValueError(f"b1 grid values must be positive and finite, got {bad[0]}")
     k1 = np.zeros(b1_grid.size)
     capped = np.zeros(b1_grid.size, dtype=bool)
-    if b_plant <= 0.0:
+    if not _margin_ok(b_plant, 0.0):
         # bound -> 0+ as K1 -> 0+, so a nonpositive budget admits nothing
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=False)
 

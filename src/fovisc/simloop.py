@@ -386,7 +386,10 @@ def empirical_boundary(
     trials are defined: `base_momentum` (nonzero and finite; its sign is
     free) times 1, 0.5, 1.5, 0.75 and 2.  The loop is linear and starts at
     rest, so each candidate runs one simulation, at `base_momentum`, and
-    reads every other trial from it as an exact scaling (see _scaled).  The
+    reads the trials from it as exact scalings (see _scaled).  is_unstable's
+    ratio tests are scale-free and its absolute thresholds (the divergence
+    cut, the drift and envelope floors) are crossed first by the larger
+    impulse, so the trial at the largest scale decides for all of them.  The
     supplied range must bracket the boundary: stable at the low end,
     unstable at the high end.
     """
@@ -400,12 +403,12 @@ def empirical_boundary(
     lo, hi = float(k1_range[0]), float(k1_range[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < k1_lo < k1_hi, got {k1_range}")
-    scales = _MOMENTUM_SCALES[: int(n_trials)]
+    scale = max(_MOMENTUM_SCALES[: int(n_trials)])
 
     def unstable(k1: float) -> bool:
         ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kernel)
         unit = simulate(plant, ve, Impulse(momentum=float(base_momentum)), duration)
-        return any(is_unstable(_scaled(unit, s)) for s in scales)
+        return is_unstable(_scaled(unit, scale))
 
     if unstable(lo):
         raise ValueError(f"k1 range does not bracket the boundary: {lo} is already unstable")

@@ -145,6 +145,36 @@ class TestDegenerateSizes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, flag, limit",
+        [
+            (["sweep", "--what", "f", "--k1", "1", "--b1", "1", "--alpha", "0.5"], "--points", 10**6),
+            (["reduce", "--kind", "io_kv", "--k1", "1", "--b1", "1", "--alpha", "1"], "--points", 10**6),
+            (["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2",
+              "--n", "100"], "--steps", 10**4),
+            (["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", "100"], "--grid-points", 10**6),
+        ],
+        ids=["sweep-points", "reduce-points", "region-steps", "bound-grid-points"],
+    )
+    def test_counts_above_their_limit_are_refused(self, tmp_path, capsys, argv, flag, limit):
+        # 1e11 would size arrays of ~800 GB: refused before anything is allocated
+        out = tmp_path / "out"
+        assert dispatch([*argv, flag, "100000000000", "-o", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{flag} must be at most {limit}, got 100000000000" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_mem", ["100", "101"])
+    def test_bound_refuses_nan_plant_damping(self, tmp_path, capsys, n_mem):
+        # "b_plant": NaN is not JSON, and nan compares false against every bound
+        out = tmp_path / "b.json"
+        argv = ["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", n_mem,
+                "--grid-points", "1024", "--b-plant", "nan", "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "plant damping must be a number, got nan" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("resolution", ["0", "-0.1", "nan"])
     def test_region_resolution_must_be_positive(self, tmp_path, capsys, resolution):
         # at an even N the bisection runs down to the resolution: at 0 it never ended

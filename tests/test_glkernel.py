@@ -118,45 +118,43 @@ class TestBinomGeneral:
         assert binom_general(-0.5, 1) == pytest.approx(-0.5, abs=1e-15)
         assert binom_general(-2.0, 3) == pytest.approx(-4.0, abs=1e-12)
 
-    @given(alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) > 1e-6), k=st.integers(0, 400))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_high_precision_oracle(self, alpha, k):
-        # scipy.special.binom itself drifts to ~1e-10 relative for tiny
-        # upper arguments, so the referee is 30-digit arithmetic
-        import mpmath
-
-        mpmath.mp.dps = 30
-        ref = float(mpmath.binomial(mpmath.mpf(alpha), k))
-        ours = binom_general(alpha, k)
-        assert ours == pytest.approx(ref, rel=1e-13, abs=1e-300)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            binom_general(0.5, -1)
-
-    @given(x=st.floats(-80.0, 80.0).filter(lambda v: v != math.floor(v)))
-    @settings(max_examples=200, deadline=None)
-    def test_gamma_sign_matches_scipy(self, x):
-        assert glkernel._gamma_sign(x) == special.gammasgn(x)
-
     @given(
         alpha=st.floats(-0.99, 0.99).filter(lambda a: abs(a) > 1e-6),
-        k=st.sampled_from((2049, 3000, 6000)) | st.integers(2049, 6000),
+        k=st.sampled_from((2047, 2048, 2049, 6000)) | st.integers(0, 6000),
     )
     @example(alpha=1.01e-6, k=6000)
     @example(alpha=-2.06e-4, k=6000)
-    @settings(max_examples=40, deadline=None)
-    def test_log_gamma_route_matches_high_precision_oracle(self, alpha, k):
-        # past the product's reach alpha - k + 1 sits below Gamma's poles, where
-        # its float drops alpha's low digits; the reflection form keeps them
-        # (the direct form was off by 2.3e-7 at alpha = 1.01e-6, k = 6000)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_high_precision_oracle(self, alpha, k):
+        # scipy.special.binom itself drifts to ~1e-10 relative for tiny
+        # upper arguments, so the referee is 40-digit arithmetic; the examples
+        # sit next to Gamma's poles (alpha - k + 1), where a log-gamma form
+        # drops alpha's low digits
         import mpmath
 
         mpmath.mp.dps = 40
         ref = float(mpmath.binomial(mpmath.mpf(alpha), k))
         ours = binom_general(alpha, k)
-        assert math.copysign(1.0, ours) == math.copysign(1.0, ref)
-        assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
+        assert ours == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.203, 0.5, 0.7, 0.99])
+    def test_product_equals_the_per_term_loop(self, alpha):
+        # below the reflection the vectorized product rounds as the loop does,
+        # term for term, so the closed forms keep their bits; reflected, the
+        # low-frequency ES of the material at N = 476 moves in its 12th digit
+        def loop(a, k):
+            out = np.longdouble(1.0)
+            for j in range(k):
+                out *= (np.longdouble(a) - j) / (j + 1)
+            return float(out)
+
+        for n in [476, *range(1, 2049, 11)]:
+            for a, k in ((n - alpha, n), (n - alpha, n - 1), (alpha, n + 1)):
+                assert binom_general(a, k) == loop(a, k), (a, k)
+
+    def test_rejects_negative_k(self):
+        with pytest.raises(ValueError):
+            binom_general(0.5, -1)
 
 
 class TestDeltaSums:
@@ -215,6 +213,27 @@ class TestDeltaSums:
     def test_delta_d_rejects_zero_memory(self):
         with pytest.raises(ValueError):
             delta_d(0.5, 0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.99])
+    @pytest.mark.parametrize("n_mem", [2047, 2048, 2049, 10001, 16383, 20001])
+    def test_closed_forms_match_high_precision_oracle(self, alpha, n_mem):
+        # the oracle takes the closed forms' own float argument N - alpha.  The
+        # partial products C(N - alpha, j) climb to ~2^N: N = 16383 is the
+        # longest taken unreflected, at N = 20001 they would pass the extended
+        # range.  An extended-precision product lands within ~2e-16 here, a
+        # float64 one ~1e-14 off.
+        import mpmath
+
+        mpmath.mp.dps = 40
+        upper = mpmath.mpf(n_mem - alpha)
+        ref_s = mpmath.binomial(upper, n_mem)
+        assert delta_s(alpha, n_mem) == pytest.approx(float(ref_s), rel=1e-15)
+        ref_d = alpha * mpmath.binomial(upper, n_mem - 1)
+        assert delta_d(alpha, n_mem) == pytest.approx(float(ref_d), rel=1e-15)
+        if n_mem % 2:
+            a = mpmath.mpf(alpha)
+            ref_p = 2**a - mpmath.binomial(a, n_mem + 1)
+            assert delta_p_sufficient(alpha, n_mem) == pytest.approx(float(ref_p), rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.45, 0.8, 1.0])
     @pytest.mark.parametrize("n_mem", [1, 2, 17, 100, 500])

@@ -188,6 +188,19 @@ class TestClosedFormBound:
         with pytest.raises(ValueError, match="odd"):
             bound_closed_form(UNIT_FM, build_kernel(0.5, 100, T))
 
+    @pytest.mark.parametrize("n_mem", [100, 101])
+    def test_margin_against_a_plant_damping(self, n_mem):
+        kern = build_kernel(0.5, n_mem, T)
+        b_min = max_passivity(UNIT_FM, kern, 1024).b_min
+        assert max_passivity(UNIT_FM, kern, 1024).margin_ok is None
+        assert max_passivity(UNIT_FM, kern, 1024, b_plant=1.01 * b_min).margin_ok is True
+        assert max_passivity(UNIT_FM, kern, 1024, b_plant=b_min).margin_ok is False
+        with pytest.raises(ValueError, match="plant damping must be a number, got nan"):
+            max_passivity(UNIT_FM, kern, 1024, b_plant=math.nan)
+        if n_mem % 2:
+            with pytest.raises(ValueError, match="plant damping must be a number, got nan"):
+                bound_closed_form(UNIT_FM, kern, b_plant=math.nan)
+
     def test_rejects_kernel_of_another_order(self):
         params = FoSlsParams(0.0, 1.0, 1.0, 0.3)
         with pytest.raises(ValueError, match="does not match parameter order"):
@@ -331,6 +344,26 @@ class TestSpecialCaseBound:
     def test_fractional_kinds_reject_kernel_of_another_order(self, kind):
         with pytest.raises(ValueError, match="does not match parameter order"):
             special_case_bound(kind, FoSlsParams(0.0, 1.0, 1.0, 0.3), build_kernel(0.9, 101, T))
+
+    @pytest.mark.parametrize("n_mem", [10, 100])
+    @pytest.mark.parametrize("kind", ["fo_sls", "fo_kv", "fo_maxwell"])
+    def test_fractional_kinds_reject_even_memory(self, kind, n_mem):
+        # at even N the maximum of f is interior: the Nyquist value of fo_kv at
+        # alpha 0.2, N 10 sits 0.41% below it, an unsafe bound
+        params = FoSlsParams(0.0, 5.0, 2.0, 0.2)
+        with pytest.raises(ValueError, match="odd memory length"):
+            special_case_bound(kind, params, build_kernel(0.2, n_mem, T))
+
+    @pytest.mark.parametrize("n_mem", [2, 10, 100])
+    @pytest.mark.parametrize("kind", ["io_sls", "io_kv", "io_maxwell"])
+    def test_integer_order_kinds_take_even_memory(self, kind, n_mem):
+        # every order-one kernel with N >= 1 has the spectrum 1 - e^{-iwT}, 2 at
+        # Nyquist, so the even-N bound is the odd-N one
+        params = FoSlsParams(0.5, 5.0, 2.0, 1.0)
+        even = special_case_bound(kind, params, build_kernel(1.0, n_mem, T))
+        assert even == special_case_bound(kind, params, build_kernel(1.0, n_mem + 1, T))
+        if kind == "io_sls":  # and the grid search finds its maximum there
+            assert max_passivity(params, build_kernel(1.0, n_mem, T)).b_min == pytest.approx(even, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["io_sls", "io_kv", "io_maxwell"])
     def test_integer_order_kinds_take_any_kernel_order(self, kind):

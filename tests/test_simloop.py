@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fovisc import simloop
@@ -415,6 +415,23 @@ class TestEmpiricalBoundary:
         # the two endpoints and two bisection steps, each one run at base_momentum
         assert calls == [0.02] * 4
 
+    @pytest.mark.parametrize("n_trials, largest", [(1, 1.0), (2, 1.0), (3, 1.5), (4, 1.5), (5, 2.0)])
+    def test_one_verdict_per_candidate_at_the_largest_scale(self, monkeypatch, n_trials, largest):
+        seen, scaled = [], simloop._scaled
+
+        def recording(trace, s):
+            seen.append(s)
+            return scaled(trace, s)
+
+        monkeypatch.setattr(simloop, "_scaled", recording)
+        kern = loop_kernel(0.5)
+        analytical = float(region_scan(0.5, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
+        empirical_boundary(
+            PLANT, 0.5, 100.0, kern, (0.5 * analytical, 2.0 * analytical),
+            resolution=0.5 * analytical, n_trials=n_trials, duration=1.0,
+        )
+        assert seen == [largest] * 4
+
     @pytest.mark.parametrize("alpha", [0.25, 1.0])
     def test_scaled_trials_match_direct_runs(self, alpha):
         kern = loop_kernel(alpha)
@@ -429,6 +446,42 @@ class TestEmpiricalBoundary:
                 assert verdict == is_unstable(direct), (ratio, s)
                 verdicts.add(verdict)
         assert verdicts == {False, True}
+
+    @given(
+        alpha=st.floats(0.05, 1.0),
+        n_mem=st.sampled_from([1, 11, 101]),
+        b1=st.floats(1.0, 300.0),
+        ratio=st.floats(0.3, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        duration=st.floats(0.5, 6.0),
+        n_trials=st.integers(1, 5),
+        offset=st.floats(-0.35, 0.35),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_largest_scale_decides_the_verdict(
+        self, alpha, n_mem, b1, ratio, sign, duration, n_trials, offset
+    ):
+        # empirical_boundary's one verdict against the verdicts of every trial.
+        # The base momentum sits within 10^0.35 of the scale where the verdict
+        # of a 1e-30 N*s run turns unstable (one of is_unstable's absolute
+        # thresholds), so the trials straddle it.
+        kern = build_kernel(alpha, n_mem, T)
+        k1 = ratio * float(region_scan(alpha, kern, PLANT.damping, [b1], k1_max=1e9).k1[0])
+        ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kern)
+        unit = simulate(PLANT, ve, Impulse(momentum=sign * 1e-30), duration)
+
+        def unstable(log_scale):
+            return is_unstable(simloop._scaled(unit, 10.0**log_scale))
+
+        lo, hi = 0.0, 42.0
+        assume(not unstable(lo) and unstable(hi))
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
+        base = hi + offset
+        scales = simloop._MOMENTUM_SCALES[:n_trials]
+        any_trial = any(unstable(base + math.log10(s)) for s in scales)
+        assert unstable(base + math.log10(max(scales))) == any_trial
 
     def test_scaled_trial_is_cut_where_the_direct_run_diverges(self):
         kern = loop_kernel(1.0)
