@@ -32,9 +32,10 @@ _CSV_BLOCK_ROWS = 4096
 
 # Upper limits of the count flags, checked before anything is sized by them:
 # far past any plot's resolution, and small enough that a run stays within
-# memory.  An even-N region step holds --steps x 2048 complex f values.
+# memory and time (an even-N region step evaluates --steps x 2048 f values).
 _MAX_POINTS = 10**6  # sweep/reduce --points, bound --grid-points
 _MAX_STEPS = 10**4  # region --steps
+_MAX_N = 10**6  # --n of every subcommand: a kernel holds N+1 weights
 
 
 def _f12(x: float) -> float:
@@ -238,9 +239,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             kern,
             (lo, hi),
             resolution=args.resolution,
-            n_trials=args.trials,
             duration=args.duration,
-            base_momentum=args.momentum,
+            momentum=args.momentum,
         )
         _write_json(
             args,
@@ -329,9 +329,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     else:
         proto = fitting.RelaxationProtocol(x0=args.x0, duration=args.duration)
-    exp = fitting.synth_experiment(
-        params, kern, proto, noise_sd=args.noise, seed=args.seed, average_16=args.avg16
-    )
+    exp = fitting.synth_experiment(params, kern, proto, noise_sd=args.noise, seed=args.seed)
     _write_csv(args, ["time_s", "value"], [exp.time, exp.values])
     return EXIT_OK
 
@@ -357,9 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--json", action="store_true")
-    grp.add_argument("--csv", action="store_true", help="CSV output (default)")
+    p.add_argument("--json", action="store_true", help="JSON output (default CSV)")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_coeffs)
 
@@ -406,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k1-lo", type=float, default=None)
     p.add_argument("--k1-hi", type=float, default=None)
     p.add_argument("--resolution", type=float, default=0.1)
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--momentum", type=float, default=0.01, help="impulse momentum [N*s]")
+    p.add_argument("--momentum", type=float, default=0.02, help="boundary impulse momentum [N*s]")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -431,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("creep", "relaxation"), required=True)
     p.add_argument("--noise", type=float, default=0.0, help="additive noise sd")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--avg16", action="store_true", help="emulate 16-trial averaging")
     p.add_argument("--f-hold", type=float, default=3.0)
     p.add_argument("--t-hold", type=float, default=3.0)
     p.add_argument("--f-recover", type=float, default=0.5)
@@ -465,6 +459,8 @@ def dispatch(argv: list[str]) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE
     try:
+        if getattr(args, "n", 0) > _MAX_N:
+            raise ValueError(f"--n must be at most {_MAX_N}, got {args.n}")
         return args.handler(args)
     except ValueError as exc:
         print(f"fovisc: error: {exc}", file=sys.stderr)

@@ -175,11 +175,9 @@ def synth_experiment(
     protocol: CreepProtocol | RelaxationProtocol,
     noise_sd: float = 0.0,
     seed: int | None = None,
-    average_16: bool = False,
 ) -> ExperimentData:
     """Model output under a protocol, optionally with additive Gaussian noise.
 
-    average_16 emulates averaging 16 repeated trials (noise scaled by 1/4).
     A creep record is refused when the force law has no stable inverse: its
     creep filter has a pole outside the unit circle, so the record diverges.
     """
@@ -192,8 +190,7 @@ def synth_experiment(
     if noise_sd < 0.0:
         raise ValueError("noise_sd must be nonnegative")
     if noise_sd > 0.0:
-        sd = noise_sd / 4.0 if average_16 else noise_sd
-        values = values + np.random.default_rng(seed).normal(0.0, sd, size=values.size)
+        values = values + np.random.default_rng(seed).normal(0.0, noise_sd, size=values.size)
     return ExperimentData(kind=kind, time=t, values=values, stimulus=protocol)
 
 

@@ -235,15 +235,16 @@ def _s_conj_infinite(omegas, t_samp: float, alpha: float):
     return (1.0 - np.exp(-1j * np.asarray(omegas, dtype=float) * t_samp)) ** alpha
 
 
-def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np.ndarray:
+def _s_conj_values(kernel: GLKernel, omegas: np.ndarray) -> np.ndarray:
     """Vector of sum_k c_k e^{-ik w T} over frequencies omegas.
 
     On the grid ``np.linspace(0, pi/T, G + 1)[1:]`` (G >= 2) this is the real FFT
     of the coefficients folded mod 2G (e^{-ik w T} has period 2G in k there);
-    elsewhere it is the direct sum, chunked to cap memory.  The direct sum is
-    a stack of one-row products, not one matrix-vector product (whose BLAS
-    blocking rounds a row differently with the rows around it): a frequency's
-    value does not depend on the other frequencies in the call.
+    elsewhere it is the direct sum.  The direct sum is a stack of one-row
+    products, not one matrix-vector product (whose BLAS blocking rounds a row
+    differently with the rows around it): a frequency's value does not depend
+    on the other frequencies in the call, so it runs in chunks of at most 256
+    frequencies and 2**22 terms, whatever N is.
     """
     omegas = np.asarray(omegas, dtype=float)
     g = omegas.size
@@ -255,6 +256,7 @@ def _s_conj_values(kernel: GLKernel, omegas: np.ndarray, chunk: int = 256) -> np
         return np.fft.rfft(folded)[1 : g + 1]
     k = np.arange(kernel.n_mem + 1, dtype=float)
     out = np.empty(omegas.shape, dtype=complex)
+    chunk = max(1, min(256, 2**22 // k.size))
     for lo in range(0, omegas.size, chunk):
         w = omegas[lo : lo + chunk]
         rows = np.exp(-1j * ((w * kernel.t_samp)[:, None] * k))[:, None, :]

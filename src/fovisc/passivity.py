@@ -176,16 +176,23 @@ def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
 
 def _grid_max(rows: _Rows, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, refine_at_most: float):
     """(omega, f) arrays at the maximum of f over the search grid whose
-    spectrum is s, one per candidate row, from one (rows x grid) pass.
+    spectrum is s, one per candidate row, from one (rows x grid) pass taken
+    in blocks of at most 2**20 values (512 rows at G = 2048).
 
     A row's grid maximum at most refine_at_most is refined by golden section
     inside its best grid cell (f oscillates under truncation, so refinement
     must stay local); the result is never below the grid maximum.
     """
-    columns = _Rows(rows.k0[:, None], rows.k1[:, None], rows.b1[:, None], rows.alpha)
-    values = _f_values(columns, kernel.t_samp, omegas, s)
-    i_best = np.argmax(values, axis=1)
-    w, f = omegas[i_best], values[np.arange(i_best.size), i_best]
+    i_best = np.empty(rows.k1.size, dtype=int)
+    f = np.empty(rows.k1.size)
+    block = max(1, 2**20 // omegas.size)
+    for lo in range(0, rows.k1.size, block):
+        part = slice(lo, lo + block)
+        columns = _Rows(rows.k0[part, None], rows.k1[part, None], rows.b1[part, None], rows.alpha)
+        values = _f_values(columns, kernel.t_samp, omegas, s)
+        i_best[part] = np.argmax(values, axis=1)
+        f[part] = values[np.arange(values.shape[0]), i_best[part]]
+    w = omegas[i_best]
     refine = ~(f > refine_at_most)
     if refine.any():
         i = i_best[refine]

@@ -28,6 +28,9 @@ simulate runs the loop over the whole record at once: one recursive pass of
 1/(Pd*den + Pn*num), whose output filtered by den and by num gives position
 and rendered force, one refinement pass of the same filter (see simulate),
 and the velocity recursion above as a first-order filter.
+
+empirical_boundary bisects the branch stiffness K1 for the largest stable
+loop, one such run under an impulse per candidate, judged by is_unstable.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT_MM = 1e6
-_MOMENTUM_SCALES = (1.0, 0.5, 1.5, 0.75, 2.0)  # impulse trials of empirical_boundary
 # verdict thresholds: energy drift [N*mm], envelope growth ratio, envelope floor [mm]
 _DRIFT_TOL = 1e-6
 _GROWTH_FACTOR = 1.05
@@ -343,30 +345,6 @@ def is_unstable(trace: SimTrace) -> bool:
     return last > _ENVELOPE_FLOOR and last > _GROWTH_FACTOR * ref
 
 
-def _scaled(trace: SimTrace, s: float) -> SimTrace:
-    """The run of the same loop under an impulse s times as large.
-
-    The loop is linear and starts at rest, so position, velocity and forces
-    scale by s and the port energy by s^2.  The scaled run is cut, and
-    flagged diverged, where simulate would cut it: at the first sample with
-    |s*x| > 1e6 mm or s*x not finite.
-    """
-    x = s * trace.position
-    over = np.flatnonzero(~(np.abs(x) <= DIVERGENCE_LIMIT_MM))
-    n = int(over[0]) + 1 if over.size else x.size
-    return SimTrace(
-        t=trace.t[:n],
-        position=x[:n],
-        velocity=s * trace.velocity[:n],
-        force=s * trace.force[:n],
-        force_cmd=s * trace.force_cmd[:n],
-        energy=(s * s) * trace.energy[:n],
-        t_samp=trace.t_samp,
-        excite_end=trace.excite_end,
-        diverged=trace.diverged or bool(over.size),
-    )
-
-
 def empirical_boundary(
     plant: PlantParams,
     alpha: float,
@@ -374,41 +352,30 @@ def empirical_boundary(
     kernel: GLKernel,
     k1_range: tuple[float, float],
     resolution: float = 0.1,
-    n_trials: int = 5,
     duration: float = 10.0,
-    base_momentum: float = 0.01,
+    momentum: float = 0.02,
 ) -> float:
     """Largest branch stiffness the simulated loop tolerates (k0 = 0).
 
-    Impulse trials at `n_trials` momenta give the per-candidate verdict (any
-    unstable trial condemns the candidate); the K1 axis is then bisected
-    down to `resolution` [N/mm], which must be positive.  At most five
-    trials are defined: `base_momentum` (nonzero and finite; its sign is
-    free) times 1, 0.5, 1.5, 0.75 and 2.  The loop is linear and starts at
-    rest, so each candidate runs one simulation, at `base_momentum`, and
-    reads the trials from it as exact scalings (see _scaled).  is_unstable's
-    ratio tests are scale-free and its absolute thresholds (the divergence
-    cut, the drift and envelope floors) are crossed first by the larger
-    impulse, so the trial at the largest scale decides for all of them.  The
-    supplied range must bracket the boundary: stable at the low end,
+    Each K1 candidate is one run under an impulse of `momentum` [N*s]
+    (nonzero and finite; its sign is free), judged by is_unstable; the K1
+    axis is bisected down to `resolution` [N/mm], which must be positive.
+    The supplied range must bracket the boundary: stable at the low end,
     unstable at the high end.
     """
     _check_order(alpha, kernel)
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    if n_trials not in range(1, len(_MOMENTUM_SCALES) + 1):
-        raise ValueError(f"n_trials must lie in 1..{len(_MOMENTUM_SCALES)}, got {n_trials}")
-    if not (math.isfinite(base_momentum) and base_momentum != 0.0):
-        raise ValueError(f"base_momentum must be nonzero and finite, got {base_momentum}")
+    if not (math.isfinite(momentum) and momentum != 0.0):
+        raise ValueError(f"momentum must be nonzero and finite, got {momentum}")
     lo, hi = float(k1_range[0]), float(k1_range[1])
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < k1_lo < k1_hi, got {k1_range}")
-    scale = max(_MOMENTUM_SCALES[: int(n_trials)])
+    kick = Impulse(momentum=float(momentum))
 
     def unstable(k1: float) -> bool:
         ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kernel)
-        unit = simulate(plant, ve, Impulse(momentum=float(base_momentum)), duration)
-        return is_unstable(_scaled(unit, scale))
+        return is_unstable(simulate(plant, ve, kick, duration))
 
     if unstable(lo):
         raise ValueError(f"k1 range does not bracket the boundary: {lo} is already unstable")

@@ -284,7 +284,6 @@ def test_criterion_08_simulated_stability_boundary():
             kern,
             (0.6 * analytical, 1.7 * analytical),
             resolution=0.1,
-            n_trials=5,
             duration=10.0,
         )
         ratios[alpha] = k1_star / analytical

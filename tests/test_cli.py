@@ -5,6 +5,7 @@ import ast
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -164,6 +165,28 @@ class TestDegenerateSizes:
         err = capsys.readouterr().err
         assert f"{flag} must be at most {limit}, got 100000000000" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--alpha", "0.5", "--t", "0.001"],
+            ["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5"],
+            ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2"],
+            ["sweep", "--what", "f", "--k1", "1", "--b1", "1", "--alpha", "0.5"],
+            ["simulate", "--k1", "1"],
+            ["fit", "--relax", "absent.csv"],
+            ["synth", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--protocol", "relaxation"],
+            ["reduce", "--kind", "fo_kv", "--k1", "1", "--b1", "1", "--alpha", "0.5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_memory_length_above_its_limit_is_refused(self, tmp_path, capsys, argv):
+        # a kernel of 1e11 weights would need ~800 GB: refused before any is built
+        out = tmp_path / "out"
+        assert dispatch([*argv, "--n", "100000000000", "-o", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--n must be at most 1000000, got 100000000000" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("n_mem", ["100", "101"])
     def test_bound_refuses_nan_plant_damping(self, tmp_path, capsys, n_mem):
         # "b_plant": NaN is not JSON, and nan compares false against every bound
@@ -270,7 +293,7 @@ class TestSimulate:
         out = tmp_path / "k.json"
         code = dispatch(
             ["simulate", "--boundary", "--alpha", "1.0", "--b1", "100", "--n", "101",
-             "--t", "0.001", "--duration", "4", "--trials", "1", "--resolution", "0.2",
+             "--t", "0.001", "--duration", "4", "--momentum", "0.01", "--resolution", "0.2",
              "-o", str(out)]
         )
         assert code == 0
@@ -310,8 +333,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flags, match",
         [
-            (["--trials", "0"], "n_trials"),
-            (["--trials", "7"], "n_trials"),
+            (["--resolution", "inf"], "resolution"),
+            (["--momentum=-inf"], "momentum"),
             (["--resolution", "0"], "resolution"),
             (["--resolution", "-1"], "resolution"),
             (["--resolution", "nan"], "resolution"),
@@ -575,10 +598,10 @@ def _reduce_table(kind):
     return table
 
 
-def _synth_table(protocol, noise_sd=0.0, seed=0, average_16=False):
+def _synth_table(protocol, noise_sd=0.0, seed=0):
     def table():
         params, kern = FoSlsParams(-2.89, 5.7, 5.89, 0.203), build_kernel(0.203, 101, T)
-        exp = fitting.synth_experiment(params, kern, protocol, noise_sd, seed, average_16)
+        exp = fitting.synth_experiment(params, kern, protocol, noise_sd, seed)
         return ["time_s", "value"], list(zip(exp.time, exp.values)), None
 
     return table
@@ -616,8 +639,8 @@ CSV_CASES = {
         _synth_table(fitting.CreepProtocol()),
     ),
     "synth-relaxation-noise": (
-        f"synth {' '.join(MATERIAL)} --protocol relaxation --noise 0.01 --seed 3 --avg16",
-        _synth_table(fitting.RelaxationProtocol(), 0.01, 3, True),
+        f"synth {' '.join(MATERIAL)} --protocol relaxation --noise 0.0025 --seed 3",
+        _synth_table(fitting.RelaxationProtocol(), 0.0025, 3),
     ),
     "simulate-impulse": (
         "simulate --k1 2 --b1 100 --alpha 0.5 --excite impulse:0.01 --duration 10",
@@ -728,6 +751,22 @@ class TestColdStart:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
+
+
+class TestReadme:
+    def test_every_command_line_of_the_readme_runs(self, tmp_path, monkeypatch, capsys):
+        # the documented commands, run in a scratch directory in their order
+        # (fit reads what the synth lines write), must keep working as written
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            blocks = fh.read().split("```bash\n")[1:]
+        lines = [ln for block in blocks for ln in block.split("```")[0].splitlines()]
+        commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("fovisc ")]
+        assert len(commands) >= 10
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert dispatch(argv) == 0, argv
+            assert "Traceback" not in capsys.readouterr().err
 
 
 class TestLibraryBoundary:

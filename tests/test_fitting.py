@@ -68,17 +68,12 @@ class TestSynth:
         b = synth_experiment(MATERIAL_N101, kern, CreepProtocol(), noise_sd=0.0, seed=5)
         assert np.array_equal(a.values, b.values)
 
-    def test_averaging_flag_quarters_the_noise(self):
+    def test_noise_has_the_requested_sd(self):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
-        raw = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(), noise_sd=0.4, seed=1)
-        avg = synth_experiment(
-            MATERIAL_N101, kern, RelaxationProtocol(), noise_sd=0.4, seed=1, average_16=True
-        )
         clean = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol())
-        sd_raw = float(np.std(raw.values - clean.values))
-        sd_avg = float(np.std(avg.values - clean.values))
-        assert sd_raw == pytest.approx(0.4, rel=0.1)
-        assert sd_avg == pytest.approx(0.1, rel=0.1)
+        for sd in (0.4, 0.1):
+            noisy = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(), noise_sd=sd, seed=1)
+            assert float(np.std(noisy.values - clean.values)) == pytest.approx(sd, rel=0.1)
 
     def test_relaxation_decays_after_peak(self):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
@@ -135,13 +130,18 @@ class TestPassiveParams:
 
 
 def central_jacobian(residuals, theta, h=1e-4):
-    """Fourth-order central differences of the residual, column by column, at
-    the widest step h/10^k whose matrix agrees with the next step's to 5e-7 of
-    its largest entry (half the bound the Jacobian is held to).
+    """Fourth-order central differences of the residual, each column at the
+    widest step h/10^k at which it agrees with the next step's column to 5e-7
+    of that step's largest matrix entry (half the bound the Jacobian is held to).
 
     A step wider than the distance to a singular point of the residual (a
     creep filter with its zero on the unit circle) straddles it, and the
     differences miss by most of the matrix; steps below that distance agree.
+    That distance differs between columns.  At slack = 2*b_plant/T the law's
+    Nyquist value K0 + branch is 0 whatever K1, B1 and alpha are, so only
+    the slack moves the zero off z = -1; at B1 = e, N = 1 the slack column
+    first agrees at 1e-9, where the roundoff in the other columns is already
+    ~1e-5 of the matrix.
     """
 
     def at(h):
@@ -155,11 +155,15 @@ def central_jacobian(residuals, theta, h=1e-4):
         return np.column_stack(cols)
 
     wide = at(h)
+    ref, done = np.empty_like(wide), np.zeros(theta.size, dtype=bool)
     while h > 1e-10:
         h /= 10.0
         narrow = at(h)
-        if np.max(np.abs(wide - narrow)) <= 5e-7 * np.max(np.abs(narrow)):
-            return wide
+        agree = np.max(np.abs(wide - narrow), axis=0) <= 5e-7 * np.max(np.abs(narrow))
+        ref[:, agree & ~done] = wide[:, agree & ~done]
+        done |= agree
+        if done.all():
+            return ref
         wide = narrow
     raise AssertionError("no two steps of the reference differences agree")
 
@@ -183,6 +187,9 @@ class TestJacobian:
         slack=5.0, log_k1=0.0, log_b1=0.0, u=50.0, n_mem=1, kinds=("creep", "relaxation"),
         f_hold=0.0, t_hold=0.15,
     )
+    # B1 = e moves that zero ~2.7x faster with the slack: the slack column
+    # agrees only at steps where the other columns are roundoff
+    @example(slack=5.0, log_k1=0.0, log_b1=1.0, u=50.0, n_mem=1, kinds=("creep",), f_hold=3.0, t_hold=0.6)
     def test_matches_central_differences(self, slack, log_k1, log_b1, u, n_mem, kinds, f_hold, t_hold):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         protocols = {

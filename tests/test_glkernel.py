@@ -291,11 +291,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s_of_omega(k, 1.01 * k.nyquist)
 
-    @pytest.mark.parametrize("n_mem, count", [(10, 300), (100, 300), (10001, 37)])
+    @pytest.mark.parametrize("n_mem, count", [(10, 300), (100, 300), (10001, 37), (65535, 70)])
     def test_batch_equals_scalar_calls_off_the_grid(self, n_mem, count):
         # a frequency's value must not depend on the other frequencies in the
         # call: off the FFT grid each one is its own row product (300 spans a
-        # chunk boundary)
+        # chunk boundary: 256 frequencies, or 64 at N = 65535)
         k = build_kernel(0.43, n_mem, 0.001)
         params = FoSlsParams(k0=0.7, k1=3.0, b1=1.5, alpha=0.43)
         omegas = np.random.default_rng(n_mem).uniform(0.0, k.nyquist, count)

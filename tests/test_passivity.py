@@ -538,6 +538,29 @@ class TestRegionScan:
         kern = build_kernel(alpha, 2 * half_n, T)
         self.scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, k1_max, resolution, 256)
 
+    def test_even_memory_pass_holds_at_most_2_20_values(self, monkeypatch):
+        # one (columns x grid) pass of 2,000 columns at G = 2048 peaked at
+        # 186 MB, so the pass runs in blocks of 512 rows; blocks change no value
+        shapes = []
+        f_values = passivity._f_values
+
+        def recording(params, t_samp, omegas, s):
+            shapes.append(np.broadcast_shapes(np.shape(params.k1), np.shape(omegas)))
+            return f_values(params, t_samp, omegas, s)
+
+        monkeypatch.setattr(passivity, "_f_values", recording)
+        kern = build_kernel(0.5, 100, T)
+        b1_grid = np.linspace(0.05, 2.0, 2000)
+        region = region_scan(0.5, kern, 0.0025, b1_grid, 1000.0, resolution=100.0)
+        passes = [shape for shape in shapes if len(shape) == 2]
+        assert (512, 2048) in passes
+        assert max(rows * g for rows, g in passes) <= 2**20
+        pieces = [
+            region_scan(0.5, kern, 0.0025, b1_grid[lo : lo + 400], 1000.0, resolution=100.0).k1
+            for lo in range(0, b1_grid.size, 400)
+        ]
+        assert np.array_equal(np.concatenate(pieces), region.k1)
+
     def test_even_memory_spectrum_computed_once(self, monkeypatch):
         sizes = []
         spectrum = passivity._s_conj_values

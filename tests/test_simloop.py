@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fovisc import simloop
@@ -344,10 +344,27 @@ class TestEmpiricalBoundary:
             kern,
             (0.6 * analytical, 1.7 * analytical),
             resolution=0.1,
-            n_trials=2,
             duration=8.0,
+            momentum=0.01,
         )
         assert abs(k1_star - analytical) / analytical < 0.10
+
+    @pytest.mark.parametrize(
+        "alpha, k1_star",
+        [
+            (0.25, 5.234438624105367),
+            (0.5, 5.083808314144482),
+            (0.75, 5.020370565029752),
+            (1.0, 4.843871096777419),
+        ],
+    )
+    def test_default_search_keeps_its_boundaries(self, alpha, k1_star):
+        # `simulate --boundary --b1 100` at four orders: its bracket of 0.5 and
+        # 2 times the analytical boundary, and the default impulse and duration
+        kern = loop_kernel(alpha)
+        analytical = float(region_scan(alpha, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
+        bracket = (0.5 * analytical, 2.0 * analytical)
+        assert empirical_boundary(PLANT, alpha, 100.0, kern, bracket) == k1_star
 
     def test_no_bracket_errors(self):
         alpha, b1 = 0.5, 100.0
@@ -356,12 +373,12 @@ class TestEmpiricalBoundary:
         with pytest.raises(ValueError, match="still stable"):
             empirical_boundary(
                 PLANT, alpha, b1, kern, (0.3 * analytical, 0.6 * analytical),
-                n_trials=1, duration=4.0,
+                duration=4.0, momentum=0.01,
             )
         with pytest.raises(ValueError, match="already unstable"):
             empirical_boundary(
                 PLANT, alpha, b1, kern, (2.0 * analytical, 4.0 * analytical),
-                n_trials=1, duration=4.0,
+                duration=4.0, momentum=0.01,
             )
 
     def test_reference_loop_gives_the_same_boundary(self, monkeypatch):
@@ -369,7 +386,7 @@ class TestEmpiricalBoundary:
         kern = loop_kernel(alpha)
         analytical = float(region_scan(alpha, kern, PLANT.damping, [b1], k1_max=1e9).k1[0])
         args = (PLANT, alpha, b1, kern, (0.6 * analytical, 1.7 * analytical))
-        kw = dict(resolution=0.1, n_trials=2, duration=4.0)
+        kw = dict(resolution=0.1, duration=4.0, momentum=0.01)
         k1_star = empirical_boundary(*args, **kw)
         monkeypatch.setattr(simloop, "simulate", reference_simulate)
         assert empirical_boundary(*args, **kw) == k1_star
@@ -381,13 +398,13 @@ class TestEmpiricalBoundary:
             (dict(resolution=-1.0), "resolution"),
             (dict(resolution=math.nan), "resolution"),
             (dict(resolution=math.inf), "resolution"),
-            (dict(n_trials=0), "n_trials"),
-            (dict(n_trials=6), "n_trials"),
-            (dict(n_trials=7), "n_trials"),
-            (dict(base_momentum=0.0), "momentum"),
-            (dict(base_momentum=math.nan), "momentum"),
-            (dict(base_momentum=math.inf), "momentum"),
-            (dict(base_momentum=-math.inf), "momentum"),
+            (dict(resolution=-math.inf), "resolution"),
+            (dict(momentum=-0.0), "momentum"),
+            (dict(momentum=-math.nan), "momentum"),
+            (dict(momentum=0.0), "momentum"),
+            (dict(momentum=math.nan), "momentum"),
+            (dict(momentum=math.inf), "momentum"),
+            (dict(momentum=-math.inf), "momentum"),
         ],
     )
     def test_search_settings_are_checked_before_simulating(self, monkeypatch, kw, match):
@@ -410,97 +427,10 @@ class TestEmpiricalBoundary:
         analytical = float(region_scan(0.5, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
         empirical_boundary(
             PLANT, 0.5, 100.0, kern, (0.5 * analytical, 2.0 * analytical),
-            resolution=0.5 * analytical, n_trials=5, duration=1.0, base_momentum=0.02,
+            resolution=0.5 * analytical, duration=1.0, momentum=-0.03,
         )
-        # the two endpoints and two bisection steps, each one run at base_momentum
-        assert calls == [0.02] * 4
-
-    @pytest.mark.parametrize("n_trials, largest", [(1, 1.0), (2, 1.0), (3, 1.5), (4, 1.5), (5, 2.0)])
-    def test_one_verdict_per_candidate_at_the_largest_scale(self, monkeypatch, n_trials, largest):
-        seen, scaled = [], simloop._scaled
-
-        def recording(trace, s):
-            seen.append(s)
-            return scaled(trace, s)
-
-        monkeypatch.setattr(simloop, "_scaled", recording)
-        kern = loop_kernel(0.5)
-        analytical = float(region_scan(0.5, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
-        empirical_boundary(
-            PLANT, 0.5, 100.0, kern, (0.5 * analytical, 2.0 * analytical),
-            resolution=0.5 * analytical, n_trials=n_trials, duration=1.0,
-        )
-        assert seen == [largest] * 4
-
-    @pytest.mark.parametrize("alpha", [0.25, 1.0])
-    def test_scaled_trials_match_direct_runs(self, alpha):
-        kern = loop_kernel(alpha)
-        analytical = float(region_scan(alpha, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
-        verdicts = set()
-        for ratio in (0.6, 0.95, 1.1, 1.6):
-            ve = DiscreteVE(FoSlsParams(k0=0.0, k1=ratio * analytical, b1=100.0, alpha=alpha), kern)
-            unit = simulate(PLANT, ve, Impulse(momentum=-0.01), 3.0)
-            for s in simloop._MOMENTUM_SCALES:
-                direct = simulate(PLANT, ve, Impulse(momentum=-0.01 * s), 3.0)
-                verdict = is_unstable(simloop._scaled(unit, s))
-                assert verdict == is_unstable(direct), (ratio, s)
-                verdicts.add(verdict)
-        assert verdicts == {False, True}
-
-    @given(
-        alpha=st.floats(0.05, 1.0),
-        n_mem=st.sampled_from([1, 11, 101]),
-        b1=st.floats(1.0, 300.0),
-        ratio=st.floats(0.3, 3.0),
-        sign=st.sampled_from([-1.0, 1.0]),
-        duration=st.floats(0.5, 6.0),
-        n_trials=st.integers(1, 5),
-        offset=st.floats(-0.35, 0.35),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_largest_scale_decides_the_verdict(
-        self, alpha, n_mem, b1, ratio, sign, duration, n_trials, offset
-    ):
-        # empirical_boundary's one verdict against the verdicts of every trial.
-        # The base momentum sits within 10^0.35 of the scale where the verdict
-        # of a 1e-30 N*s run turns unstable (one of is_unstable's absolute
-        # thresholds), so the trials straddle it.
-        kern = build_kernel(alpha, n_mem, T)
-        k1 = ratio * float(region_scan(alpha, kern, PLANT.damping, [b1], k1_max=1e9).k1[0])
-        ve = DiscreteVE(FoSlsParams(k0=0.0, k1=k1, b1=b1, alpha=alpha), kern)
-        unit = simulate(PLANT, ve, Impulse(momentum=sign * 1e-30), duration)
-
-        def unstable(log_scale):
-            return is_unstable(simloop._scaled(unit, 10.0**log_scale))
-
-        lo, hi = 0.0, 42.0
-        assume(not unstable(lo) and unstable(hi))
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if unstable(mid) else (mid, hi)
-        base = hi + offset
-        scales = simloop._MOMENTUM_SCALES[:n_trials]
-        any_trial = any(unstable(base + math.log10(s)) for s in scales)
-        assert unstable(base + math.log10(max(scales))) == any_trial
-
-    def test_scaled_trial_is_cut_where_the_direct_run_diverges(self):
-        kern = loop_kernel(1.0)
-        analytical = float(region_scan(1.0, kern, PLANT.damping, [100.0], k1_max=1e9).k1[0])
-        ve = DiscreteVE(FoSlsParams(k0=0.0, k1=1.6 * analytical, b1=100.0, alpha=1.0), kern)
-        peak = float(np.max(np.abs(simulate(PLANT, ve, Impulse(momentum=0.01), 1.0).position)))
-        # a unit momentum whose run peaks at 0.8e6 mm: the 0.5x and 0.75x
-        # trials stay under the divergence limit, the 1.5x and 2x trials cross it
-        j0 = 0.01 * 0.8 * simloop.DIVERGENCE_LIMIT_MM / peak
-        unit = simulate(PLANT, ve, Impulse(momentum=j0), 1.0)
-        assert not unit.diverged
-        for s in simloop._MOMENTUM_SCALES:
-            scaled = simloop._scaled(unit, s)
-            direct = simulate(PLANT, ve, Impulse(momentum=j0 * s), 1.0)
-            assert scaled.diverged == direct.diverged == (s > 1.0)
-            assert scaled.t.size == direct.t.size
-            np.testing.assert_allclose(scaled.position, direct.position, rtol=1e-9, atol=1e-12 * peak)
-            np.testing.assert_allclose(scaled.energy, direct.energy, rtol=1e-9, atol=1e-9)
-            assert is_unstable(scaled) == is_unstable(direct)
+        # the two endpoints and two bisection steps, each one run at momentum
+        assert calls == [-0.03] * 4
 
     def test_undamped_plant_has_no_passive_margin(self):
         # with zero plant damping any rendered stiffness is active, so the
@@ -508,7 +438,7 @@ class TestEmpiricalBoundary:
         plant0 = PlantParams(mass=7.34e-5, damping=0.0)
         kern = loop_kernel(0.5)
         with pytest.raises(ValueError, match="already unstable"):
-            empirical_boundary(plant0, 0.5, 100.0, kern, (0.5, 10.0), n_trials=1, duration=6.0)
+            empirical_boundary(plant0, 0.5, 100.0, kern, (0.5, 10.0), duration=6.0, momentum=0.01)
 
 
 class TestPlantIdent:
