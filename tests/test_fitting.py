@@ -141,7 +141,7 @@ def central_jacobian(residuals, theta, h=1e-4):
     Nyquist value K0 + branch is 0 whatever K1, B1 and alpha are, so only
     the slack moves the zero off z = -1; at B1 = e, N = 1 the slack column
     first agrees at 1e-9, where the roundoff in the other columns is already
-    ~1e-5 of the matrix.
+    ~6e-6 of the matrix.
     """
 
     def at(h):
