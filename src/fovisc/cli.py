@@ -32,7 +32,7 @@ _CSV_BLOCK_ROWS = 4096
 
 # Upper limits of the count flags, checked before anything is sized by them:
 # far past any plot's resolution, and small enough that a run stays within
-# memory and time (an even-N region step evaluates --steps x 2048 f values).
+# memory and time (an even-N region pass takes --steps x 2048 roots).
 _MAX_POINTS = 10**6  # sweep/reduce --points, bound --grid-points
 _MAX_STEPS = 10**4  # region --steps
 _MAX_N = 10**6  # --n of every subcommand: a kernel holds N+1 weights
@@ -179,9 +179,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     with np.errstate(invalid="ignore"):  # an infinite end gives nan columns, refused below
         b1_grid = np.linspace(args.b1_min, args.b1_max, steps)
-    region = passivity.region_scan(
-        args.alpha, kern, args.b_plant, b1_grid, args.k1_max, resolution=args.resolution
-    )
+    region = passivity.region_scan(args.alpha, kern, args.b_plant, b1_grid, args.k1_max)
     _write_csv(args, ["b1", "k1_max"], [region.b1, region.k1], comments={"feasible": region.feasible})
     return EXIT_OK
 
@@ -222,7 +220,21 @@ def _parse_excitation(spec: str) -> object:
     raise ValueError(f"unknown excitation kind {kind!r}; use impulse:J or chirp:f0,f1,span,amp")
 
 
+# simulate flags that act in one mode only, with their defaults: given in the
+# other mode, a flag exits 3 instead of being ignored and echoed
+_TRACE_FLAGS = {"k0": 0.0, "k1": 0.0, "excite": "impulse:0.01"}
+_BOUNDARY_FLAGS = {"k1_lo": None, "k1_hi": None, "resolution": 0.1, "momentum": 0.02}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    other = _TRACE_FLAGS if args.boundary else _BOUNDARY_FLAGS
+    given = ["--" + name.replace("_", "-") for name in other if getattr(args, name) is not None]
+    if given:
+        mode = "with" if args.boundary else "without"
+        raise ValueError(f"simulate {mode} --boundary takes no {', '.join(given)}")
+    for name, default in {**_TRACE_FLAGS, **_BOUNDARY_FLAGS}.items():
+        if getattr(args, name) is None:  # the config echo lists every flag
+            setattr(args, name, default)
     plant = simloop.PlantParams(mass=args.plant_m, damping=args.plant_b)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     if args.boundary:
@@ -373,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b1-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--k1-max", type=float, default=1000.0)
-    p.add_argument("--resolution", type=float, default=0.1)
     p.add_argument("--n", type=int, default=101)
     p.add_argument("--t", type=float, default=0.001)
     _add_output_flags(p)
@@ -390,19 +401,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="run the sampled loop or search its boundary")
     p.add_argument("--plant-m", type=float, default=7.34e-5, help="plant mass [N*s^2/mm]")
     p.add_argument("--plant-b", type=float, default=0.0025, help="plant damping [N*s/mm]")
-    p.add_argument("--k0", type=float, default=0.0)
-    p.add_argument("--k1", type=float, default=0.0, help="0 disables the rendered law")
+    p.add_argument("--k0", type=float, help="trace only (default 0)")
+    p.add_argument("--k1", type=float, help="trace only (default 0, which disables the rendered law)")
     p.add_argument("--b1", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--n", type=int, default=101)
     p.add_argument("--t", type=float, default=0.001)
-    p.add_argument("--excite", default="impulse:0.01", help="impulse:J | chirp:f0,f1,span,amp | none")
+    p.add_argument("--excite", help="trace only: impulse:J | chirp:f0,f1,span,amp | none (impulse:0.01)")
     p.add_argument("--duration", type=float, default=10.0)
     p.add_argument("--boundary", action="store_true", help="bisect the largest stable K1 instead")
-    p.add_argument("--k1-lo", type=float, default=None)
-    p.add_argument("--k1-hi", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.02, help="boundary impulse momentum [N*s]")
+    p.add_argument("--k1-lo", type=float, help="boundary only (default 0.5x the analytical K1)")
+    p.add_argument("--k1-hi", type=float, help="boundary only (default 2x the analytical K1)")
+    p.add_argument("--resolution", type=float, help="boundary only (default 0.1)")
+    p.add_argument("--momentum", type=float, help="boundary only: impulse momentum [N*s] (default 0.02)")
     _add_output_flags(p)
     p.set_defaults(handler=cmd_simulate)
 

@@ -15,16 +15,16 @@ classical reductions are the same value of their reduced impedance.  Even memory
 maximum into the interior, so they are always resolved by grid search plus
 local refinement, never by the Nyquist shortcut.
 
-The even-N search runs over arrays of candidates, one (k0, k1, b1) per row,
-each row taking the arithmetic of a search for it alone: max_passivity is
-the one-row case, region_scan a row per damping column.
+At k0 = 0 and a fixed frequency, f = b is a quadratic in K1, so the even-N
+region inverts the bound per frequency: a column's boundary is the smallest
+positive root over the band, located on the grid and refined by the same
+golden section that refines the maximum of f.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,26 +72,8 @@ class PassivityResult:
     margin_ok: bool | None = None
 
 
-class _Rows(NamedTuple):
-    """Candidate parameter sets at one order, one per row: k0, k1 and b1 are
-    equal-length 1-D arrays.  _f_values reads them as it reads FoSlsParams."""
-
-    k0: np.ndarray
-    k1: np.ndarray
-    b1: np.ndarray
-    alpha: float
-
-    @classmethod
-    def of(cls, params: FoSlsParams) -> "_Rows":
-        return cls(np.array([params.k0]), np.array([params.k1]), np.array([params.b1]), params.alpha)
-
-    def take(self, rows) -> "_Rows":
-        return _Rows(self.k0[rows], self.k1[rows], self.b1[rows], self.alpha)
-
-
 def _f_values(params, T: float, omegas: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """f(w) at frequencies in (0, pi/T] whose spectrum is s, for FoSlsParams or
-    _Rows whose fields broadcast against omegas."""
+    """f(w) at frequencies in (0, pi/T] whose spectrum is s."""
     th = omegas * T
     h = _reduced_impedance("fo_sls", params, T, s)
     lead = 1.0 - np.exp(-1j * th)
@@ -129,31 +111,27 @@ def _margin_ok(b_plant: float | None, b_min: float) -> bool | None:
     return None if b_plant is None else bool(b_plant > b_min)
 
 
-def _f_points(rows: _Rows, kernel: GLKernel, omegas: np.ndarray) -> np.ndarray:
-    """f of each candidate row at its own frequency."""
-    return _f_values(rows, kernel.t_samp, omegas, _s_conj_values(kernel, omegas))
+def _golden_max(value, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """(x, value) arrays at the golden-section maximum of value(rows, x), one
+    per row on its own bracket [lo, hi]; value maps an index array of rows and
+    one abscissa per row to their values.
 
-
-def _golden_max(rows: _Rows, kernel: GLKernel, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """(omega, f) arrays at the golden-section maximum of f, one per candidate
-    row on its own bracket [lo, hi].
-
-    The rows step together, one f evaluation each per step; a row leaves once
+    The rows step together, one evaluation each per step; a row leaves once
     its own bracket is at most tol wide, so it takes exactly the steps of a
     search run for it alone.
     """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = _f_points(rows, kernel, c), _f_points(rows, kernel, d)
+    live = np.arange(lo.size)
+    fc, fd = value(live, c), value(live, d)
     a_end, b_end = np.empty_like(lo), np.empty_like(hi)
-    live, sub, span = np.arange(lo.size), rows, b - a
+    span = b - a
     while live.size:
         go = span > tol
         if not go.all():
             a_end[live[~go]], b_end[live[~go]] = a[~go], b[~go]
             live, a, b, c, d, fc, fd, span = (v[go] for v in (live, a, b, c, d, fc, fd, span))
-            sub = sub.take(go)
             continue
         up = fc < fd  # the maximum lies in [c, b]: a moves up to c, else b down to d
         a, b = np.where(up, c, a), np.where(up, b, d)
@@ -161,10 +139,17 @@ def _golden_max(rows: _Rows, kernel: GLKernel, lo: np.ndarray, hi: np.ndarray, t
         step = _GOLDEN * span
         x = np.where(up, a + step, b - step)  # the new d where a moved, else the new c
         c, d = np.where(up, d, x), np.where(up, x, c)
-        f_new = _f_points(sub, kernel, x)
+        f_new = value(live, x)
         fc, fd = np.where(up, fd, f_new), np.where(up, f_new, fc)
     x = 0.5 * (a_end + b_end)
-    return x, _f_points(rows, kernel, x)
+    return x, value(np.arange(lo.size), x)
+
+
+def _cell(omegas: np.ndarray, i) -> tuple:
+    """The two grid cells around grid index i as a bracket, and its golden-section tolerance."""
+    lo = omegas[np.maximum(i - 1, 0)]
+    hi = omegas[np.minimum(i + 1, omegas.size - 1)]
+    return lo, hi, (omegas[1] - omegas[0]) * 1e-6
 
 
 def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
@@ -172,38 +157,6 @@ def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
     if grid_points < 256:
         raise ValueError(f"grid_points must be at least 256, got {grid_points}")
     return np.linspace(0.0, kernel.nyquist, grid_points + 1)[1:]
-
-
-def _grid_max(rows: _Rows, kernel: GLKernel, omegas: np.ndarray, s: np.ndarray, refine_at_most: float):
-    """(omega, f) arrays at the maximum of f over the search grid whose
-    spectrum is s, one per candidate row, from one (rows x grid) pass taken
-    in blocks of at most 2**20 values (512 rows at G = 2048).
-
-    A row's grid maximum at most refine_at_most is refined by golden section
-    inside its best grid cell (f oscillates under truncation, so refinement
-    must stay local); the result is never below the grid maximum.
-    """
-    i_best = np.empty(rows.k1.size, dtype=int)
-    f = np.empty(rows.k1.size)
-    block = max(1, 2**20 // omegas.size)
-    for lo in range(0, rows.k1.size, block):
-        part = slice(lo, lo + block)
-        columns = _Rows(rows.k0[part, None], rows.k1[part, None], rows.b1[part, None], rows.alpha)
-        values = _f_values(columns, kernel.t_samp, omegas, s)
-        i_best[part] = np.argmax(values, axis=1)
-        f[part] = values[np.arange(values.shape[0]), i_best[part]]
-    w = omegas[i_best]
-    refine = ~(f > refine_at_most)
-    if refine.any():
-        i = i_best[refine]
-        lo = omegas[np.maximum(i - 1, 0)]
-        hi = omegas[np.minimum(i + 1, omegas.size - 1)]
-        tol = (omegas[1] - omegas[0]) * 1e-6
-        w_star, f_star = _golden_max(rows.take(refine), kernel, lo, hi, tol)
-        keep = f_star < f[refine]
-        w[refine] = np.where(keep, w[refine], w_star)
-        f[refine] = np.where(keep, f[refine], f_star)
-    return w, f
 
 
 def max_passivity(
@@ -217,12 +170,19 @@ def max_passivity(
     """
     _check_order(params.alpha, kernel)
     omegas = _grid(kernel, grid_points)
-    s = _s_conj_values(kernel, omegas)
+    values = _f_values(params, kernel.t_samp, omegas, _s_conj_values(kernel, omegas))
+    i = int(np.argmax(values))
     if kernel.n_mem % 2 == 0:
-        w_star, f_star = _grid_max(_Rows.of(params), kernel, omegas, s, math.inf)
-        b_min = float(f_star[0])
-        return PassivityResult(b_min, float(w_star[0]), "grid", _margin_ok(b_plant, b_min))
-    f_grid = float(_grid_max(_Rows.of(params), kernel, omegas, s, -math.inf)[1][0])
+        w, b_min = float(omegas[i]), float(values[i])
+        # f oscillates under truncation, so refinement stays inside the best grid cell
+        w_star, f_star = _golden_max(
+            lambda _, x: _f_values(params, kernel.t_samp, x, _s_conj_values(kernel, x)),
+            *_cell(omegas, np.array([i])),
+        )
+        if not f_star[0] < b_min:
+            w, b_min = float(w_star[0]), float(f_star[0])
+        return PassivityResult(b_min, w, "grid", _margin_ok(b_plant, b_min))
+    f_grid = float(values[i])
     f_nyq = _nyquist_bound("fo_sls", params, kernel)
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
@@ -285,53 +245,82 @@ class RegionBoundary:
     feasible: bool
 
 
+def _boundary_k1(b1, alpha: float, t_samp: float, b_plant: float, omegas, s) -> np.ndarray:
+    """Smallest K1 > 0 with f = b_plant at k0 = 0, per b1 and frequency in
+    (0, pi/T] whose spectrum is s, broadcast together; inf if there is none.
+
+    With D = S/T^a and w = T(1 - e^{-i wT}) / (2(1 - cos wT)), whose real part
+    is T/2 and imaginary part (T/2) cot(wT/2), f = Re{w B1 D K1 / (K1 + B1 D)};
+    in kappa = K1/B1 and lam = b/B1, f = b reads
+
+        (Re(wD) - lam) kappa^2 + (|D|^2 T/2 - 2 lam Re D) kappa - lam |D|^2 = 0.
+
+    Its roots are taken free of cancellation: 2 lam |D|^2 / (beta + sqrt(disc))
+    for a positive linear coefficient beta, else (sqrt(disc) - beta) / (2a)
+    for a positive leading one a; with neither, no root is positive.
+    """
+    d = s / t_samp**alpha
+    half = t_samp / 2.0
+    m = d.real**2 + d.imag**2
+    lam = b_plant / b1
+    a = half * (d.real - d.imag / np.tan(omegas * t_samp / 2.0)) - lam
+    c = lam * m
+    beta = half * m - 2.0 * lam * d.real
+    # in place from here, so that a block holds few (columns x grid) arrays at once
+    disc = 4.0 * a
+    disc *= c
+    disc += beta * beta
+    real = (disc >= 0.0) & ((beta > 0.0) | (a > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.sqrt(disc, out=disc)
+        c *= 2.0
+        c /= beta + kappa
+        kappa -= beta
+        kappa /= 2.0 * a
+    np.copyto(kappa, c, where=beta > 0.0)
+    kappa[~real] = np.inf
+    kappa *= b1
+    return kappa
+
+
 def region_scan(
     alpha: float,
     kernel: GLKernel,
     b_plant: float,
     b1_grid,
     k1_max: float,
-    resolution: float = 0.1,
     grid_points: int = 2048,
 ) -> RegionBoundary:
     """Boundary of the admissible (B1, K1) region at k0 = 0.
 
-    Odd memory length inverts the closed form exactly; even memory length
-    bisects the grid-search bound down to `resolution` [N/mm].  resolution,
-    k1_max and the b1 values must be positive and finite, resolution at least
-    the float spacing at k1_max, and b_plant not nan.
-
-    The even-N bisection runs all uncapped columns in lock-step.  A step is
-    one (columns x grid) pass on the grid spectrum, which does not depend on
-    (K1, B1) and is computed once per call, plus one golden-section
-    refinement of the candidates whose grid maximum does not already exceed
-    the plant damping.  Each column keeps its own bracket and stops at its
-    own resolution (a rounded midpoint can leave one bracket an ulp wider
-    than another), so it returns exactly what a bisection of it alone returns.
+    Odd memory length inverts the closed form exactly.  Even memory length
+    inverts f = b_plant per frequency (see _boundary_k1): a column's boundary
+    is the smallest positive root over the band.  One (columns x grid) pass
+    over the grid spectrum, computed once per call and taken in blocks of at
+    most 2**20 values (512 columns at G = 2048), finds each column's least
+    grid root; a golden section on the root curve inside that grid cell,
+    all columns stepping together, refines it, and the column keeps the
+    smaller of the two, reported one part in 1e12 below it.  Up to that K1
+    no grid or refined frequency has f above b_plant.  Columns whose
+    boundary is at or past k1_max are capped.  k1_max and the b1 values must
+    be positive and finite, and b_plant not nan.
     """
     _check_order(alpha, kernel)
     if not (math.isfinite(k1_max) and k1_max > 0.0):
         raise ValueError(f"k1_max must be positive and finite, got {k1_max}")
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    if resolution < math.ulp(k1_max):
-        # a bracket stops halving one float spacing wide, so the bisection would never end
-        raise ValueError(
-            f"resolution {resolution} is below the float spacing {math.ulp(k1_max)} at k1_max"
-        )
     b1_grid = np.asarray(list(b1_grid), dtype=float)
     bad = b1_grid[~(np.isfinite(b1_grid) & (b1_grid > 0.0))]
     if bad.size:
         raise ValueError(f"b1 grid values must be positive and finite, got {bad[0]}")
-    k1 = np.zeros(b1_grid.size)
-    capped = np.zeros(b1_grid.size, dtype=bool)
     if not _margin_ok(b_plant, 0.0):
         # bound -> 0+ as K1 -> 0+, so a nonpositive budget admits nothing
+        k1, capped = np.zeros(b1_grid.size), np.zeros(b1_grid.size, dtype=bool)
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=False)
 
+    T = kernel.t_samp
     if kernel.n_mem % 2 == 1:
         # the bound rises with K1 toward sup; below it, invert for K1
-        T, dp, t_a = kernel.t_samp, delta_p(kernel), kernel.t_samp**alpha
+        dp, t_a = delta_p(kernel), T**alpha
         sup = (T / 2.0) * b1_grid * dp / t_a
         with np.errstate(divide="ignore", invalid="ignore"):
             inverse = 2.0 * b_plant * b1_grid * dp / (T * b1_grid * dp - 2.0 * b_plant * t_a)
@@ -341,23 +330,22 @@ def region_scan(
 
     omegas = _grid(kernel, grid_points)
     s = _s_conj_values(kernel, omegas)
+    i_best = np.empty(b1_grid.size, dtype=int)
+    k1 = np.empty(b1_grid.size)
+    block = max(1, 2**20 // omegas.size)
+    for start in range(0, b1_grid.size, block):
+        part = slice(start, start + block)
+        roots = _boundary_k1(b1_grid[part, None], alpha, T, b_plant, omegas, s)
+        i_best[part] = np.argmin(roots, axis=1)
+        k1[part] = roots[np.arange(roots.shape[0]), i_best[part]]
+    cols = np.flatnonzero(np.isfinite(k1))  # a column with no grid root is refined nowhere
 
-    def admissible(cols: np.ndarray, k1_vals: np.ndarray) -> np.ndarray:
-        rows = _Rows(np.zeros(cols.size), k1_vals, b1_grid[cols], alpha)
-        return _grid_max(rows, kernel, omegas, s, b_plant)[1] <= b_plant
+    def neg_root(rows, x):
+        return -_boundary_k1(b1_grid[cols[rows]], alpha, T, b_plant, x, _s_conj_values(kernel, x))
 
-    cols = np.arange(b1_grid.size)
-    capped = admissible(cols, np.full(cols.size, k1_max))
-    k1 = np.where(capped, k1_max, 0.0)
-    cols = cols[~capped]
-    lo, hi = np.zeros(cols.size), np.full(cols.size, k1_max)
-    while cols.size:
-        done = ~(hi - lo > resolution)
-        if done.any():
-            k1[cols[done]] = lo[done]
-            cols, lo, hi = cols[~done], lo[~done], hi[~done]
-            continue
-        mid = 0.5 * (lo + hi)
-        ok = admissible(cols, mid)
-        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    k1[cols] = np.minimum(k1[cols], -_golden_max(neg_root, *_cell(omegas, i_best[cols]))[1])
+    capped = ~(k1 < k1_max)
+    # f at a root is b_plant only up to its roundoff, on either side: one part
+    # in 1e12 below the root, f is below b_plant
+    k1 = np.where(capped, k1_max, k1 * (1.0 - 1e-12))
     return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)

@@ -198,29 +198,6 @@ class TestDegenerateSizes:
         err = capsys.readouterr().err
         assert "plant damping must be a number, got nan" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("resolution", ["0", "-0.1", "nan"])
-    def test_region_resolution_must_be_positive(self, tmp_path, capsys, resolution):
-        # at an even N the bisection runs down to the resolution: at 0 it never ended
-        out = tmp_path / "r.csv"
-        argv = ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.1", "--b1-max", "1",
-                "--steps", "2", "--n", "100", "--resolution", resolution, "-o", str(out)]
-        assert dispatch(argv) == 3
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert f"resolution must be positive and finite, got {float(resolution)}" in err
-        assert "Traceback" not in err
-
-    def test_region_resolution_below_the_float_spacing_is_refused(self, tmp_path, capsys):
-        # a bracket one float spacing wide no longer halves: at an even N the
-        # bisection down to 1e-300 never ended
-        out = tmp_path / "r.csv"
-        argv = ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.1", "--b1-max", "1",
-                "--steps", "2", "--n", "100", "--resolution", "1e-300", "-o", str(out)]
-        assert dispatch(argv) == 3
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "resolution 1e-300 is below the float spacing" in err and "Traceback" not in err
-
     @pytest.mark.parametrize("n_mem", ["100", "101"])
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -349,6 +326,39 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert match in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--boundary", "--alpha", "1", "--b1", "100", "--k0", "7", "--k1", "3",
+              "--excite", "chirp:1,2,3,4", "--duration", "2"],
+             "simulate with --boundary takes no --k0, --k1, --excite"),
+            (["simulate", "--k1", "2", "--b1", "100", "--momentum", "5", "--duration", "0.01"],
+             "simulate without --boundary takes no --momentum"),
+            (["simulate", "--k1", "2", "--b1", "100", "--k1-lo", "1", "--k1-hi", "3", "--resolution", "0.1",
+              "--duration", "0.01"],
+             "simulate without --boundary takes no --k1-lo, --k1-hi, --resolution"),
+        ],
+        ids=["boundary", "trace-momentum", "trace-search"],
+    )
+    def test_a_flag_of_the_other_mode_is_refused(self, tmp_path, capsys, argv, message):
+        # these exited 0, echoed the flags and ran as if none were given
+        out = tmp_path / "out"
+        assert dispatch([*argv, "-o", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_even_memory_analytical_boundary_puts_the_bound_on_the_plant_damping(self, tmp_path):
+        # at even N the analytical K1 is the inverted bound, not a bisection of it
+        out = tmp_path / "k.json"
+        argv = ["simulate", "--boundary", "--alpha", "0.5", "--b1", "100", "--n", "100",
+                "--plant-b", "0.0025", "--duration", "2", "--resolution", "1", "-o", str(out)]
+        assert dispatch(argv) == 0
+        k1 = json.loads(out.read_text())["analytical_k1"]
+        kern = build_kernel(0.5, 100, 0.001)
+        b_min = passivity.max_passivity(FoSlsParams(0.0, k1, 100.0, 0.5), kern).b_min
+        assert b_min == pytest.approx(0.0025, rel=1e-9)
 
 
 class TestSynthFitRoundtrip:

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,21 +138,29 @@ class TestMaxPassivity:
 
     def test_rows_refined_together_end_as_rows_refined_alone(self):
         # at alpha 0.5, N = 10 some maxima sit in the last grid cell and some
-        # inside, so the lock-step golden section carries brackets of two widths
-        # that stop at different steps
+        # inside, so a golden section of many rows (as region_scan runs one on
+        # its columns) carries brackets of two widths that stop at different
+        # steps; each row must end where the one-row search of max_passivity ends
         kern = build_kernel(0.5, 10, T)
         grid = 256
         omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
-        b1, k1 = np.meshgrid([0.001, 0.01, 0.05, 0.4, 2.0], [0.01, 0.1, 1.0, 10.0])
-        rows = passivity._Rows(np.zeros(b1.size), k1.ravel(), b1.ravel(), 0.5)
-        w, f = passivity._grid_max(rows, kern, omegas, passivity._s_conj_values(kern, omegas), math.inf)
-        cells = set()
-        for j in range(b1.size):
-            params = FoSlsParams(0.0, float(rows.k1[j]), float(rows.b1[j]), 0.5)
-            cells.add(int(np.argmax(passivity_function(params, kern, omegas))) == grid - 1)
-            alone = max_passivity(params, kern, grid)
-            assert (w[j], f[j]) == (alone.omega_star, alone.b_min)
-        assert cells == {True, False}
+        b1, k1 = (v.ravel() for v in np.meshgrid([0.001, 0.01, 0.05, 0.4, 2.0], [0.01, 0.1, 1.0, 10.0]))
+        params = [FoSlsParams(0.0, float(k), float(b), 0.5) for k, b in zip(k1, b1)]
+        values = [passivity_function(p, kern, omegas) for p in params]
+        i_best = np.array([int(np.argmax(v)) for v in values])
+
+        def f(rows, x):
+            columns = SimpleNamespace(k0=0.0, k1=k1[rows], b1=b1[rows], alpha=0.5)
+            return passivity._f_values(columns, T, x, passivity._s_conj_values(kern, x))
+
+        lo, hi = omegas[np.maximum(i_best - 1, 0)], omegas[np.minimum(i_best + 1, grid - 1)]
+        w, f_star = passivity._golden_max(f, lo, hi, (omegas[1] - omegas[0]) * 1e-6)
+        for j, p in enumerate(params):
+            i = i_best[j]
+            together = (omegas[i], values[j][i]) if f_star[j] < values[j][i] else (w[j], f_star[j])
+            alone = max_passivity(p, kern, grid)
+            assert together == (alone.omega_star, alone.b_min)
+        assert set(i_best == grid - 1) == {True, False}
 
     def test_long_memory_surrogate_is_monotone(self):
         kern = build_kernel(0.5, 10001, T)
@@ -463,7 +472,7 @@ class TestRegionScan:
     def test_even_memory_grid_path(self):
         kern = build_kernel(0.5, 100, T)
         b = 0.0025
-        region = region_scan(0.5, kern, b, [100.0], k1_max=50.0, resolution=0.05, grid_points=1024)
+        region = region_scan(0.5, kern, b, [100.0], k1_max=50.0, grid_points=1024)
         k1 = float(region.k1[0])
         assert max_passivity(FoSlsParams(0.0, k1, 100.0, 0.5), kern, 1024).b_min <= b
         assert max_passivity(FoSlsParams(0.0, k1 + 0.06, 100.0, 0.5), kern, 1024).b_min > b
@@ -474,9 +483,10 @@ class TestRegionScan:
 
     @staticmethod
     def scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, k1_max, resolution, grid):
-        """region_scan, required to return exactly what a plain bisection on
-        max_passivity returns for each column alone."""
-        region = region_scan(alpha, kern, b_plant, b1_grid, k1_max, resolution, grid)
+        """region_scan against a plain bisection on max_passivity per column
+        down to resolution: a column the bisection caps is capped, and any
+        other column's k1 lies in its final bracket [lo, hi], hi - lo <= resolution."""
+        region = region_scan(alpha, kern, b_plant, b1_grid, k1_max, grid)
         for b1, k1, capped in zip(b1_grid, region.k1, region.capped):
 
             def bound(k1_val):
@@ -489,7 +499,7 @@ class TestRegionScan:
             while hi - lo > resolution:
                 mid = 0.5 * (lo + hi)
                 lo, hi = (mid, hi) if bound(mid) <= b_plant else (lo, mid)
-            assert (k1, capped) == (lo, False)
+            assert not capped and lo <= k1 <= hi
         return region
 
     @pytest.mark.parametrize(
@@ -500,14 +510,13 @@ class TestRegionScan:
             pytest.param(0.8, 200, 0.0015, 1024, FIVE_COLUMNS, id="0.8-200-0.0015-1024"),
             pytest.param(0.5, 100, 0.0025, 2048, np.linspace(0.05, 2.0, 40).tolist(), id="bench-40-columns"),
             pytest.param(1.0, 100, 0.0025, 256, FIVE_COLUMNS, id="last-grid-cell"),
-            # refinements that step last-cell and interior brackets, of two widths, together
+            # refinements of last-cell and interior brackets, of two widths, together
             pytest.param(0.5, 10, 0.004, 256, [0.01, 0.05, 0.4, 2.0], id="mixed-cells"),
         ],
     )
     def test_even_memory_matches_reference_bisection(self, alpha, n_mem, b_plant, grid, b1_grid):
-        # the scan bisects all columns in lock-step, shares one grid spectrum and
-        # skips refinement of candidates already refused on the grid; the answer
-        # must be exactly that of a plain bisection on max_passivity per column
+        # the scan inverts the bound per frequency and refines the least root
+        # of all columns together; the bisection it replaced is the oracle
         kern = build_kernel(alpha, n_mem, T)
         region = self.scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, 1000.0, 0.1, grid)
         assert any(region.capped) and not all(region.capped)
@@ -518,9 +527,10 @@ class TestRegionScan:
                 assert int(np.argmax(f)) == grid - 1
 
     def test_each_column_stops_at_its_own_resolution(self):
-        # from [0, 102.4] a bracket is 0.1 wide after ten halvings where every
-        # midpoint was exact, and a rounded midpoint leaves it wider, so
-        # columns bisected together stop after 10 or 11 steps
+        # from [0, 102.4] an oracle bracket is 0.1 wide after ten halvings
+        # where every midpoint was exact, and a rounded midpoint leaves it
+        # wider, so the oracle stops after 10 or 11 steps per column: each
+        # column's boundary lies in its own final bracket
         kern = build_kernel(0.5, 100, T)
         b1_grid = np.linspace(0.05, 2.0, 40)[::3]
         self.scan_against_reference_bisection(0.5, kern, 0.0025, b1_grid, 102.4, 0.1, 256)
@@ -538,25 +548,50 @@ class TestRegionScan:
         kern = build_kernel(alpha, 2 * half_n, T)
         self.scan_against_reference_bisection(alpha, kern, b_plant, b1_grid, k1_max, resolution, 256)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        alpha=st.floats(0.02, 1.0),
+        half_n=st.integers(0, 150),
+        b1=st.floats(1e-3, 20.0),
+        b_plant=st.floats(5e-4, 0.01),
+    )
+    def test_even_memory_boundary_is_the_admissible_set(self, alpha, half_n, b1, b_plant):
+        # the admissible K1 of a column is [0, k1]: k1 passes on a grid four
+        # times finer than the scan's, a step past it fails, and K1 below it
+        # passes (a second positive root at some frequency would break this)
+        kern = build_kernel(alpha, 2 * half_n, T)
+        grid, k1_max = 2048, 1000.0
+        region = region_scan(alpha, kern, b_plant, [b1], k1_max, grid)
+        k1 = float(region.k1[0])
+
+        def bound(k1_val):
+            return max_passivity(FoSlsParams(0.0, k1_val, b1, alpha), kern, 4 * grid).b_min
+
+        assert bound(k1) <= b_plant * (1.0 + 1e-12)
+        if not region.capped[0]:
+            assert bound(k1 * (1.0 + 1e-6)) > b_plant
+        for fraction in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
+            assert bound(fraction * k1) <= b_plant
+
     def test_even_memory_pass_holds_at_most_2_20_values(self, monkeypatch):
         # one (columns x grid) pass of 2,000 columns at G = 2048 peaked at
         # 186 MB, so the pass runs in blocks of 512 rows; blocks change no value
         shapes = []
-        f_values = passivity._f_values
+        boundary_k1 = passivity._boundary_k1
 
-        def recording(params, t_samp, omegas, s):
-            shapes.append(np.broadcast_shapes(np.shape(params.k1), np.shape(omegas)))
-            return f_values(params, t_samp, omegas, s)
+        def recording(b1, alpha, t_samp, b_plant, omegas, s):
+            shapes.append(np.broadcast_shapes(np.shape(b1), np.shape(omegas)))
+            return boundary_k1(b1, alpha, t_samp, b_plant, omegas, s)
 
-        monkeypatch.setattr(passivity, "_f_values", recording)
+        monkeypatch.setattr(passivity, "_boundary_k1", recording)
         kern = build_kernel(0.5, 100, T)
         b1_grid = np.linspace(0.05, 2.0, 2000)
-        region = region_scan(0.5, kern, 0.0025, b1_grid, 1000.0, resolution=100.0)
+        region = region_scan(0.5, kern, 0.0025, b1_grid, 1000.0)
         passes = [shape for shape in shapes if len(shape) == 2]
         assert (512, 2048) in passes
         assert max(rows * g for rows, g in passes) <= 2**20
         pieces = [
-            region_scan(0.5, kern, 0.0025, b1_grid[lo : lo + 400], 1000.0, resolution=100.0).k1
+            region_scan(0.5, kern, 0.0025, b1_grid[lo : lo + 400], 1000.0).k1
             for lo in range(0, b1_grid.size, 400)
         ]
         assert np.array_equal(np.concatenate(pieces), region.k1)
