@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -100,10 +101,24 @@ def _write_gnuplot(csv_path: str, header: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _non_finite(value, key: str) -> list[str]:
+    """Keys (dotted) of the NaN and infinite floats in a JSON payload."""
+    if isinstance(value, dict):
+        return [bad for k, v in value.items() for bad in _non_finite(v, f"{key}.{k}" if key else k)]
+    if isinstance(value, (list, tuple)):
+        return [bad for v in value for bad in _non_finite(v, key)]
+    return [key] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
+    """Write strict JSON, refusing NaN and inf before the output is opened."""
     payload = {"config": _config_echo(args), **payload}
+    bad = _non_finite(payload, "")
+    if bad:
+        raise ValueError(f"{', '.join(dict.fromkeys(bad))} not finite: JSON has no NaN or inf")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _output(args) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:

@@ -12,27 +12,33 @@ its parameters, so an equation-error estimate at each order of a fixed grid
 gives a candidate, and the one whose forward records fit best starts one
 trust-region-reflective least-squares solve (box bounds kept exactly) on
 the residuals of all experiments, each scaled by its NRMSE scale.  The
+candidates are scored best-first by equation error, and one whose leading
+samples already fit worse than the best so far is dropped there.  The
 Jacobian is exact: the record sensitivities of ``models``, built from the
 forward records the residual has just computed, chained through the passive
-map.  An evaluation is one residual or one Jacobian; the budget caps the
-solve's.  The returned set is re-verified against the bound afterwards.
+map.  An evaluation is one residual, one Jacobian or one scored candidate,
+stopped early or not; the budget caps the solve's.  The returned set is
+re-verified against the bound afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
 from .models import (
     FoSlsParams,
+    _creep_filter,
     _creep_force,
     _creep_sensitivities,
     _fir,
     _law_filter,
+    _lfilter,
     _poles_outside,
+    _relaxation_filter,
     _relaxation_sensitivities,
     creep_response,
     relaxation_response,
@@ -64,10 +70,20 @@ _BOUNDS = np.array([[0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX], [2.0 * _K0_BOX, _LOG_B
 # Orders at which the start is estimated from the records
 _START_ALPHAS = np.linspace(0.02, 1.0, 50)
 
+# Samples of a record in a candidate's first scored block; each next block is twice as long
+_FIRST_BLOCK = 128
+
 # Cap on a single residual.  Unstable creep inverse filters and undefined
 # predictions land on it; a record that touches it gives zero Jacobian rows,
 # so the matrix handed to the SVD stays finite.
 _WALL = 1e3
+
+
+def _check_finite(obj) -> None:
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,9 @@ class CreepProtocol:
     f_recover: float = 0.5  # N
     t_recover: float = 3.0  # s
 
+    def __post_init__(self):
+        _check_finite(self)
+
 
 @dataclass(frozen=True)
 class RelaxationProtocol:
@@ -86,6 +105,9 @@ class RelaxationProtocol:
 
     x0: float = 5.0  # mm
     duration: float = 3.0  # s
+
+    def __post_init__(self):
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -139,6 +161,8 @@ class FitConfig:
     max_evals: int = 20000  # residual plus Jacobian evaluations
 
     def __post_init__(self):
+        if not (0.0 <= self.b_plant < math.inf):  # as simloop.PlantParams requires
+            raise ValueError(f"plant damping b_plant must be finite and nonnegative, got {self.b_plant}")
         if self.max_evals < 2:  # one residual and one Jacobian
             raise ValueError("max_evals must be at least 2")
 
@@ -149,7 +173,8 @@ def nrmse(predicted, measured) -> float:
     measured = np.asarray(measured, dtype=float)
     if predicted.shape != measured.shape or measured.size < 2:
         raise ValueError("series must have equal length >= 2")
-    return float(np.sqrt(np.mean((predicted - measured) ** 2))) / _scale(measured)
+    with np.errstate(over="ignore"):  # an overflowing prediction has an infinite error
+        return float(np.sqrt(np.mean((predicted - measured) ** 2))) / _scale(measured)
 
 
 def _scale(measured: np.ndarray) -> float:
@@ -181,14 +206,14 @@ def synth_experiment(
     A creep record is refused when the force law has no stable inverse: its
     creep filter has a pole outside the unit circle, so the record diverges.
     """
+    if not (0.0 <= noise_sd < math.inf):
+        raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     t, values = _response(params, kernel, protocol)
     kind = "creep" if isinstance(protocol, CreepProtocol) else "relaxation"
     unstable = kind == "creep" and _poles_outside(_law_filter(params, kernel)[0])
     if unstable:
         msg = f"the force law's inverse has {unstable} pole(s) outside the unit circle"
         raise ValueError(f"the creep record diverges: {msg}")
-    if noise_sd < 0.0:
-        raise ValueError("noise_sd must be nonnegative")
     if noise_sd > 0.0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sd, size=values.size)
     return ExperimentData(kind=kind, time=t, values=values, stimulus=protocol)
@@ -237,8 +262,22 @@ def _passive_map_jacobian(theta, params: FoSlsParams, kern: GLKernel, dc: np.nda
     ])
 
 
+def _record_filter(params: FoSlsParams, kernel, exp: ExperimentData):
+    """(b, a, input, offset) of a record's prediction offset + lfilter(b, a, input),
+    the protocol's input cut to the record's length (the filter is causal)."""
+    s = exp.stimulus
+    if exp.kind == "relaxation":
+        b, a, u, offset = _relaxation_filter(params, kernel, s.x0, s.duration)
+    else:
+        b, a, u, offset = _creep_filter(params, kernel, s.f_hold, s.t_hold, s.f_recover, s.t_recover)
+    if u.size < exp.values.size:  # a length that depends only on the protocol and T
+        raise ValueError(f"{exp.kind} protocol shorter than the measured record")
+    return b, a, u[: exp.values.size], offset
+
+
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
-    return _response(params, kernel, exp.stimulus)[1][: exp.values.size]
+    b, a, u, offset = _record_filter(params, kernel, exp)
+    return offset + _lfilter(b, a, u)
 
 
 def _sensitivities(params: FoSlsParams, kernel, dc, exp: ExperimentData, pred) -> np.ndarray:
@@ -250,12 +289,19 @@ def _sensitivities(params: FoSlsParams, kernel, dc, exp: ExperimentData, pred) -
 
 
 def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig):
-    """(residuals, jacobian) in theta of the weighted residuals of all records.
+    """(residuals, jacobian, score) in theta of the weighted residuals of all records.
 
     The Jacobian reuses the forward records of the last residual evaluation,
     which is where trust-region-reflective asks for it; at any other theta it
     evaluates the residual first.  A record whose residuals touch the wall,
     or whose sensitivities are not finite, gives zero rows.
+
+    score(theta, best) is float(np.sum(residuals(theta) ** 2)), bit for bit,
+    or inf once a leading part of the records sums past best*(1 + 2n*eps):
+    a computed sum of n nonnegative terms is within a relative (n-1)*eps/2 of
+    the exact one, so the complete sum would have exceeded best.  The
+    records run through their filters in growing blocks, the filter state
+    carried, which gives the samples of one pass.
     """
     t_samp = experiments[0].t_samp
     measured = np.concatenate([exp.values for exp in experiments])
@@ -264,24 +310,55 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
     weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
     edges = np.cumsum([0] + [e.values.size for e in experiments])
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    rounding = 1.0 + 2.0 * measured.size * np.finfo(float).eps
     last = {}
+
+    def model(theta):
+        params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
+        return params, kern, [_record_filter(params, kern, exp) for exp in experiments]
+
+    def weigh(r: np.ndarray, part: slice, pred: np.ndarray) -> None:
+        """r[part] = the weighted residuals of pred, NaN and beyond the wall put on it."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(pred, measured[part], out=r[part])
+            r[part] *= weight[part]
+        np.fmax(np.fmin(r[part], _WALL, out=r[part]), -_WALL, out=r[part])  # fmin takes NaN to the wall
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         r = np.empty(measured.size)
         last.update(theta=np.array(theta, dtype=float), r=r, model=None)
         try:
-            params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
+            params, kern, filters = model(theta)
             with np.errstate(over="ignore", invalid="ignore"):
-                preds = [_predict(params, kern, exp) for exp in experiments]
-                for block, pred in zip(blocks, preds):
-                    np.subtract(pred, measured[block], out=r[block])
-                r *= weight
+                preds = [offset + _lfilter(b, a, u) for b, a, u, offset in filters]
         except ValueError:  # e.g. zero instantaneous stiffness: creep has no inverse
             r.fill(_WALL)
             return r
+        for block, pred in zip(blocks, preds):
+            weigh(r, block, pred)
         last["model"] = params, kern, preds
-        np.nan_to_num(r, copy=False, nan=_WALL)
-        return np.clip(r, -_WALL, _WALL, out=r)
+        return r
+
+    def score(theta: np.ndarray, best: float) -> float:
+        r = np.full(measured.size, _WALL)
+        try:
+            filters = model(theta)[2]
+        except ValueError:
+            filters = []
+        prefix = 0.0
+        for (b, a, u, offset), block in zip(filters, blocks):
+            state = np.zeros(a.size - 1)
+            lo, size = 0, _FIRST_BLOCK
+            while lo < u.size:
+                part = slice(block.start + lo, block.start + min(lo + size, u.size))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y, state = _lfilter(b, a, u[lo : lo + size], state)
+                    weigh(r, part, offset + y)
+                prefix += float(np.sum(r[part] ** 2))
+                if prefix > best * rounding:
+                    return math.inf
+                lo, size = lo + size, 2 * size
+        return float(np.sum(r**2))
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, last.get("theta")):
@@ -301,7 +378,7 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
                 jac[:, block] = rows
         return jac.T
 
-    return residuals, jacobian
+    return residuals, jacobian, score
 
 
 def least_squares(*args, **kwargs):
@@ -313,30 +390,58 @@ def least_squares(*args, **kwargs):
 
 
 def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config: FitConfig) -> list:
-    """Start thetas from the records' own law: one per order of _START_ALPHAS
-    that gives K1 > 0, B1 > 0 and K0 inside the box, K0 taken as slack below its cap.
+    """(theta, equation error) of each order of _START_ALPHAS that gives
+    K1 > 0, B1 > 0 and K0 inside the box, K0 taken as slack below its cap.
 
     Once alpha fixes the weights c, den*F = num*x (models._law_filter) is linear
     in (a, b, p, q) = lambda*(s, K1, (K0+K1)*s, K0*K1).  The smallest right
     singular vector of [c*F, F, -c*x, -x], stacked over the records (each over
     its scale) with normalized columns, is the equation-error (ARX) estimate of
-    Ljung, System Identification (1999), step one of Steiglitz-McBride (1965).
+    Ljung, System Identification (1999), step one of Steiglitz-McBride (1965),
+    and its singular value the equation error.  Both come from the 4x4 R of
+    the matrix's QR.  Only the measured series is convolved with c: the known
+    stimulus (the held x0, the two-level force) is a sum of steps, and c
+    filters a unit step into the cumulative sums of c.
     """
     t_samp = experiments[0].t_samp
-    series = []  # (F, x) of each record, over the record's scale
-    for exp in experiments:
-        m, s, scale = exp.values.size, exp.stimulus, _scale(exp.values)
-        if exp.kind == "creep":
-            f, x = _creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
+    sizes = [exp.values.size for exp in experiments]
+    edges = np.cumsum([0] + sizes)
+    columns = np.empty((edges[-1], 4), order="F")  # [c*F, F, -c*x, -x], reused at every order
+    records = []  # (creep?, rows, stimulus steps (at, height), measured series), over the record's scale
+    for exp, lo, hi in zip(experiments, edges[:-1], edges[1:]):
+        s, scale, creep = exp.stimulus, _scale(exp.values), exp.kind == "creep"
+        series = exp.values / scale
+        if creep:
+            stimulus = _creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[: hi - lo] / scale
+            columns[lo:hi, 1], columns[lo:hi, 3] = stimulus, -series
         else:
-            f, x = exp.values, np.full(m, float(s.x0))
-        series.append((f / scale, x / scale))
+            stimulus = np.full(hi - lo, float(s.x0) / scale)
+            columns[lo:hi, 1], columns[lo:hi, 3] = series, -stimulus
+        steps = np.diff(stimulus, prepend=0.0)
+        at = np.flatnonzero(steps)
+        records.append((creep, slice(lo, hi), at, steps[at], series))
+    fixed = np.sqrt(np.einsum("ij,ij->j", columns[:, 1::2], columns[:, 1::2]))  # norms of F and -x
+    columns[:, 1::2] /= fixed
+    # weights past the longest record filter nothing; each row is build_kernel's
+    i = np.arange(1.0, min(n_mem, max(sizes) - 1) + 1)
+    weights = np.ones((_START_ALPHAS.size, i.size + 1))
+    weights[:, 1:] = np.cumprod((i - _START_ALPHAS[:, None] - 1.0) / i, axis=1)
+    unit_steps = np.cumsum(weights, axis=1)
     starts = []
-    for alpha in _START_ALPHAS:
-        c = build_kernel(alpha, n_mem, t_samp).coeffs
-        rows = np.vstack([np.column_stack([_fir(c, f), f, -_fir(c, x), -x]) for f, x in series])
-        norms = np.linalg.norm(rows, axis=0)
-        a, b, p, q = np.linalg.svd(rows / norms, full_matrices=False)[2][-1] / norms
+    for alpha, c, unit_step in zip(_START_ALPHAS, weights, unit_steps):
+        step = np.full(max(sizes), unit_step[-1])
+        step[: unit_step.size] = unit_step
+        for creep, part, at, heights, series in records:
+            m = part.stop - part.start
+            filtered = np.zeros(m)  # c * stimulus
+            for j, h in zip(at, heights):
+                filtered[j:] += h * step[: m - j]
+            columns[part, 0] = filtered if creep else _fir(c, series)
+            columns[part, 2] = -_fir(c, series) if creep else -filtered
+        norms = np.sqrt([np.dot(columns[:, 0], columns[:, 0]), np.dot(columns[:, 2], columns[:, 2])])
+        columns[:, ::2] /= norms
+        singular, vectors = np.linalg.svd(np.linalg.qr(columns, mode="r"))[1:]
+        a, b, p, q = vectors[-1] / np.array([norms[0], fixed[0], norms[1], fixed[1]])
         with np.errstate(all="ignore"):  # a degenerate vector gives inf or NaN, and is skipped
             k0, k1 = q / b, p / a - q / b
             # (slack, log K1, log B1, logit alpha) with slack log(1) = 0 until the cap is known
@@ -345,8 +450,20 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
             theta = np.clip(theta, *_BOUNDS)  # alpha = 1 has logit inf: the box edge
             cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
             theta[0] = np.clip(cap - k0, *_BOUNDS[:, 0])
-            starts.append(theta)
+            starts.append((theta, float(singular[-1])))
     return starts
+
+
+def _best_start(starts: list, score) -> np.ndarray:
+    """The theta of starts (theta, equation error) that min() by score(theta,
+    inf) would pick, the earliest of equal scores: the starts are scored
+    best-first by equation error, each against the best so far."""
+    best, least = len(starts), math.inf
+    for k in sorted(range(len(starts)), key=lambda k: starts[k][1]):
+        total = score(starts[k][0], least)
+        if (total, k) < (least, best):
+            least, best = total, k
+    return starts[best][0]
 
 
 def fit(
@@ -360,6 +477,8 @@ def fit(
     start whose forward records fit best.  Every candidate, the returned one
     included, satisfies the closed-form bound at config.b_plant.  Returns the
     solve's result even when its budget runs out, with converged = False.
+    objective_evals counts the solve's residuals and Jacobians, and one per
+    scored start, whether or not its scoring stopped early.
     """
     experiments = [data] if isinstance(data, ExperimentData) else list(data)
     if not experiments:
@@ -371,14 +490,13 @@ def fit(
         if abs(exp.t_samp - t_samp) > 1e-9 * t_samp:
             raise ValueError("experiments must share one sampling period")
     probe = _passive_params(np.zeros(4), n_mem, t_samp, config.b_plant)
-    for exp in experiments:  # a prediction's length depends only on protocol and T
-        if _predict(*probe, exp).size < exp.values.size:
-            raise ValueError(f"{exp.kind} protocol shorter than the measured record")
+    for exp in experiments:  # refuses a protocol shorter than its record
+        _record_filter(*probe, exp)
 
-    residuals, jacobian = _objective(experiments, n_mem, config)
+    residuals, jacobian, score = _objective(experiments, n_mem, config)
     fallback = np.clip([probe[0].k0, 0.0, 0.0, 0.0], *_BOUNDS)  # K0 = 0, K1 = B1 = 1, alpha ~ 0.5
-    starts = _equation_error_starts(experiments, n_mem, config) or [fallback]
-    x0 = min(starts, key=lambda x: float(np.sum(residuals(x) ** 2)))
+    starts = _equation_error_starts(experiments, n_mem, config) or [(fallback, 0.0)]
+    x0 = _best_start(starts, score)
     # each step costs one residual, and each accepted one a Jacobian too; the
     # gradient test sits at roundoff, since a start near a zero residual meets 1e-8
     res = least_squares(residuals, x0, jac=jacobian, bounds=tuple(_BOUNDS), method="trf", gtol=1e-15,

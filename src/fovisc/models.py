@@ -208,17 +208,24 @@ def relaxation_response(
     instantaneous response x0*(K0 + K1*B1/(B1 + K1*T^a)); the tail settles
     toward x0 times the DC stiffness.
     """
+    b, a, x, offset = _relaxation_filter(params, kernel, x0, duration)
+    return np.arange(x.size) * kernel.t_samp, offset + _lfilter(b, a, x)
+
+
+def _relaxation_filter(params: FoSlsParams, kernel: GLKernel, x0: float, duration: float):
+    """(b, a, input, offset) of relaxation_response: force = offset + lfilter(b, a, input).
+
+    K0*x0 stays outside the filter, which keeps it exact for the fit's
+    y = F/x0 - K0.
+    """
     _check_order(params.alpha, kernel)
     if x0 == 0.0:
         raise ValueError("step displacement must be nonzero")
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     n = n_samples(duration, kernel.t_samp) + 1
-    t = np.arange(n) * kernel.t_samp
-    x = np.full(n, float(x0))
-    # K0*x outside the filter keeps it exact for the fit's y = F/x0 - K0
-    force = params.k0 * x + _lfilter(*_law_filter(replace(params, k0=0.0), kernel), x)
-    return t, force
+    num, den = _law_filter(replace(params, k0=0.0), kernel)
+    return num, den, np.full(n, float(x0)), params.k0 * float(x0)
 
 
 def creep_response(
@@ -235,13 +242,21 @@ def creep_response(
     (see _law_filter); it needs the instantaneous stiffness
     num[0]/den[0] to be nonzero.
     """
+    b, a, force, _ = _creep_filter(params, kernel, f_hold, t_hold, f_recover, t_recover)
+    return np.arange(force.size) * kernel.t_samp, _lfilter(b, a, force)
+
+
+def _creep_filter(
+    params: FoSlsParams, kernel: GLKernel, f_hold: float, t_hold: float, f_recover: float, t_recover: float
+):
+    """(b, a, input, offset) of creep_response: displacement = offset + lfilter(b, a, input),
+    with offset 0."""
     _check_order(params.alpha, kernel)
     force = _creep_force(f_hold, t_hold, f_recover, t_recover, kernel.t_samp)
-    t = np.arange(force.size) * kernel.t_samp
     num, den = _law_filter(params, kernel)
     if abs(num[0]) < 1e-300:
         raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
-    return t, _lfilter(den, num, force)
+    return den, num, force, 0.0
 
 
 def _creep_force(f_hold: float, t_hold: float, f_recover: float, t_recover: float, t_samp: float):
@@ -257,12 +272,13 @@ def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.convolve(u, h)[: u.size] if u.size else u.copy()
 
 
-def _lfilter(b, a, x):
+def _lfilter(b, a, x, zi=None):
     """scipy.signal.lfilter, imported on first use: the package takes longer to
-    import than the subcommands without a time-domain record take to run."""
+    import than the subcommands without a time-domain record take to run.
+    With a state zi it returns (output, final state), as lfilter does."""
     from scipy.signal import lfilter
 
-    return lfilter(b, a, x)
+    return lfilter(b, a, x, zi=zi)
 
 
 def _poles_outside(den: np.ndarray) -> int:

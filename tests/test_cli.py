@@ -484,6 +484,60 @@ class TestSynthFitRoundtrip:
         assert a.read_text() == b.read_text()
 
 
+MATERIAL_FLAGS = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203"]
+
+
+@pytest.fixture(scope="module")
+def short_records(tmp_path_factory):
+    """The material's 0.5 s relaxation record r.csv and creep record c.csv."""
+    d = tmp_path_factory.mktemp("short")
+    assert dispatch(["synth", *MATERIAL_FLAGS, "--protocol", "relaxation", "--duration", "0.5",
+                     "-o", str(d / "r.csv")]) == 0
+    assert dispatch(["synth", *MATERIAL_FLAGS, "--protocol", "creep", "--t-hold", "0.5", "--t-recover", "0.5",
+                     "-o", str(d / "c.csv")]) == 0
+    return d
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            # "k0 must be finite", exit 3
+            (["fit", "--relax", "{r}", "--b-plant", "nan"], "b_plant"),
+            (["fit", "--relax", "{r}", "--b-plant", "inf"], "b_plant"),
+            # exit 0 with passivity_ok true, NRMSE 1574 and K0 = -2000
+            (["fit", "--relax", "{r}", "--b-plant", "-1"], "b_plant"),
+            # "SVD did not converge", exit 3
+            (["fit", "--relax", "{r}", "--x0", "nan"], "x0"),
+            (["fit", "--creep", "{c}", "--t-hold", "0.5", "--f-hold", "nan"], "f_hold"),
+            # exit 0, and a record with no noise
+            (["synth", *MATERIAL_FLAGS, "--protocol", "relaxation", "--duration", "0.5", "--noise", "nan"],
+             "noise"),
+        ],
+        ids=["b-plant-nan", "b-plant-inf", "b-plant-negative", "x0-nan", "f-hold-nan", "noise-nan"],
+    )
+    def test_a_value_is_checked_where_it_enters(self, short_records, tmp_path, capsys, argv, quantity):
+        out = tmp_path / "out"
+        argv = [a.format(r=short_records / "r.csv", c=short_records / "c.csv") for a in argv]
+        assert dispatch([*argv, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert quantity in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_json_is_refused_and_not_written(self, short_records, tmp_path, capsys):
+        # the fit's NRMSE overflows to inf, once written as "nrmse": Infinity,
+        # which is not JSON
+        out = tmp_path / "fit.json"
+        assert dispatch(["fit", "--relax", str(short_records / "r.csv"), "--b-plant", "1e300",
+                         "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "nrmse not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestReduce:
     def test_io_kv_rows(self, tmp_path):
         out = tmp_path / "kv.csv"

@@ -1,5 +1,6 @@
 """Fit-quality metric, synthetic protocols, and constrained identification."""
 
+import argparse
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fovisc import fitting
+from fovisc import cli, fitting
 from fovisc.cli import dispatch
 from fovisc.fitting import (
     CreepProtocol,
@@ -21,7 +22,7 @@ from fovisc.fitting import (
     synth_experiment,
 )
 from fovisc.glkernel import build_kernel
-from fovisc.models import FoSlsParams, _law_filter, _poles_outside, creep_response, relaxation_response
+from fovisc.models import FoSlsParams, _law_filter, _poles_outside, creep_response
 from fovisc.passivity import bound_closed_form
 
 T = 0.001
@@ -197,7 +198,7 @@ class TestJacobian:
             "relaxation": RelaxationProtocol(duration=0.6),
         }
         data = [synth_experiment(MATERIAL_N101, kern, protocols[k]) for k in kinds]
-        residuals, jacobian = fitting._objective(data, n_mem, FitConfig())
+        residuals, jacobian, _ = fitting._objective(data, n_mem, FitConfig())
         theta = np.array([slack, log_k1, log_b1, u])
         assume(np.all(np.abs(residuals(theta)) < fitting._WALL))
         jac = jacobian(theta)
@@ -216,7 +217,7 @@ class TestJacobian:
             synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(duration=0.5)),
         ]
         n_creep = data[0].values.size
-        residuals, jacobian = fitting._objective(data, 101, FitConfig())
+        residuals, jacobian, _ = fitting._objective(data, 101, FitConfig())
         theta = np.array([3.0, 2.0, 1.0, 0.0])
         r = residuals(theta)
         assert np.any(np.abs(r[:n_creep]) == fitting._WALL)
@@ -229,11 +230,11 @@ class TestJacobian:
     def test_reuses_the_records_of_the_last_residual(self, monkeypatch):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         data = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(duration=0.5))
-        residuals, jacobian = fitting._objective([data], 101, FitConfig())
+        residuals, jacobian, _ = fitting._objective([data], 101, FitConfig())
         theta = np.array([1.0, 1.5, 1.5, -1.0])
         residuals(theta)
         expected = jacobian(theta)
-        monkeypatch.setattr(fitting, "relaxation_response", lambda *a: pytest.fail("model ran"))
+        monkeypatch.setattr(fitting, "_record_filter", lambda *a: pytest.fail("model ran"))
         assert np.array_equal(jacobian(theta.copy()), expected)
 
 
@@ -324,33 +325,34 @@ class TestFit:
     def test_evaluations_count_every_residual_within_the_budget(self, monkeypatch):
         kern = build_kernel(0.5, 51, T)
         data = synth_experiment(FoSlsParams(0.0, 1.0, 1.0, 0.5), kern, RelaxationProtocol(duration=0.5))
-        runs = []
+        runs, calls = [], {"residuals": 0, "jacobian": 0, "score": 0}
+        record_filter, objective = fitting._record_filter, fitting._objective
 
-        def counting(*args):
+        def counting_filter(*args):
             runs.append(args)
-            return relaxation_response(*args)
-
-        objective = fitting._objective
-        jacobians = []
+            return record_filter(*args)
 
         def counting_objective(*args):
-            residuals, jacobian = objective(*args)
+            def counted(name, fn):
+                def call(*a):
+                    calls[name] += 1
+                    return fn(*a)
 
-            def counted(theta):
-                jacobians.append(theta)
-                return jacobian(theta)
+                return call
 
-            return residuals, counted
+            return [counted(name, fn) for name, fn in zip(calls, objective(*args))]
 
-        monkeypatch.setattr(fitting, "relaxation_response", counting)
+        monkeypatch.setattr(fitting, "_record_filter", counting_filter)
         monkeypatch.setattr(fitting, "_objective", counting_objective)
         result = fit(data, 51, FitConfig(max_evals=40))
-        # an evaluation is a residual (one model run) or a Jacobian (none: it
-        # reuses the residual's record), the estimate's one residual per valid
-        # order included; plus the up-front length check and the final report.
-        # The budget caps the solve.
-        assert jacobians
-        assert len(runs) + len(jacobians) == result.objective_evals + 2
+        # an evaluation is a residual (one model run), a Jacobian (none: it
+        # reuses the residual's record) or a scored start (one model run, stopped
+        # early or not), one per valid order; plus the up-front length check and
+        # the final report.  The budget caps the solve.
+        starts = fitting._equation_error_starts([data], 51, FitConfig())
+        assert calls["jacobian"] and calls["score"] == len(starts) > 1
+        assert sum(calls.values()) == result.objective_evals
+        assert len(runs) + calls["jacobian"] == result.objective_evals + 2
         assert result.objective_evals <= len(fitting._START_ALPHAS) + 40
 
     def test_short_protocol_fails_before_the_search(self, monkeypatch):
@@ -375,13 +377,148 @@ class TestFit:
         for name in ("k0", "k1", "b1", "alpha"):
             assert getattr(params, name) == pytest.approx(getattr(unstable, name), rel=1e-9)
         assert _poles_outside(_law_filter(params, kern_u)[0]) > 0
-        residuals, jacobian = fitting._objective([data], 101, FitConfig())
+        residuals, jacobian, _ = fitting._objective([data], 101, FitConfig())
         r = residuals(theta)
         assert np.all(np.isfinite(r))
         assert np.any(np.abs(r) == fitting._WALL)
         with np.errstate(all="raise"):
             jac = jacobian(theta)
         assert np.all(jac == 0.0)
+
+
+def reference_starts(experiments, n_mem, config):
+    """The equation-error estimate as one SVD of the stacked m x 4 matrix per
+    order, every column of it convolved: (theta, singular values) of each
+    valid order."""
+    t_samp = experiments[0].t_samp
+    series = []
+    for exp in experiments:
+        m, s, scale = exp.values.size, exp.stimulus, fitting._scale(exp.values)
+        if exp.kind == "creep":
+            f, x = fitting._creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
+        else:
+            f, x = exp.values, np.full(m, float(s.x0))
+        series.append((f / scale, x / scale))
+    starts = []
+    for alpha in fitting._START_ALPHAS:
+        c = build_kernel(alpha, n_mem, t_samp).coeffs
+        rows = np.vstack([np.column_stack([fitting._fir(c, f), f, -fitting._fir(c, x), -x]) for f, x in series])
+        norms = np.linalg.norm(rows, axis=0)
+        _, singular, vectors = np.linalg.svd(rows / norms, full_matrices=False)
+        a, b, p, q = vectors[-1] / norms
+        with np.errstate(all="ignore"):
+            k0, k1 = q / b, p / a - q / b
+            theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - fitting._ALPHA_LO) / (1.0 - alpha)])
+        if np.all(np.isfinite(theta[1:3])) and abs(k0) <= fitting._K0_BOX:
+            theta = np.clip(theta, *fitting._BOUNDS)
+            cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
+            theta[0] = np.clip(cap - k0, *fitting._BOUNDS[:, 0])
+            starts.append((theta, singular))
+    return starts
+
+
+def scan_records(true, n_gen, kinds, csv_path=None):
+    """The generator's 1 s records at memory n_gen, read back from the CLI's
+    12-digit CSV when a path is given."""
+    kern = build_kernel(true.alpha, n_gen, T)
+    protocols = {"creep": CreepProtocol(t_hold=1.0, t_recover=1.0), "relaxation": RelaxationProtocol(duration=1.0)}
+    data = [synth_experiment(true, kern, protocols[k]) for k in kinds]
+    if csv_path is None:
+        return data
+    out = argparse.Namespace(output=str(csv_path), gnuplot=False)
+    for i, exp in enumerate(data):
+        cli._write_csv(out, ["time_s", "value"], [exp.time, exp.values])
+        data[i] = ExperimentData(exp.kind, *cli._read_series_csv(str(csv_path)), exp.stimulus)
+    return data
+
+
+def generator(slack, log_k1, log_b1, alpha):
+    return _passive_params([slack, log_k1, log_b1, order_logit(alpha)], 101, T, 0.0025)[0]
+
+
+class TestStartScan:
+    """The start scan against its references: one SVD per order for the
+    estimate, and min() over every start's complete sum for the choice."""
+
+    @given(
+        slack=st.floats(0.05, 3.0),
+        log_k1=st.floats(0.0, math.log(20.0)),
+        log_b1=st.floats(0.0, math.log(20.0)),
+        alpha=st.floats(0.05, 1.0),
+        n_gen=st.sampled_from([101, 301]),
+        kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
+        from_csv=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    @example(slack=0.1422074159314801, log_k1=0.0, log_b1=0.0, alpha=0.505, n_gen=301,
+             kinds=("creep", "relaxation"), from_csv=True)
+    def test_matches_the_references(self, tmp_path_factory, slack, log_k1, log_b1, alpha, n_gen, kinds,
+                                    from_csv):
+        # a passive generator's records at matched (101) or longer (301)
+        # memory, exact or read back from the CLI's 12-digit CSV, fit at N = 101
+        true = generator(slack, log_k1, log_b1, alpha)
+        kern = build_kernel(true.alpha, n_gen, T)
+        assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
+        path = tmp_path_factory.mktemp("scan") / "record.csv" if from_csv else None
+        data = scan_records(true, n_gen, kinds, path)
+        config = FitConfig()
+        starts = fitting._equation_error_starts(data, 101, config)
+        reference = reference_starts(data, 101, config)
+        # the same valid orders, each with the reference's smallest singular
+        # value to within a backward-stable computation's error
+        assert [theta[3] for theta, _ in starts] == [theta[3] for theta, _ in reference]
+        for (_, error), (_, singular) in zip(starts, reference):
+            assert abs(error - singular[-1]) <= 64 * np.finfo(float).eps * singular[0]
+        residuals, _, score = fitting._objective(data, 101, config)
+        sums = [float(np.sum(residuals(theta) ** 2)) for theta, _ in starts]
+        best = min(range(len(starts)), key=lambda k: sums[k])
+        assert fitting._best_start(starts, score) is starts[best][0]
+        for (theta, _), total in zip(starts, sums):
+            # the complete sum bit for bit, and a start dropped early could not have won
+            assert score(theta, math.inf) == total
+            assert score(theta, sums[best]) in (total, math.inf)
+            assert score(theta, sums[best]) == total or total > sums[best]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["criterion-10-matched", "criterion-10-51", "criterion-10-101", "criterion-10-151",
+         "recovery-trap", "recovery-near-start"],
+    )
+    def test_estimate_matches_the_svd_reference_on_fixed_records(self, tmp_path, case):
+        # criterion 10's four fits, and TestRecovery's two explicit examples
+        n_mem = int(case.rsplit("-", 1)[1]) if case[-1].isdigit() else 101
+        if case.startswith("criterion-10"):
+            kern = build_kernel(MATERIAL_N101.alpha, 101 if case.endswith("matched") else 301, T)
+            data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
+        elif case == "recovery-trap":
+            data = scan_records(generator(0.1422074159314801, 0.0, 0.0, 0.505), 101, ("creep", "relaxation"),
+                                tmp_path / "record.csv")
+        else:
+            true = generator(2.7511245335471606, 0.1397576148719802, 0.09073723733721725, 0.06920479468833954)
+            data = scan_records(true, 101, ("creep",), tmp_path / "record.csv")
+        starts = fitting._equation_error_starts(data, n_mem, FitConfig())
+        reference = reference_starts(data, n_mem, FitConfig())
+        assert [theta[3] for theta, _ in starts] == [theta[3] for theta, _ in reference]
+        for (theta, _), (want, _) in zip(starts, reference):
+            assert np.max(np.abs(theta - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_scoring_drops_the_starts_that_cannot_win(self, monkeypatch):
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
+        starts = fitting._equation_error_starts(data, 101, FitConfig())
+        score = fitting._objective(data, 101, FitConfig())[2]
+        filtered, lfilter = [], fitting._lfilter
+
+        def counting(b, a, u, *state):
+            filtered.append(u.size)
+            return lfilter(b, a, u, *state)
+
+        monkeypatch.setattr(fitting, "_lfilter", counting)
+        fitting._best_start(starts, score)
+        # the first start visited runs whole and wins; every other one stops
+        # after its first block
+        assert len(starts) == 45
+        assert sum(filtered) == 9002 + 44 * fitting._FIRST_BLOCK
 
 
 class TestCsvRoundTrip:
@@ -472,3 +609,15 @@ class TestRecovery:
         assert code == 0
         assert result["params"]["alpha"] == pytest.approx(true.alpha, abs=1e-3)
         assert result["nrmse"] < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="a start on the alpha = 1 box edge stays there: d alpha/du vanishes")
+def test_recovery_from_the_order_box_edge(tmp_path):
+    # a draw of TestRecovery that fails at every commit since the single
+    # start: the alpha = 1 order fits these creep records best, its start sits
+    # on the logit box edge u = 50, and the solve ends at alpha 1.0, NRMSE 8e-6
+    true = FoSlsParams(k0=3.000530308811749, k1=1.0, b1=1.0, alpha=0.9921875)
+    code, result = synth_and_fit(tmp_path, true, ("creep",))
+    assert code == 0
+    assert result["params"]["alpha"] == pytest.approx(true.alpha, abs=1e-3)
+    assert result["nrmse"] < 1e-6
