@@ -8,12 +8,14 @@ affine in K0, so the search never leaves the passive set: it varies
 
 the largest parallel stiffness the plant damping admits, less the slack.
 The start comes from the records: once alpha is fixed the law is linear in
-its parameters, so an equation-error estimate at each order of a fixed grid
+its parameters, so an equation-error estimate at each order of a fixed grid,
+refined by one Steiglitz-McBride pass on the records prefiltered by it,
 gives a candidate, and the one whose forward records fit best starts one
 trust-region-reflective least-squares solve (box bounds kept exactly) on
 the residuals of all experiments, each scaled by its NRMSE scale.  The
-candidates are scored best-first by equation error, and one whose leading
-samples already fit worse than the best so far is dropped there.  The
+candidates are scored best-first by their estimate's equation error, and
+one whose leading samples already fit worse than the best so far is
+dropped there.  The
 Jacobian is exact: the record sensitivities of ``models``, built from the
 forward records the residual has just computed, chained through the passive
 map.  An evaluation is one residual, one Jacobian or one scored candidate,
@@ -389,25 +391,103 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
+def _steps_through(response: np.ndarray, at: np.ndarray, heights: np.ndarray, m: int) -> np.ndarray:
+    """First m samples of the steps (at, heights) through a filter whose unit
+    step response is response (at least m long)."""
+    out = np.zeros(m)
+    for j, h in zip(at, heights):
+        out[j:] += h * response[: m - j]
+    return out
+
+
+def _null_vector(columns: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v, sigma): the smallest singular value of columns with each column
+    scaled to unit norm, and its right singular vector in the columns' own
+    units.  Both come from the 4x4 R of one QR: R's columns have the norms of
+    the matrix's, and scaling a column of the matrix scales that of R."""
+    r = np.linalg.qr(columns, mode="r")
+    norms = np.sqrt(np.einsum("ij,ij->j", r, r))
+    singular, vectors = np.linalg.svd(r / norms)[1:]
+    return vectors[-1] / norms, float(singular[-1])
+
+
+def _order_start(vector: np.ndarray, alpha: float, t_samp: float):
+    """(theta, K0) of the vector (a, b, p, q) at order alpha, theta's slack
+    left at 0 until the cap is known; None when the vector gives K1 <= 0,
+    B1 <= 0 or K0 outside the box."""
+    a, b, p, q = vector
+    with np.errstate(all="ignore"):  # a degenerate vector gives inf or NaN, and is skipped
+        k0, k1 = q / b, p / a - q / b
+        theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - _ALPHA_LO) / (1.0 - alpha)])
+    if np.all(np.isfinite(theta[1:3])) and abs(k0) <= _K0_BOX:
+        return np.clip(theta, *_BOUNDS), k0  # alpha = 1 has logit inf: the box edge
+    return None
+
+
+def _prefiltered_vector(columns: np.ndarray, records: list, c: np.ndarray, vector: np.ndarray):
+    """The null vector of the records prefiltered by the filters of vector
+    (see _equation_error_starts), filled into columns; None when the creep
+    prefilter has a pole outside the unit circle, or a prefilter has g = 0
+    or P[0] = 0."""
+    prefilters = {}  # creep? -> (g, h, P) of P = g*c + h with P[0] = 1
+    for creep, part, stimulus, at, heights, series in records:
+        if creep not in prefilters:
+            g, h = vector[2:] if creep else vector[:2]  # num for creep, den for relaxation
+            if g == 0.0 or g + h == 0.0:
+                return None
+            g, h = g / (g + h), h / (g + h)
+            poly = g * c
+            poly[0] += h
+            if creep and _poles_outside(poly):
+                return None
+            prefilters[creep] = g, h, poly
+        g, h, poly = prefilters[creep]
+        measured, step = _lfilter([1.0], poly, np.vstack([series, np.ones(series.size)]))
+        known = _steps_through(step, at, heights, series.size)
+        f, x, f_p, x_p = (stimulus, series, known, measured) if creep else (series, stimulus, measured, known)
+        columns[part, 0], columns[part, 1] = (f - h * f_p) / g, f_p  # c*~u = (u - h*~u)/g
+        columns[part, 2], columns[part, 3] = (h * x_p - x) / g, -x_p
+    return _null_vector(columns)[0]
+
+
 def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config: FitConfig) -> list:
-    """(theta, equation error) of each order of _START_ALPHAS that gives
-    K1 > 0, B1 > 0 and K0 inside the box, K0 taken as slack below its cap.
+    """(theta, equation error) of each order of _START_ALPHAS whose estimate
+    gives K1 > 0, B1 > 0 and K0 inside the box, K0 taken as slack below its
+    cap; the estimate is refined by one Steiglitz-McBride pass.
 
     Once alpha fixes the weights c, den*F = num*x (models._law_filter) is linear
     in (a, b, p, q) = lambda*(s, K1, (K0+K1)*s, K0*K1).  The smallest right
     singular vector of [c*F, F, -c*x, -x], stacked over the records (each over
     its scale) with normalized columns, is the equation-error (ARX) estimate of
-    Ljung, System Identification (1999), step one of Steiglitz-McBride (1965),
-    and its singular value the equation error.  Both come from the 4x4 R of
-    the matrix's QR.  Only the measured series is convolved with c: the known
-    stimulus (the held x0, the two-level force) is a sum of steps, and c
-    filters a unit step into the cumulative sums of c.
+    Ljung, System Identification (1999), and its singular value the equation
+    error.  Both come from the 4x4 R of the matrix's QR.  Only the measured
+    series is convolved with c: the known stimulus (the held x0, the two-level
+    force) is a sum of steps, and c filters a unit step into the cumulative
+    sums of c.
+
+    The pass (Steiglitz and McBride, IEEE TAC 10(4), 1965) solves for the
+    same null vector once more, from the records u filtered by the estimate's
+    own P = g*c + h scaled to P[0] = 1: den = a*c + b for a relaxation
+    record, num = p*c + q for a creep record.  The equation error of the
+    prefiltered records is close to their output error.  ~u = u/P is one
+    recursive pass, a stimulus needs only P's step response, and
+    c*~u = (u - h*~u)/g needs no convolution.  An order keeps its estimate
+    when the refined vector is not valid, or when its creep prefilter has a
+    pole outside the unit circle (den = s*c + K1 has none).  So does
+    alpha = 1, whose start sits on the logit box edge: there d alpha/du is
+    ~2e-22, and the solve leaves the edge only through the long first steps
+    of a start that does not fit yet.  A refined edge start, already fit in
+    K0, K1 and B1, stops the solve within a few steps at alpha = 1, and it
+    would win the scoring on records of alpha just below 1: on 90 generators
+    of alpha 0.985 to 1, recovery failed for 43 with the edge refined and
+    for 13 with its estimate.
     """
     t_samp = experiments[0].t_samp
     sizes = [exp.values.size for exp in experiments]
     edges = np.cumsum([0] + sizes)
     columns = np.empty((edges[-1], 4), order="F")  # [c*F, F, -c*x, -x], reused at every order
-    records = []  # (creep?, rows, stimulus steps (at, height), measured series), over the record's scale
+    prefiltered = np.empty_like(columns)  # the same of the prefiltered records
+    records = []  # (creep?, rows, stimulus, its steps (at, height), measured series), over the record's scale
     for exp, lo, hi in zip(experiments, edges[:-1], edges[1:]):
         s, scale, creep = exp.stimulus, _scale(exp.values), exp.kind == "creep"
         series = exp.values / scale
@@ -419,9 +499,7 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
             columns[lo:hi, 1], columns[lo:hi, 3] = series, -stimulus
         steps = np.diff(stimulus, prepend=0.0)
         at = np.flatnonzero(steps)
-        records.append((creep, slice(lo, hi), at, steps[at], series))
-    fixed = np.sqrt(np.einsum("ij,ij->j", columns[:, 1::2], columns[:, 1::2]))  # norms of F and -x
-    columns[:, 1::2] /= fixed
+        records.append((creep, slice(lo, hi), stimulus, at, steps[at], series))
     # weights past the longest record filter nothing; each row is build_kernel's
     i = np.arange(1.0, min(n_mem, max(sizes) - 1) + 1)
     weights = np.ones((_START_ALPHAS.size, i.size + 1))
@@ -431,26 +509,22 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
     for alpha, c, unit_step in zip(_START_ALPHAS, weights, unit_steps):
         step = np.full(max(sizes), unit_step[-1])
         step[: unit_step.size] = unit_step
-        for creep, part, at, heights, series in records:
+        for creep, part, _, at, heights, series in records:
             m = part.stop - part.start
-            filtered = np.zeros(m)  # c * stimulus
-            for j, h in zip(at, heights):
-                filtered[j:] += h * step[: m - j]
-            columns[part, 0] = filtered if creep else _fir(c, series)
-            columns[part, 2] = -_fir(c, series) if creep else -filtered
-        norms = np.sqrt([np.dot(columns[:, 0], columns[:, 0]), np.dot(columns[:, 2], columns[:, 2])])
-        columns[:, ::2] /= norms
-        singular, vectors = np.linalg.svd(np.linalg.qr(columns, mode="r"))[1:]
-        a, b, p, q = vectors[-1] / np.array([norms[0], fixed[0], norms[1], fixed[1]])
-        with np.errstate(all="ignore"):  # a degenerate vector gives inf or NaN, and is skipped
-            k0, k1 = q / b, p / a - q / b
-            # (slack, log K1, log B1, logit alpha) with slack log(1) = 0 until the cap is known
-            theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - _ALPHA_LO) / (1.0 - alpha)])
-        if np.all(np.isfinite(theta[1:3])) and abs(k0) <= _K0_BOX:
-            theta = np.clip(theta, *_BOUNDS)  # alpha = 1 has logit inf: the box edge
-            cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
-            theta[0] = np.clip(cap - k0, *_BOUNDS[:, 0])
-            starts.append((theta, float(singular[-1])))
+            columns[part, 0] = _steps_through(step, at, heights, m) if creep else _fir(c, series)
+            columns[part, 2] = -_fir(c, series) if creep else -_steps_through(step, at, heights, m)
+        vector, error = _null_vector(columns)
+        start = _order_start(vector, alpha, t_samp)
+        if start is None:
+            continue
+        if alpha < 1.0:  # the order on the box edge keeps its estimate
+            refined = _prefiltered_vector(prefiltered, records, c, vector)
+            if refined is not None:
+                start = _order_start(refined, alpha, t_samp) or start
+        theta, k0 = start
+        cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
+        theta[0] = np.clip(cap - k0, *_BOUNDS[:, 0])
+        starts.append((theta, error))
     return starts
 
 
@@ -473,8 +547,10 @@ def fit(
 ) -> FitResult:
     """Identify the constitutive parameters from one or more experiments.
 
-    Deterministic: one trust-region-reflective solve from the equation-error
-    start whose forward records fit best.  Every candidate, the returned one
+    Deterministic: one trust-region-reflective solve from the start whose
+    forward records fit best, among one per valid order of the grid: its
+    equation-error estimate refined by one Steiglitz-McBride pass (see
+    _equation_error_starts).  Every candidate, the returned one
     included, satisfies the closed-form bound at config.b_plant.  Returns the
     solve's result even when its budget runs out, with converged = False.
     objective_evals counts the solve's residuals and Jacobians, and one per

@@ -3,11 +3,13 @@
 import argparse
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from fovisc import cli, fitting
 from fovisc.cli import dispatch
@@ -386,10 +388,14 @@ class TestFit:
         assert np.all(jac == 0.0)
 
 
-def reference_starts(experiments, n_mem, config):
-    """The equation-error estimate as one SVD of the stacked m x 4 matrix per
-    order, every column of it convolved: (theta, singular values) of each
-    valid order."""
+def reference_starts(experiments, n_mem, config, passes=1):
+    """The start scan with every column convolved and one SVD of the stacked
+    m x 4 matrix per order and pass: (theta, singular values of the
+    estimate) of each valid order.  The pass, if any, prefilters each record
+    by lfilter with the estimate's den (relaxation) or num (creep), scaled to
+    a leading coefficient of 1, and an order keeps its estimate when the
+    pass's vector is not valid or its creep prefilter has a pole outside the
+    unit circle.  alpha = 1, on the box edge, keeps its estimate."""
     t_samp = experiments[0].t_samp
     series = []
     for exp in experiments:
@@ -398,30 +404,55 @@ def reference_starts(experiments, n_mem, config):
             f, x = fitting._creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
         else:
             f, x = exp.values, np.full(m, float(s.x0))
-        series.append((f / scale, x / scale))
-    starts = []
-    for alpha in fitting._START_ALPHAS:
-        c = build_kernel(alpha, n_mem, t_samp).coeffs
-        rows = np.vstack([np.column_stack([fitting._fir(c, f), f, -fitting._fir(c, x), -x]) for f, x in series])
+        series.append((exp.kind, f / scale, x / scale))
+
+    def null_vector(c, records):
+        rows = np.vstack([np.column_stack([fitting._fir(c, f), f, -fitting._fir(c, x), -x]) for f, x in records])
         norms = np.linalg.norm(rows, axis=0)
         _, singular, vectors = np.linalg.svd(rows / norms, full_matrices=False)
-        a, b, p, q = vectors[-1] / norms
+        return vectors[-1] / norms, singular
+
+    def start(vector, alpha):
+        a, b, p, q = vector
         with np.errstate(all="ignore"):
             k0, k1 = q / b, p / a - q / b
             theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - fitting._ALPHA_LO) / (1.0 - alpha)])
         if np.all(np.isfinite(theta[1:3])) and abs(k0) <= fitting._K0_BOX:
-            theta = np.clip(theta, *fitting._BOUNDS)
-            cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
-            theta[0] = np.clip(cap - k0, *fitting._BOUNDS[:, 0])
-            starts.append((theta, singular))
+            return np.clip(theta, *fitting._BOUNDS), k0
+        return None
+
+    starts = []
+    for alpha in fitting._START_ALPHAS:
+        c = build_kernel(alpha, n_mem, t_samp).coeffs
+        vector, singular = null_vector(c, [(f, x) for _, f, x in series])
+        estimate = start(vector, alpha)
+        if estimate is None:
+            continue
+        for _ in range(passes if alpha < 1.0 else 0):
+            prefilters = {}
+            for kind, (g, h) in (("relaxation", vector[:2]), ("creep", vector[2:])):
+                prefilters[kind] = g / (g + h) * c
+                prefilters[kind][0] += h / (g + h)
+            if any(kind == "creep" for kind, _, _ in series) and _poles_outside(prefilters["creep"]):
+                break
+            filtered = [(lfilter([1.0], prefilters[kind], f), lfilter([1.0], prefilters[kind], x))
+                        for kind, f, x in series]
+            vector = null_vector(c, filtered)[0]
+            estimate = start(vector, alpha) or estimate
+        theta, k0 = estimate
+        cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
+        theta[0] = np.clip(cap - k0, *fitting._BOUNDS[:, 0])
+        starts.append((theta, singular))
     return starts
 
 
-def scan_records(true, n_gen, kinds, csv_path=None):
-    """The generator's 1 s records at memory n_gen, read back from the CLI's
+def scan_records(true, n_gen, kinds, csv_path=None, seconds=1.0):
+    """The generator's records at memory n_gen under protocols of the given
+    length (hold and recovery each, for creep), read back from the CLI's
     12-digit CSV when a path is given."""
     kern = build_kernel(true.alpha, n_gen, T)
-    protocols = {"creep": CreepProtocol(t_hold=1.0, t_recover=1.0), "relaxation": RelaxationProtocol(duration=1.0)}
+    protocols = {"creep": CreepProtocol(t_hold=seconds, t_recover=seconds),
+                 "relaxation": RelaxationProtocol(duration=seconds)}
     data = [synth_experiment(true, kern, protocols[k]) for k in kinds]
     if csv_path is None:
         return data
@@ -472,7 +503,15 @@ class TestStartScan:
         residuals, _, score = fitting._objective(data, 101, config)
         sums = [float(np.sum(residuals(theta) ** 2)) for theta, _ in starts]
         best = min(range(len(starts)), key=lambda k: sums[k])
-        assert fitting._best_start(starts, score) is starts[best][0]
+        scored = []
+
+        def counted(theta, least):
+            scored.append(theta)
+            return score(theta, least)
+
+        # the refined starts, one per valid order, each scored once
+        assert fitting._best_start(starts, counted) is starts[best][0]
+        assert len(scored) == len(starts)
         for (theta, _), total in zip(starts, sums):
             # the complete sum bit for bit, and a start dropped early could not have won
             assert score(theta, math.inf) == total
@@ -502,6 +541,44 @@ class TestStartScan:
         for (theta, _), (want, _) in zip(starts, reference):
             assert np.max(np.abs(theta - want)) <= 1e-9 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("kinds", [("creep", "relaxation"), ("creep",), ("relaxation",)])
+    def test_the_pass_keeps_an_exact_estimate(self, kinds):
+        # noiseless records of a law at an order of the grid, fit at their own
+        # memory: that order's estimate has zero equation error, and the pass
+        # prefiltered by it solves the same vector
+        order = 9
+        true = replace(MATERIAL_N101, alpha=float(fitting._START_ALPHAS[order]))
+        data = scan_records(true, 101, kinds)
+        starts = fitting._equation_error_starts(data, 101, FitConfig())
+        estimates = reference_starts(data, 101, FitConfig(), passes=0)
+        at = [theta[3] for theta, _ in starts].index(order_logit(true.alpha))
+        theta, estimate = starts[at][0], estimates[at][0]
+        assert np.max(np.abs(theta - estimate)) <= 1e-12 * np.max(np.abs(estimate))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_unstable_creep_prefilter_keeps_the_estimate(self, monkeypatch):
+        # a creep record of a law whose DC stiffness is near zero: at ten of
+        # the valid orders the estimate's num has a zero inside the unit
+        # circle, so 1/num would grow; those orders keep their estimate, as
+        # does alpha = 1 on the box edge, and the other three are refined
+        true = FoSlsParams(k0=-0.7225778402647309, k1=5.454695230520415, b1=1.9449918224192033,
+                           alpha=0.952902774673619)
+        data = scan_records(true, 101, ("creep",))
+        outside, poles_outside = [], fitting._poles_outside
+
+        def counting(poly):
+            outside.append(poles_outside(poly))
+            return outside[-1]
+
+        monkeypatch.setattr(fitting, "_poles_outside", counting)
+        starts = fitting._equation_error_starts(data, 101, FitConfig())
+        estimates = reference_starts(data, 101, FitConfig(), passes=0)
+        assert outside == [1] * 10 + [0] * 3  # one creep prefilter per valid order below the edge
+        assert starts[-1][0][3] == fitting._U_BOX
+        for (theta, _), (estimate, _), kept in zip(starts, estimates, outside + [1]):
+            gap = np.max(np.abs(theta - estimate)) / np.max(np.abs(estimate))
+            assert gap <= 1e-9 if kept else gap > 1e-4
+
     def test_scoring_drops_the_starts_that_cannot_win(self, monkeypatch):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
@@ -519,6 +596,59 @@ class TestStartScan:
         # after its first block
         assert len(starts) == 45
         assert sum(filtered) == 9002 + 44 * fitting._FIRST_BLOCK
+
+
+class TestWorkCounts:
+    """Evaluations of the bench's two fits, a count that repeats exactly: the
+    material of record's creep and relaxation records, written by the CLI's
+    12-digit CSV writer and read back, fit at N = 101 with b_plant = 0.0025."""
+
+    @pytest.mark.parametrize(
+        "n_gen, seconds, most",
+        [(101, 3.0, 100), (301, 1.0, 150)],  # matched (83 with the plain estimate), mismatched (501)
+        ids=["matched", "mismatched"],
+    )
+    def test_the_bench_fits_stay_within_their_counts(self, tmp_path, n_gen, seconds, most):
+        data = scan_records(MATERIAL_N101, n_gen, ("creep", "relaxation"), tmp_path / "record.csv", seconds)
+        result = fit(data, 101, FitConfig(b_plant=0.0025))
+        assert result.converged and result.passivity_ok
+        assert result.objective_evals <= most
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestMemoryTrend:
+    @given(
+        slack=st.floats(0.05, 3.0),
+        log_k1=st.floats(0.0, math.log(20.0)),
+        log_b1=st.floats(0.0, math.log(20.0)),
+        alpha=st.floats(0.05, 1.0),
+        kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
+    )
+    @settings(max_examples=10, deadline=None)
+    # draws of alpha just below 1 where some fits end on the alpha = 1 box
+    # edge, the parent's fits too: N = 51 and 101 on the first and third,
+    # 101 and 151 on the second.  Two fits on the edge render one law, and
+    # their order is the solve's stopping point.
+    @example(slack=1.0, log_k1=0.0, log_b1=2.5, alpha=0.9921875, kinds=("creep", "relaxation")).xfail(
+        reason="the N = 101 fit ends on the alpha = 1 box edge, NRMSE 9.4e-5 over N = 51's 6.6e-5",
+        raises=AssertionError)
+    @example(slack=1.0, log_k1=2.0, log_b1=1.0, alpha=0.99999, kinds=("relaxation",)).xfail(
+        reason="the N = 101 fit ends on the alpha = 1 box edge, NRMSE 3.9e-7 over N = 51's 2.7e-7",
+        raises=AssertionError)
+    @example(slack=1.0, log_k1=0.0, log_b1=1.0, alpha=0.99999, kinds=("creep", "relaxation")).xfail(
+        reason="the N = 51 and 101 fits end on the alpha = 1 box edge, NRMSE 1.16605e-7 and 1.16606e-7",
+        raises=AssertionError)
+    def test_error_does_not_grow_with_memory(self, slack, log_k1, log_b1, alpha, kinds):
+        # criterion 10's shape on random passive generators: records of
+        # memory N = 301 (1 s protocols) fit at N = 51, 101 and 151
+        true = generator(slack, log_k1, log_b1, alpha)
+        kern = build_kernel(true.alpha, 301, T)
+        assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
+        data = scan_records(true, 301, kinds)
+        errs = [fit(data, n, FitConfig()).nrmse for n in (51, 101, 151)]
+        # at alpha = 1 the weights past c_1 vanish, so the three laws are one
+        # and their errors (~1e-14) differ by roundoff alone
+        assert errs[0] + 1e-12 >= errs[1] and errs[1] + 1e-12 >= errs[2]
 
 
 class TestCsvRoundTrip:
@@ -599,6 +729,9 @@ class TestRecovery:
     # test (1e-8) at once, which left alpha at the start's 0.06
     @example(slack=2.7511245335471606, log_k1=0.1397576148719802, log_b1=0.09073723733721725,
              alpha=0.06920479468833954, kinds=("creep",))
+    # a refined start on the alpha = 1 box edge would fit these records best,
+    # and the solve would stop there (see fitting._equation_error_starts)
+    @example(slack=1.0, log_k1=0.0, log_b1=0.0, alpha=0.9921875, kinds=("creep", "relaxation"))
     def test_fit_recovers_passive_generators(self, tmp_path_factory, slack, log_k1, log_b1, alpha, kinds):
         # a passive generator K0 = cap - slack, read back from its synth records
         # at matched memory, must be recovered: the fit lands in its basin
@@ -611,11 +744,11 @@ class TestRecovery:
         assert result["nrmse"] < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="a start on the alpha = 1 box edge stays there: d alpha/du vanishes")
 def test_recovery_from_the_order_box_edge(tmp_path):
-    # a draw of TestRecovery that fails at every commit since the single
-    # start: the alpha = 1 order fits these creep records best, its start sits
-    # on the logit box edge u = 50, and the solve ends at alpha 1.0, NRMSE 8e-6
+    # a draw of TestRecovery that failed from the single start until the
+    # refined starts: the alpha = 1 order's estimate fit these creep records
+    # best, its start sits on the logit box edge u = 50, and the solve ended
+    # at alpha 1.0, NRMSE 8e-6.  Now the refined alpha = 0.98 start fits best.
     true = FoSlsParams(k0=3.000530308811749, k1=1.0, b1=1.0, alpha=0.9921875)
     code, result = synth_and_fit(tmp_path, true, ("creep",))
     assert code == 0
