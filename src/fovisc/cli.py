@@ -6,8 +6,9 @@ mandatory header row and a comma delimiter; integer columns print as ``%d``,
 every other value as ``%.12g``, and trailing comment lines as
 ``# key = value``.  CSV is formatted and written a block of rows at a time,
 so memory stays bounded for long traces.  Exit codes: 0 success, 2 usage
-error, 3 domain/precondition error, 4 non-convergence.  dispatch builds the
-parser once per process and reuses it.
+error (a bad flag, or an input or output path that cannot be opened), 3
+domain/precondition error, 4 non-convergence.  dispatch builds the parser
+once per process and reuses it.
 """
 
 from __future__ import annotations
@@ -61,10 +62,21 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
+class _PathError(Exception):
+    """An input or output path that cannot be opened: a usage error."""
+
+
+def _open(path: str, mode: str = "r"):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise _PathError(exc) from exc
+
+
 @contextlib.contextmanager
 def _output(args: argparse.Namespace):
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with _open(args.output, "w") as fh:
             yield fh
     else:
         yield sys.stdout
@@ -97,7 +109,7 @@ def _write_gnuplot(csv_path: str, header: list[str]) -> None:
         "plot " + ", ".join(f"'{csv_path}' using 1:{i + 2} with lines" for i in range(len(header) - 1)),
         "pause -1",
     ]
-    with open(csv_path + ".gp", "w", encoding="utf-8") as fh:
+    with _open(csv_path + ".gp", "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -294,7 +306,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_series_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with _open(path) as fh:
+        data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2 or data.shape[1] < 2:
         raise ValueError(f"{path}: expected at least two rows of columns time_s,value")
     return data[:, 0], data[:, 1]
@@ -488,6 +501,9 @@ def dispatch(argv: list[str]) -> int:
         if getattr(args, "n", 0) > _MAX_N:
             raise ValueError(f"--n must be at most {_MAX_N}, got {args.n}")
         return args.handler(args)
+    except _PathError as exc:
+        print(f"fovisc: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"fovisc: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -42,7 +42,7 @@ import numpy as np
 
 from .glkernel import GLKernel
 from .models import DiscreteVE, FoSlsParams, _check_order, _fir, _law_filter
-from .util import n_samples
+from .util import _check_finite, n_samples
 
 __all__ = [
     "PlantParams",
@@ -91,6 +91,9 @@ class Impulse:
 
     momentum: float  # N*s
 
+    def __post_init__(self):
+        _check_finite(self)
+
     def initial_velocity(self, mass: float) -> float:
         return self.momentum / mass
 
@@ -109,6 +112,11 @@ class ForceChirp:
     f1: float
     span: float
     amplitude: float  # N
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.span <= 0.0:  # the sweep rate (f1 - f0)/span is undefined
+            raise ValueError(f"span must be positive, got {self.span}")
 
     def initial_velocity(self, mass: float) -> float:
         return 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 __all__ = ["n_samples"]
 
@@ -23,3 +24,10 @@ def n_samples(duration: float, t_samp: float) -> int:
     k = round(q)
     return int(k) if abs(q - k) <= _SAMPLE_RTOL * max(1.0, abs(q)) else math.floor(q)
 
+
+def _check_finite(obj) -> None:
+    """Refuse a dataclass with a field that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} {value} is not finite")

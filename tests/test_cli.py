@@ -281,6 +281,19 @@ class TestSimulate:
     def test_bad_excitation_spec(self):
         assert dispatch(["simulate", "--excite", "kick:1", "--duration", "0.1"]) == 3
 
+    @pytest.mark.parametrize(
+        "excite, quantity",
+        [("impulse:nan", "momentum"), ("impulse:inf", "momentum"), ("chirp:nan,2,1,1", "f0"),
+         ("chirp:1,2,nan,1", "span"), ("chirp:1,2,0.003,inf", "amplitude"), ("chirp:1,2,0,1", "span")],
+    )
+    def test_a_non_finite_excitation_or_empty_chirp_is_refused(self, tmp_path, capsys, excite, quantity):
+        # each once wrote a NaN trace marked diverged = True, and exited 0
+        out = tmp_path / "trace.csv"
+        argv = ["simulate", "--k1", "2", "--b1", "100", "--excite", excite, "--duration", "0.004", "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert f"{quantity} " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_free_plant_chirp(self, tmp_path):
         # the default --k1 0 renders no law: the plant alone under the chirp
         out = tmp_path / "free.csv"
@@ -524,6 +537,16 @@ class TestRefusedInputs:
         assert quantity in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--relax", "{d}/missing.csv"], ["--relax", "{r}", "-o", "{d}/no/dir/x.json"]],
+                             ids=["missing-input", "output-in-missing-directory"])
+    def test_a_path_that_cannot_be_opened_is_a_usage_error(self, short_records, tmp_path, capsys, argv):
+        # both once ended in a FileNotFoundError traceback, exit 1
+        argv = [a.format(d=tmp_path, r=short_records / "r.csv") for a in argv]
+        assert dispatch(["fit", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fovisc: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_json_is_refused_and_not_written(self, short_records, tmp_path, capsys):

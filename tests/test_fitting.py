@@ -349,10 +349,10 @@ class TestFit:
         result = fit(data, 51, FitConfig(max_evals=40))
         # an evaluation is a residual (one model run), a Jacobian (none: it
         # reuses the residual's record) or a scored start (one model run, stopped
-        # early or not), one per valid order; plus the up-front length check and
-        # the final report.  The budget caps the solve.
-        starts = fitting._equation_error_starts([data], 51, FitConfig())
-        assert calls["jacobian"] and calls["score"] == len(starts) > 1
+        # early or not), one per valid order the scan visits: 15 of the 30; plus
+        # the up-front length check and the final report.  The budget caps the solve.
+        assert len(fitting._equation_error_starts([data], 51, FitConfig())) == 30
+        assert calls["jacobian"] and calls["score"] == 15
         assert sum(calls.values()) == result.objective_evals
         assert len(runs) + calls["jacobian"] == result.objective_evals + 2
         assert result.objective_evals <= len(fitting._START_ALPHAS) + 40
@@ -467,41 +467,70 @@ def generator(slack, log_k1, log_b1, alpha):
     return _passive_params([slack, log_k1, log_b1, order_logit(alpha)], 101, T, 0.0025)[0]
 
 
+# a passive generator's records at matched (101) or longer (301) memory,
+# exact or read back from the CLI's 12-digit CSV, for a fit at N = 101
+SCAN_DRAWS = dict(
+    slack=st.floats(0.05, 3.0),
+    log_k1=st.floats(0.0, math.log(20.0)),
+    log_b1=st.floats(0.0, math.log(20.0)),
+    alpha=st.floats(0.05, 1.0),
+    n_gen=st.sampled_from([101, 301]),
+    kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
+    from_csv=st.booleans(),
+)
+SCAN_TRAP = dict(slack=0.1422074159314801, log_k1=0.0, log_b1=0.0, alpha=0.505, n_gen=301,
+                 kinds=("creep", "relaxation"), from_csv=True)
+
+
+def scan_draw(tmp_path_factory, slack, log_k1, log_b1, alpha, n_gen, kinds, from_csv):
+    true = generator(slack, log_k1, log_b1, alpha)
+    kern = build_kernel(true.alpha, n_gen, T)
+    assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
+    path = tmp_path_factory.mktemp("scan") / "record.csv" if from_csv else None
+    return scan_records(true, n_gen, kinds, path)
+
+
+def fixed_records(case, tmp_path):
+    """(records, fit memory) of criterion 10's four fits, the bench's two
+    (TestWorkCounts) and TestRecovery's three explicit examples."""
+    n_mem = int(case.rsplit("-", 1)[1]) if case[-1].isdigit() else 101
+    if case.startswith("criterion-10"):
+        kern = build_kernel(MATERIAL_N101.alpha, 101 if case.endswith("matched") else 301, T)
+        return [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())], n_mem
+    if case.startswith("bench"):
+        n_gen, seconds = (101, 3.0) if case.endswith("-matched") else (301, 1.0)
+        return scan_records(MATERIAL_N101, n_gen, ("creep", "relaxation"), tmp_path / "record.csv", seconds), n_mem
+    draws = {"recovery-trap": ((0.1422074159314801, 0.0, 0.0, 0.505), ("creep", "relaxation")),
+             "recovery-near-start": ((2.7511245335471606, 0.1397576148719802, 0.09073723733721725,
+                                      0.06920479468833954), ("creep",)),
+             "recovery-edge": ((1.0, 0.0, 0.0, 0.9921875), ("creep", "relaxation"))}
+    draw, kinds = draws[case]
+    return scan_records(generator(*draw), 101, kinds, tmp_path / "record.csv"), n_mem
+
+
+FIXED_CASES = ["criterion-10-matched", "criterion-10-51", "criterion-10-101", "criterion-10-151",
+               "bench-matched", "bench-mismatched", "recovery-trap", "recovery-near-start", "recovery-edge"]
+
+
 class TestStartScan:
     """The start scan against its references: one SVD per order for the
     estimate, and min() over every start's complete sum for the choice."""
 
-    @given(
-        slack=st.floats(0.05, 3.0),
-        log_k1=st.floats(0.0, math.log(20.0)),
-        log_b1=st.floats(0.0, math.log(20.0)),
-        alpha=st.floats(0.05, 1.0),
-        n_gen=st.sampled_from([101, 301]),
-        kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
-        from_csv=st.booleans(),
-    )
+    @given(**SCAN_DRAWS)
     @settings(max_examples=30, deadline=None)
-    @example(slack=0.1422074159314801, log_k1=0.0, log_b1=0.0, alpha=0.505, n_gen=301,
-             kinds=("creep", "relaxation"), from_csv=True)
-    def test_matches_the_references(self, tmp_path_factory, slack, log_k1, log_b1, alpha, n_gen, kinds,
-                                    from_csv):
-        # a passive generator's records at matched (101) or longer (301)
-        # memory, exact or read back from the CLI's 12-digit CSV, fit at N = 101
-        true = generator(slack, log_k1, log_b1, alpha)
-        kern = build_kernel(true.alpha, n_gen, T)
-        assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
-        path = tmp_path_factory.mktemp("scan") / "record.csv" if from_csv else None
-        data = scan_records(true, n_gen, kinds, path)
+    @example(**SCAN_TRAP)
+    def test_matches_the_references(self, tmp_path_factory, **draw):
+        data = scan_draw(tmp_path_factory, **draw)
         config = FitConfig()
         starts = fitting._equation_error_starts(data, 101, config)
         reference = reference_starts(data, 101, config)
         # the same valid orders, each with the reference's smallest singular
         # value to within a backward-stable computation's error
-        assert [theta[3] for theta, _ in starts] == [theta[3] for theta, _ in reference]
-        for (_, error), (_, singular) in zip(starts, reference):
+        assert [theta[3] for _, theta, _ in starts] == [theta[3] for theta, _ in reference]
+        for (_, _, error), (_, singular) in zip(starts, reference):
             assert abs(error - singular[-1]) <= 64 * np.finfo(float).eps * singular[0]
         residuals, _, score = fitting._objective(data, 101, config)
-        sums = [float(np.sum(residuals(theta) ** 2)) for theta, _ in starts]
+        sums = [float(np.sum(residuals(theta) ** 2)) for _, theta, _ in starts]
         best = min(range(len(starts)), key=lambda k: sums[k])
         scored = []
 
@@ -510,9 +539,10 @@ class TestStartScan:
             return score(theta, least)
 
         # the refined starts, one per valid order, each scored once
-        assert fitting._best_start(starts, counted) is starts[best][0]
+        least, order, theta = fitting._best_start(starts, counted)
+        assert (least, order) == (sums[best], starts[best][0]) and theta is starts[best][1]
         assert len(scored) == len(starts)
-        for (theta, _), total in zip(starts, sums):
+        for (_, theta, _), total in zip(starts, sums):
             # the complete sum bit for bit, and a start dropped early could not have won
             assert score(theta, math.inf) == total
             assert score(theta, sums[best]) in (total, math.inf)
@@ -524,22 +554,59 @@ class TestStartScan:
          "recovery-trap", "recovery-near-start"],
     )
     def test_estimate_matches_the_svd_reference_on_fixed_records(self, tmp_path, case):
-        # criterion 10's four fits, and TestRecovery's two explicit examples
-        n_mem = int(case.rsplit("-", 1)[1]) if case[-1].isdigit() else 101
-        if case.startswith("criterion-10"):
-            kern = build_kernel(MATERIAL_N101.alpha, 101 if case.endswith("matched") else 301, T)
-            data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
-        elif case == "recovery-trap":
-            data = scan_records(generator(0.1422074159314801, 0.0, 0.0, 0.505), 101, ("creep", "relaxation"),
-                                tmp_path / "record.csv")
-        else:
-            true = generator(2.7511245335471606, 0.1397576148719802, 0.09073723733721725, 0.06920479468833954)
-            data = scan_records(true, 101, ("creep",), tmp_path / "record.csv")
+        # criterion 10's four fits, and TestRecovery's first two explicit examples
+        data, n_mem = fixed_records(case, tmp_path)
         starts = fitting._equation_error_starts(data, n_mem, FitConfig())
         reference = reference_starts(data, n_mem, FitConfig())
-        assert [theta[3] for theta, _ in starts] == [theta[3] for theta, _ in reference]
-        for (theta, _), (want, _) in zip(starts, reference):
+        assert [theta[3] for _, theta, _ in starts] == [theta[3] for theta, _ in reference]
+        for (_, theta, _), (want, _) in zip(starts, reference):
             assert np.max(np.abs(theta - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @given(**SCAN_DRAWS)
+    @settings(max_examples=30, deadline=None)
+    @example(**SCAN_TRAP)
+    def test_the_two_level_pick_is_the_exhaustive_one(self, tmp_path_factory, **draw):
+        # min() by complete sum over one start per valid order, the earliest
+        # order of equal sums, from at most 14 coarse and 6 fine orders
+        data = scan_draw(tmp_path_factory, **draw)
+        config = FitConfig()
+        residuals, _, score = fitting._objective(data, 101, config)
+        starts = fitting._equation_error_starts(data, 101, config)
+        (least, order, theta), scored = fitting._scan(data, 101, config, score)
+        if not starts:
+            assert theta is None and scored == 0
+            return
+        sums = [float(np.sum(residuals(theta) ** 2)) for _, theta, _ in starts]
+        best = min(range(len(starts)), key=lambda k: sums[k])
+        assert (least, order) == (sums[best], starts[best][0])
+        assert np.array_equal(theta, starts[best][1])
+        assert scored <= 20
+
+    @pytest.mark.parametrize("case", FIXED_CASES)
+    def test_the_two_level_pick_is_the_exhaustive_one_on_fixed_records(self, tmp_path, case):
+        data, n_mem = fixed_records(case, tmp_path)
+        score = fitting._objective(data, n_mem, FitConfig())[2]
+        starts = fitting._equation_error_starts(data, n_mem, FitConfig())
+        (least, order, theta), scored = fitting._scan(data, n_mem, FitConfig(), score)
+        want = fitting._best_start(starts, score)
+        assert (least, order) == want[:2]
+        assert np.array_equal(theta, want[2])
+        assert scored <= len(starts)
+
+    def test_with_no_valid_coarse_order_every_other_order_is_visited(self, monkeypatch):
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
+        coarse = {*fitting._START_ALPHAS[::fitting._COARSE_STRIDE], 1.0}
+        order_start = fitting._order_start
+        monkeypatch.setattr(fitting, "_order_start",
+                            lambda vector, alpha, t_samp: None if alpha in coarse else order_start(vector, alpha, t_samp))
+        score = fitting._objective(data, 101, FitConfig())[2]
+        starts = fitting._equation_error_starts(data, 101, FitConfig())
+        (least, order, theta), scored = fitting._scan(data, 101, FitConfig(), score)
+        want = fitting._best_start(starts, score)
+        assert scored == len(starts) == 33
+        assert (least, order) == want[:2]
+        assert np.array_equal(theta, want[2])
 
     @pytest.mark.parametrize("kinds", [("creep", "relaxation"), ("creep",), ("relaxation",)])
     def test_the_pass_keeps_an_exact_estimate(self, kinds):
@@ -551,8 +618,8 @@ class TestStartScan:
         data = scan_records(true, 101, kinds)
         starts = fitting._equation_error_starts(data, 101, FitConfig())
         estimates = reference_starts(data, 101, FitConfig(), passes=0)
-        at = [theta[3] for theta, _ in starts].index(order_logit(true.alpha))
-        theta, estimate = starts[at][0], estimates[at][0]
+        at = [theta[3] for _, theta, _ in starts].index(order_logit(true.alpha))
+        theta, estimate = starts[at][1], estimates[at][0]
         assert np.max(np.abs(theta - estimate)) <= 1e-12 * np.max(np.abs(estimate))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -574,15 +641,14 @@ class TestStartScan:
         starts = fitting._equation_error_starts(data, 101, FitConfig())
         estimates = reference_starts(data, 101, FitConfig(), passes=0)
         assert outside == [1] * 10 + [0] * 3  # one creep prefilter per valid order below the edge
-        assert starts[-1][0][3] == fitting._U_BOX
-        for (theta, _), (estimate, _), kept in zip(starts, estimates, outside + [1]):
+        assert starts[-1][1][3] == fitting._U_BOX
+        for (_, theta, _), (estimate, _), kept in zip(starts, estimates, outside + [1]):
             gap = np.max(np.abs(theta - estimate)) / np.max(np.abs(estimate))
             assert gap <= 1e-9 if kept else gap > 1e-4
 
     def test_scoring_drops_the_starts_that_cannot_win(self, monkeypatch):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         data = [synth_experiment(MATERIAL_N101, kern, p) for p in (CreepProtocol(), RelaxationProtocol())]
-        starts = fitting._equation_error_starts(data, 101, FitConfig())
         score = fitting._objective(data, 101, FitConfig())[2]
         filtered, lfilter = [], fitting._lfilter
 
@@ -590,12 +656,18 @@ class TestStartScan:
             filtered.append(u.size)
             return lfilter(b, a, u, *state)
 
-        monkeypatch.setattr(fitting, "_lfilter", counting)
-        fitting._best_start(starts, score)
-        # the first start visited runs whole and wins; every other one stops
-        # after its first block
-        assert len(starts) == 45
-        assert sum(filtered) == 9002 + 44 * fitting._FIRST_BLOCK
+        def counted(theta, least):
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, "_lfilter", counting)
+                return score(theta, least)
+
+        (_, order, _), scored = fitting._scan(data, 101, FitConfig(), counted)
+        # 12 valid coarse orders, then 6 fine ones around the coarse winner
+        # (alpha 0.18), of which alpha 0.2 wins.  The first start visited at
+        # each level runs whole and wins; the second coarse one stops after
+        # 3,968 creep samples, and every other one after its first block.
+        assert (order, scored) == (9, 18)
+        assert sum(filtered) == 2 * 9002 + 3968 + 15 * fitting._FIRST_BLOCK
 
 
 class TestWorkCounts:
@@ -605,7 +677,8 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize(
         "n_gen, seconds, most",
-        [(101, 3.0, 100), (301, 1.0, 150)],  # matched (83 with the plain estimate), mismatched (501)
+        # matched and mismatched: 59 and 28, and 86 and 45 when every valid order is scored
+        [(101, 3.0, 64), (301, 1.0, 32)],
         ids=["matched", "mismatched"],
     )
     def test_the_bench_fits_stay_within_their_counts(self, tmp_path, n_gen, seconds, most):

@@ -229,6 +229,20 @@ class TestSimulate:
         np.testing.assert_allclose(rec[:5], expected, rtol=1e-15, atol=1e-17)
         assert np.array_equal(rec[5:], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_excitations_refuse_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="momentum"):
+            Impulse(bad)
+        for name in ("f0", "f1", "span", "amplitude"):
+            values = {**dict(f0=1.0, f1=10.0, span=0.004, amplitude=0.5), name: bad}
+            with pytest.raises(ValueError, match=f"{name} {bad} is not finite"):
+                ForceChirp(**values)
+
+    @pytest.mark.parametrize("span", [0.0, -1.0])
+    def test_a_chirp_needs_a_positive_span(self, span):
+        with pytest.raises(ValueError, match="span must be positive"):
+            ForceChirp(f0=1.0, f1=10.0, span=span, amplitude=0.5)
+
     @pytest.mark.parametrize(
         "law, excitation, plant",
         [
