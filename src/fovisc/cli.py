@@ -18,6 +18,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -500,6 +501,11 @@ def dispatch(argv: list[str]) -> int:
     try:
         if getattr(args, "n", 0) > _MAX_N:
             raise ValueError(f"--n must be at most {_MAX_N}, got {args.n}")
+        # before the work, which an -o that cannot be written would waste; the
+        # file itself is opened only when the output is ready
+        output = getattr(args, "output", None)
+        if output and not os.path.isdir(os.path.dirname(output) or "."):
+            raise _PathError(f"cannot write {output}: no directory {os.path.dirname(output)}")
         return args.handler(args)
     except _PathError as exc:
         print(f"fovisc: error: {exc}", file=sys.stderr)

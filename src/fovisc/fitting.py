@@ -2,7 +2,7 @@
 
 The odd-memory closed-form bound b_min = K0*T/2 + branch(K1, B1, alpha) is
 affine in K0, so the search never leaves the passive set: it varies
-(slack >= 0, log K1, log B1, logit alpha) and takes
+(slack >= 0, log K1, log B1, alpha) and takes
 
     K0 = (2/T) * (b_plant - branch(K1, B1, alpha)) - slack,
 
@@ -12,14 +12,15 @@ its parameters, so an equation-error estimate at an order of a fixed grid,
 refined by one Steiglitz-McBride pass on the records prefiltered by it,
 gives a candidate.  The grid is scanned coarse to fine: every fourth order
 and alpha = 1 first, then the orders between the best coarse one's
-neighbours.  The candidate whose forward records fit best starts one
-trust-region-reflective least-squares solve (box bounds kept exactly) on
-the residuals of all experiments, each scaled by its NRMSE scale.  The
-candidates are scored best-first by their estimate's equation error, and
-one whose leading samples already fit worse than the best so far is
-dropped there.  The Jacobian is exact: the record sensitivities of
-``models``, built from the forward records the residual has just computed,
-chained through the passive map.  An evaluation is one residual, one
+neighbours.  The candidates are scored best-first by their estimate's
+equation error, and one whose leading samples already fit worse than the
+best so far is dropped there.  The candidate whose forward records fit best
+starts one trust-region-reflective least-squares solve on the residuals of
+all experiments, each scaled by its NRMSE scale; its box bounds, alpha's
+[_ALPHA_LO, 1] among them, are kept exactly.  The fit is the better of the
+start and the solve's end.  The Jacobian is exact: the record sensitivities
+of ``models``, built from the forward records the residual has just
+computed, chained through the passive map.  An evaluation is one residual, one
 Jacobian or one scored candidate, stopped early or not; the budget caps the
 solve's.  The returned set is re-verified against the bound afterwards.
 """
@@ -60,16 +61,15 @@ __all__ = [
     "synth_experiment",
 ]
 
-_ALPHA_LO = 0.01  # logit floor keeps the order away from the degenerate spring
+_ALPHA_LO = 0.01  # floor keeps the order away from the degenerate spring
 
-# Search box of theta = (slack, log K1, log B1, logit alpha): wide enough for
+# Search box of theta = (slack, log K1, log B1, alpha): wide enough for
 # any plausible material in {N, mm, s} units, finite so candidates cannot reach
 # degenerate corners (astronomical stiffness with vanishing damping still
 # satisfies the bound).  The slack spans the width of the K0 box.
 _K0_BOX = 1e3
 _LOG_BOX = math.log(1e3)
-_U_BOX = 50.0
-_BOUNDS = np.array([[0.0, -_LOG_BOX, -_LOG_BOX, -_U_BOX], [2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, _U_BOX]])
+_BOUNDS = np.array([[0.0, -_LOG_BOX, -_LOG_BOX, _ALPHA_LO], [2.0 * _K0_BOX, _LOG_BOX, _LOG_BOX, 1.0]])
 
 # Orders at which the start is estimated from the records
 _START_ALPHAS = np.linspace(0.02, 1.0, 50)
@@ -222,11 +222,10 @@ def synth_experiment(
 def _passive_params(
     theta, n_mem: int, t_samp: float, b_plant: float
 ) -> tuple[FoSlsParams, GLKernel]:
-    """Candidate for theta = (slack, log K1, log B1, logit alpha) whose
+    """Candidate for theta = (slack, log K1, log B1, alpha) whose
     closed-form bound does not exceed b_plant."""
-    slack, log_k1, log_b1, u = (float(v) for v in theta)
+    slack, log_k1, log_b1, alpha = (float(v) for v in theta)
     k1, b1 = math.exp(log_k1), math.exp(log_b1)
-    alpha = _ALPHA_LO + (1.0 - _ALPHA_LO) / (1.0 + math.exp(-u))
     kern = build_kernel(alpha, n_mem, t_samp)
     dp = delta_p(kern)
     branch = _nyquist_value("fo_sls", FoSlsParams(0.0, k1, b1, alpha), t_samp, dp)
@@ -241,24 +240,21 @@ def _passive_params(
         k0 = min(float(np.nextafter(k0, -math.inf)), k0 - 2.0 * excess / t_samp)
 
 
-def _passive_map_jacobian(theta, params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -> np.ndarray:
+def _passive_map_jacobian(params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -> np.ndarray:
     """d(K0, K1, B1, alpha)/d theta of _passive_params (the ulp step-down ignored).
 
     K0 = (2/T) b_plant - Z - slack with Z = K1*B1*D/q, D = dp/T^a, q = K1 + B1*D.
     """
     k1, b1, alpha, t_samp = params.k1, params.b1, params.alpha, kern.t_samp
-    u = float(theta[3])
-    e = math.exp(-abs(u))
-    dalpha_du = (1.0 - _ALPHA_LO) * e / (1.0 + e) ** 2
     d = delta_p(kern) / t_samp**alpha
     d_alpha = float(np.sum(dc[::2]) - np.sum(dc[1::2])) / t_samp**alpha - d * math.log(t_samp)
     q2 = (k1 + b1 * d) ** 2
     z_k1, z_b1, z_alpha = (b1 * d) ** 2 / q2, k1 * k1 * d / q2, k1 * k1 * b1 * d_alpha / q2
     return np.array([
-        [-1.0, -k1 * z_k1, -b1 * z_b1, -dalpha_du * z_alpha],
+        [-1.0, -k1 * z_k1, -b1 * z_b1, -z_alpha],
         [0.0, k1, 0.0, 0.0],
         [0.0, 0.0, b1, 0.0],
-        [0.0, 0.0, 0.0, dalpha_du],
+        [0.0, 0.0, 0.0, 1.0],
     ])
 
 
@@ -368,7 +364,7 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
             return jac.T
         params, kern, preds = last["model"]
         dc = _coeffs_dalpha(kern)
-        chain = _passive_map_jacobian(theta, params, kern, dc).T
+        chain = _passive_map_jacobian(params, kern, dc).T
         for block, exp, pred in zip(blocks, experiments, preds):
             if np.any(np.abs(last["r"][block]) >= _WALL):
                 continue
@@ -416,9 +412,9 @@ def _order_start(vector: np.ndarray, alpha: float, t_samp: float):
     a, b, p, q = vector
     with np.errstate(all="ignore"):  # a degenerate vector gives inf or NaN, and is skipped
         k0, k1 = q / b, p / a - q / b
-        theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - _ALPHA_LO) / (1.0 - alpha)])
+        theta = np.append(np.log([1.0, k1, a * k1 / b * t_samp**alpha]), alpha)
     if np.all(np.isfinite(theta[1:3])) and abs(k0) <= _K0_BOX:
-        return np.clip(theta, *_BOUNDS), k0  # alpha = 1 has logit inf: the box edge
+        return np.clip(theta, *_BOUNDS), k0
     return None
 
 
@@ -474,14 +470,7 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
     recursive pass, a stimulus needs only P's step response, and
     c*~u = (u - h*~u)/g needs no convolution.  An order keeps its estimate
     when the refined vector is not valid, or when its creep prefilter has a
-    pole outside the unit circle (den = s*c + K1 has none).  So does
-    alpha = 1, whose start sits on the logit box edge: there d alpha/du is
-    ~2e-22, and the solve leaves the edge only through the long first steps
-    of a start that does not fit yet.  A refined edge start, already fit in
-    K0, K1 and B1, stops the solve within a few steps at alpha = 1, and it
-    would win the scoring on records of alpha just below 1: on 90 generators
-    of alpha 0.985 to 1, recovery failed for 43 with the edge refined and
-    for 13 with its estimate.
+    pole outside the unit circle (den = s*c + K1 has none).
     """
     orders = list(orders)
     t_samp = experiments[0].t_samp
@@ -520,10 +509,9 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
         start = _order_start(vector, alpha, t_samp)
         if start is None:
             continue
-        if alpha < 1.0:  # the order on the box edge keeps its estimate
-            refined = _prefiltered_vector(prefiltered, records, c, vector)
-            if refined is not None:
-                start = _order_start(refined, alpha, t_samp) or start
+        refined = _prefiltered_vector(prefiltered, records, c, vector)
+        if refined is not None:
+            start = _order_start(refined, alpha, t_samp) or start
         theta, k0 = start
         cap = _passive_params(theta, n_mem, t_samp, config.b_plant)[0].k0
         theta[0] = np.clip(cap - k0, *_BOUNDS[:, 0])
@@ -579,12 +567,13 @@ def fit(
     forward records fit best, among one per valid order the two-level scan
     visits (see _scan): its equation-error estimate refined by one
     Steiglitz-McBride pass (see _equation_error_starts).  When no order is
-    valid, the solve starts from K0 = 0, K1 = B1 = 1 and alpha ~ 0.5.  Every
+    valid, the solve starts from K0 = 0, K1 = B1 = 1 and alpha = 0.505.
+    Returns the better of the start and the solve's end, the start on a tie,
+    even when the solve's budget runs out, with converged = False.  Every
     candidate, the returned one included, satisfies the closed-form bound at
-    config.b_plant.  Returns the solve's result even when its budget runs
-    out, with converged = False.  objective_evals counts the solve's
-    residuals and Jacobians, and one per scored start, whether or not its
-    scoring stopped early.
+    config.b_plant.  objective_evals counts the solve's residuals and
+    Jacobians, and one per scored start, whether or not its scoring stopped
+    early.
     """
     experiments = [data] if isinstance(data, ExperimentData) else list(data)
     if not experiments:
@@ -595,20 +584,24 @@ def fit(
     for exp in experiments[1:]:
         if abs(exp.t_samp - t_samp) > 1e-9 * t_samp:
             raise ValueError("experiments must share one sampling period")
-    probe = _passive_params(np.zeros(4), n_mem, t_samp, config.b_plant)
+    fallback = [0.0, 0.0, 0.0, 0.505]  # K1 = B1 = 1, K0 at its cap
+    probe = _passive_params(fallback, n_mem, t_samp, config.b_plant)
     for exp in experiments:  # refuses a protocol shorter than its record
         _record_filter(*probe, exp)
 
     residuals, jacobian, score = _objective(experiments, n_mem, config)
-    (_, _, x0), scored = _scan(experiments, n_mem, config, score)
-    if x0 is None:
-        x0 = np.clip([probe[0].k0, 0.0, 0.0, 0.0], *_BOUNDS)
+    (start_score, _, x0), scored = _scan(experiments, n_mem, config, score)
+    if x0 is None:  # the slack that takes K0 to 0
+        x0 = np.clip([probe[0].k0, *fallback[1:]], *_BOUNDS)
     # each step costs one residual, and each accepted one a Jacobian too; the
     # gradient test sits at roundoff, since a start near a zero residual meets 1e-8
     res = least_squares(residuals, x0, jac=jacobian, bounds=tuple(_BOUNDS), method="trf", gtol=1e-15,
                         max_nfev=config.max_evals // 2)
+    # TRF moves a start that lies on a bound 1e-10 inside the box, so the
+    # solve can end worse than it began; the scan has scored the start already
+    theta = x0 if start_score <= 2.0 * res.cost else res.x
 
-    params, kern = _passive_params(res.x, n_mem, t_samp, config.b_plant)
+    params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
     errs = [nrmse(_predict(params, kern, e), e.values) for e in experiments]
     return FitResult(
         params=params,

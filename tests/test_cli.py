@@ -548,6 +548,21 @@ class TestRefusedInputs:
         assert err.startswith("fovisc: error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, work", [
+        (["fit", "--relax", "{r}"], (fitting, "fit")),
+        (["simulate", "--k1", "2", "--b1", "100", "--duration", "0.1"], (simloop, "simulate")),
+        (["sweep", "--what", "ed", "--k1", "1", "--b1", "1", "--alpha", "0.5"], (impedance, "es_ed_finite")),
+    ], ids=["fit", "simulate", "sweep"])
+    def test_an_output_directory_is_checked_before_the_work(self, short_records, tmp_path, capsys, monkeypatch,
+                                                            argv, work):
+        # the whole run once went ahead, and only writing its output exited 2
+        monkeypatch.setattr(*work, lambda *a, **k: pytest.fail("the work ran"))
+        argv = [a.format(r=short_records / "r.csv") for a in argv]
+        assert dispatch([*argv, "-o", str(tmp_path / "no" / "dir" / "x.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fovisc: error: ") and "no directory" in err and "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_json_is_refused_and_not_written(self, short_records, tmp_path, capsys):
         # the fit's NRMSE overflows to inf, once written as "nrmse": Infinity,

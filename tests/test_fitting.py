@@ -33,11 +33,6 @@ MATERIAL_N101 = FoSlsParams(k0=-2.89, k1=5.70, b1=5.89, alpha=0.203)
 QUICK = FitConfig(max_evals=6000)
 
 
-def order_logit(alpha):
-    """theta's order coordinate of alpha; the box edge, where alpha rounds to 1, at alpha = 1."""
-    return math.log((alpha - fitting._ALPHA_LO) / (1.0 - alpha)) if alpha < 1.0 else fitting._U_BOX
-
-
 class TestNrmse:
     def test_identical_series(self):
         y = np.array([1.0, 2.0, 4.0])
@@ -118,15 +113,15 @@ class TestPassiveParams:
     @given(
         log_k1=st.floats(-6.9, 6.9),
         log_b1=st.floats(-6.9, 6.9),
-        u=st.floats(-50.0, 50.0),
+        alpha=st.floats(0.01, 1.0),
         b_plant=st.sampled_from([0.0, 1e-4, 0.0025]) | st.floats(0.0, 0.01),
         t_samp=st.sampled_from([1e-3, 5e-4, 2e-3]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_zero_slack_sits_on_the_bound(self, log_k1, log_b1, u, b_plant, t_samp):
+    def test_zero_slack_sits_on_the_bound(self, log_k1, log_b1, alpha, b_plant, t_samp):
         # K0 at zero slack is the cap: the bound holds exactly as the library
         # computes it, and misses b_plant by no more than roundoff
-        params, kern = _passive_params([0.0, log_k1, log_b1, u], 101, t_samp, b_plant)
+        params, kern = _passive_params([0.0, log_k1, log_b1, alpha], 101, t_samp, b_plant)
         b_min = bound_closed_form(params, kern).b_min
         assert b_min <= b_plant
         assert b_plant - b_min <= 1e-12 * (abs(params.k0) * t_samp + b_plant)
@@ -176,24 +171,26 @@ class TestJacobian:
         slack=st.floats(0.01, 10.0),
         log_k1=st.floats(math.log(0.1), math.log(50.0)),
         log_b1=st.floats(math.log(0.1), math.log(50.0)),
-        u=st.floats(-3.0, 3.0) | st.just(50.0),  # logit 50 rounds alpha to exactly 1
+        # the differences step alpha by up to 2e-4, which must stay inside its box
+        alpha=st.floats(0.05, 0.95) | st.just(0.9998),
         n_mem=st.sampled_from([1, 51, 101]),
         kinds=st.sampled_from([("creep",), ("relaxation",), ("creep", "relaxation")]),
         f_hold=st.sampled_from([3.0, 0.0]),  # no hold force: 1/den from a filter pass
         t_hold=st.sampled_from([0.6, 0.15]),  # the recovery undone over 1 or 4 blocks
     )
     @settings(max_examples=80, deadline=None)
-    # K0 = -K1*B1/(B1 + K1*T) at K1 = B1 = alpha = 1: the creep filter's zero
-    # sits on the unit circle, and steps of 1e-4 to 1e-7 straddle it
-    @example(slack=5.0, log_k1=0.0, log_b1=0.0, u=50.0, n_mem=101, kinds=("creep",), f_hold=3.0, t_hold=0.6)
+    # slack = 2*b_plant/T puts the law's Nyquist value at 0 for every K1, B1
+    # and alpha: the creep filter's zero sits on the unit circle, and steps of
+    # 1e-4 to 1e-7 straddle it
+    @example(slack=5.0, log_k1=0.0, log_b1=0.0, alpha=0.9998, n_mem=101, kinds=("creep",), f_hold=3.0, t_hold=0.6)
     @example(
-        slack=5.0, log_k1=0.0, log_b1=0.0, u=50.0, n_mem=1, kinds=("creep", "relaxation"),
+        slack=5.0, log_k1=0.0, log_b1=0.0, alpha=0.9998, n_mem=1, kinds=("creep", "relaxation"),
         f_hold=0.0, t_hold=0.15,
     )
     # B1 = e moves that zero ~2.7x faster with the slack: the slack column
     # agrees only at steps where the other columns are roundoff
-    @example(slack=5.0, log_k1=0.0, log_b1=1.0, u=50.0, n_mem=1, kinds=("creep",), f_hold=3.0, t_hold=0.6)
-    def test_matches_central_differences(self, slack, log_k1, log_b1, u, n_mem, kinds, f_hold, t_hold):
+    @example(slack=5.0, log_k1=0.0, log_b1=1.0, alpha=0.9998, n_mem=1, kinds=("creep",), f_hold=3.0, t_hold=0.6)
+    def test_matches_central_differences(self, slack, log_k1, log_b1, alpha, n_mem, kinds, f_hold, t_hold):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         protocols = {
             "creep": CreepProtocol(f_hold=f_hold, t_hold=t_hold, t_recover=0.6),
@@ -201,7 +198,7 @@ class TestJacobian:
         }
         data = [synth_experiment(MATERIAL_N101, kern, protocols[k]) for k in kinds]
         residuals, jacobian, _ = fitting._objective(data, n_mem, FitConfig())
-        theta = np.array([slack, log_k1, log_b1, u])
+        theta = np.array([slack, log_k1, log_b1, alpha])
         assume(np.all(np.abs(residuals(theta)) < fitting._WALL))
         jac = jacobian(theta)
         # relative to the whole matrix: every column differentiates the same
@@ -220,7 +217,7 @@ class TestJacobian:
         ]
         n_creep = data[0].values.size
         residuals, jacobian, _ = fitting._objective(data, 101, FitConfig())
-        theta = np.array([3.0, 2.0, 1.0, 0.0])
+        theta = np.array([3.0, 2.0, 1.0, 0.505])
         r = residuals(theta)
         assert np.any(np.abs(r[:n_creep]) == fitting._WALL)
         assert np.all(np.abs(r[n_creep:]) < fitting._WALL)
@@ -233,7 +230,7 @@ class TestJacobian:
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         data = synth_experiment(MATERIAL_N101, kern, RelaxationProtocol(duration=0.5))
         residuals, jacobian, _ = fitting._objective([data], 101, FitConfig())
-        theta = np.array([1.0, 1.5, 1.5, -1.0])
+        theta = np.array([1.0, 1.5, 1.5, 0.276])
         residuals(theta)
         expected = jacobian(theta)
         monkeypatch.setattr(fitting, "_record_filter", lambda *a: pytest.fail("model ran"))
@@ -293,7 +290,7 @@ class TestFit:
     def test_a_start_on_the_record_stops_at_once(self):
         # at alpha = 1 the estimate reproduces this exact record, to a zero
         # residual: the solve must stop there, not run to its budget
-        true, kern = _passive_params([0.16398485195103757, 0.345220708939621, 1.6634181588816266, 50.0],
+        true, kern = _passive_params([0.16398485195103757, 0.345220708939621, 1.6634181588816266, 1.0],
                                      101, T, 0.0025)
         data = synth_experiment(true, kern, CreepProtocol(t_hold=1.0, t_recover=1.0))
         result = fit(data, 101, FitConfig(max_evals=1000))
@@ -373,7 +370,7 @@ class TestFit:
         data = synth_experiment(MATERIAL_N101, kern, CreepProtocol(t_hold=1.0, t_recover=1.0))
         unstable = FoSlsParams(k0=-9.663399485574615, k1=19.95069809321432, b1=7.059139793870999,
                                alpha=0.26436587608063844)
-        theta = np.array([0.0, math.log(unstable.k1), math.log(unstable.b1), order_logit(unstable.alpha)])
+        theta = np.array([0.0, math.log(unstable.k1), math.log(unstable.b1), unstable.alpha])
         theta[0] = _passive_params(theta, 101, T, 0.0025)[0].k0 - unstable.k0  # the slack below the cap
         params, kern_u = _passive_params(theta, 101, T, 0.0025)
         for name in ("k0", "k1", "b1", "alpha"):
@@ -395,7 +392,7 @@ def reference_starts(experiments, n_mem, config, passes=1):
     by lfilter with the estimate's den (relaxation) or num (creep), scaled to
     a leading coefficient of 1, and an order keeps its estimate when the
     pass's vector is not valid or its creep prefilter has a pole outside the
-    unit circle.  alpha = 1, on the box edge, keeps its estimate."""
+    unit circle."""
     t_samp = experiments[0].t_samp
     series = []
     for exp in experiments:
@@ -416,7 +413,7 @@ def reference_starts(experiments, n_mem, config, passes=1):
         a, b, p, q = vector
         with np.errstate(all="ignore"):
             k0, k1 = q / b, p / a - q / b
-            theta = np.log([1.0, k1, a * k1 / b * t_samp**alpha, (alpha - fitting._ALPHA_LO) / (1.0 - alpha)])
+            theta = np.append(np.log([1.0, k1, a * k1 / b * t_samp**alpha]), alpha)
         if np.all(np.isfinite(theta[1:3])) and abs(k0) <= fitting._K0_BOX:
             return np.clip(theta, *fitting._BOUNDS), k0
         return None
@@ -428,7 +425,7 @@ def reference_starts(experiments, n_mem, config, passes=1):
         estimate = start(vector, alpha)
         if estimate is None:
             continue
-        for _ in range(passes if alpha < 1.0 else 0):
+        for _ in range(passes):
             prefilters = {}
             for kind, (g, h) in (("relaxation", vector[:2]), ("creep", vector[2:])):
                 prefilters[kind] = g / (g + h) * c
@@ -464,7 +461,7 @@ def scan_records(true, n_gen, kinds, csv_path=None, seconds=1.0):
 
 
 def generator(slack, log_k1, log_b1, alpha):
-    return _passive_params([slack, log_k1, log_b1, order_logit(alpha)], 101, T, 0.0025)[0]
+    return _passive_params([slack, log_k1, log_b1, alpha], 101, T, 0.0025)[0]
 
 
 # a passive generator's records at matched (101) or longer (301) memory,
@@ -618,7 +615,7 @@ class TestStartScan:
         data = scan_records(true, 101, kinds)
         starts = fitting._equation_error_starts(data, 101, FitConfig())
         estimates = reference_starts(data, 101, FitConfig(), passes=0)
-        at = [theta[3] for _, theta, _ in starts].index(order_logit(true.alpha))
+        at = [theta[3] for _, theta, _ in starts].index(true.alpha)
         theta, estimate = starts[at][1], estimates[at][0]
         assert np.max(np.abs(theta - estimate)) <= 1e-12 * np.max(np.abs(estimate))
 
@@ -626,8 +623,8 @@ class TestStartScan:
     def test_an_unstable_creep_prefilter_keeps_the_estimate(self, monkeypatch):
         # a creep record of a law whose DC stiffness is near zero: at ten of
         # the valid orders the estimate's num has a zero inside the unit
-        # circle, so 1/num would grow; those orders keep their estimate, as
-        # does alpha = 1 on the box edge, and the other three are refined
+        # circle, so 1/num would grow; those orders keep their estimate, and
+        # the other four, alpha = 1 among them, are refined
         true = FoSlsParams(k0=-0.7225778402647309, k1=5.454695230520415, b1=1.9449918224192033,
                            alpha=0.952902774673619)
         data = scan_records(true, 101, ("creep",))
@@ -640,9 +637,9 @@ class TestStartScan:
         monkeypatch.setattr(fitting, "_poles_outside", counting)
         starts = fitting._equation_error_starts(data, 101, FitConfig())
         estimates = reference_starts(data, 101, FitConfig(), passes=0)
-        assert outside == [1] * 10 + [0] * 3  # one creep prefilter per valid order below the edge
-        assert starts[-1][1][3] == fitting._U_BOX
-        for (_, theta, _), (estimate, _), kept in zip(starts, estimates, outside + [1]):
+        assert outside == [1] * 10 + [0] * 4  # one creep prefilter per valid order
+        assert starts[-1][1][3] == 1.0
+        for (_, theta, _), (estimate, _), kept in zip(starts, estimates, outside):
             gap = np.max(np.abs(theta - estimate)) / np.max(np.abs(estimate))
             assert gap <= 1e-9 if kept else gap > 1e-4
 
@@ -677,8 +674,8 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize(
         "n_gen, seconds, most",
-        # matched and mismatched: 59 and 28, and 86 and 45 when every valid order is scored
-        [(101, 3.0, 64), (301, 1.0, 32)],
+        # matched and mismatched: 66 and 31, and 93 and 48 when every valid order is scored
+        [(101, 3.0, 71), (301, 1.0, 35)],
         ids=["matched", "mismatched"],
     )
     def test_the_bench_fits_stay_within_their_counts(self, tmp_path, n_gen, seconds, most):
@@ -698,19 +695,17 @@ class TestMemoryTrend:
         kinds=st.sampled_from([("creep", "relaxation"), ("creep",), ("relaxation",)]),
     )
     @settings(max_examples=10, deadline=None)
-    # draws of alpha just below 1 where some fits end on the alpha = 1 box
-    # edge, the parent's fits too: N = 51 and 101 on the first and third,
-    # 101 and 151 on the second.  Two fits on the edge render one law, and
-    # their order is the solve's stopping point.
-    @example(slack=1.0, log_k1=0.0, log_b1=2.5, alpha=0.9921875, kinds=("creep", "relaxation")).xfail(
-        reason="the N = 101 fit ends on the alpha = 1 box edge, NRMSE 9.4e-5 over N = 51's 6.6e-5",
-        raises=AssertionError)
-    @example(slack=1.0, log_k1=2.0, log_b1=1.0, alpha=0.99999, kinds=("relaxation",)).xfail(
-        reason="the N = 101 fit ends on the alpha = 1 box edge, NRMSE 3.9e-7 over N = 51's 2.7e-7",
-        raises=AssertionError)
-    @example(slack=1.0, log_k1=0.0, log_b1=1.0, alpha=0.99999, kinds=("creep", "relaxation")).xfail(
-        reason="the N = 51 and 101 fits end on the alpha = 1 box edge, NRMSE 1.16605e-7 and 1.16606e-7",
-        raises=AssertionError)
+    # draws of alpha just below 1 whose fits once stuck at alpha = 1, where
+    # the order coordinate (a logit) could not move: N = 101 ended with NRMSE
+    # 9.4e-5 over N = 51's 6.6e-5 on the first, 3.9e-7 over 2.7e-7 on the
+    # second, and N = 51 and 101 rendered one law on the third
+    @example(slack=1.0, log_k1=0.0, log_b1=2.5, alpha=0.9921875, kinds=("creep", "relaxation"))
+    @example(slack=1.0, log_k1=2.0, log_b1=1.0, alpha=0.99999, kinds=("relaxation",))
+    @example(slack=1.0, log_k1=0.0, log_b1=1.0, alpha=0.99999, kinds=("creep", "relaxation"))
+    # alpha = 1 exactly: the solve moves a start on the box face 1e-10 inside
+    # it, and its ends there read NRMSE 9.7e-13, 2.4e-12 and 3.9e-12, so fit
+    # keeps the start
+    @example(slack=1.0, log_k1=2.0, log_b1=0.0, alpha=1.0, kinds=("relaxation",))
     def test_error_does_not_grow_with_memory(self, slack, log_k1, log_b1, alpha, kinds):
         # criterion 10's shape on random passive generators: records of
         # memory N = 301 (1 s protocols) fit at N = 51, 101 and 151
@@ -729,14 +724,14 @@ class TestCsvRoundTrip:
         slack=st.floats(0.05, 3.0),
         log_k1=st.floats(0.0, math.log(20.0)),
         log_b1=st.floats(0.0, math.log(20.0)),
-        u=st.floats(-2.0, 2.0),
+        alpha=st.floats(0.12, 0.88),
     )
     @settings(max_examples=5, deadline=None)
-    def test_synth_csv_fit_recovers_the_generator(self, tmp_path_factory, slack, log_k1, log_b1, u):
+    def test_synth_csv_fit_recovers_the_generator(self, tmp_path_factory, slack, log_k1, log_b1, alpha):
         # a passive generator (K0 below the cap by the slack), written by synth
         # at 12 significant digits and read back by fit
         d = tmp_path_factory.mktemp("roundtrip")
-        true, kern = _passive_params([slack, log_k1, log_b1, u], 101, T, 0.0025)
+        true, kern = _passive_params([slack, log_k1, log_b1, alpha], 101, T, 0.0025)
         # a generator whose force law has no stable inverse has a diverging
         # creep record: no material to recover, and synth refuses it. The
         # record synth would write (its default forces 3 and 0.5) must also
@@ -802,13 +797,15 @@ class TestRecovery:
     # test (1e-8) at once, which left alpha at the start's 0.06
     @example(slack=2.7511245335471606, log_k1=0.1397576148719802, log_b1=0.09073723733721725,
              alpha=0.06920479468833954, kinds=("creep",))
-    # a refined start on the alpha = 1 box edge would fit these records best,
-    # and the solve would stop there (see fitting._equation_error_starts)
+    # the refined alpha = 1 start fits these records best, and the solve must
+    # move alpha off the box face
     @example(slack=1.0, log_k1=0.0, log_b1=0.0, alpha=0.9921875, kinds=("creep", "relaxation"))
+    # creep records that once ended at alpha = 1.0, NRMSE 4.4e-6
+    @example(slack=1.0, log_k1=0.0, log_b1=0.0, alpha=0.997, kinds=("creep",))
     def test_fit_recovers_passive_generators(self, tmp_path_factory, slack, log_k1, log_b1, alpha, kinds):
         # a passive generator K0 = cap - slack, read back from its synth records
         # at matched memory, must be recovered: the fit lands in its basin
-        true, kern = _passive_params([slack, log_k1, log_b1, order_logit(alpha)], 101, T, 0.0025)
+        true, kern = _passive_params([slack, log_k1, log_b1, alpha], 101, T, 0.0025)
         # synth refuses a creep record whose force law has no stable inverse
         assume("creep" not in kinds or _poles_outside(_law_filter(true, kern)[0]) == 0)
         code, result = synth_and_fit(tmp_path_factory.mktemp("recovery"), true, kinds)
@@ -818,10 +815,9 @@ class TestRecovery:
 
 
 def test_recovery_from_the_order_box_edge(tmp_path):
-    # a draw of TestRecovery that failed from the single start until the
-    # refined starts: the alpha = 1 order's estimate fit these creep records
-    # best, its start sits on the logit box edge u = 50, and the solve ended
-    # at alpha 1.0, NRMSE 8e-6.  Now the refined alpha = 0.98 start fits best.
+    # a draw of TestRecovery that once failed: the alpha = 1 order's start
+    # fits these creep records best, and the solve ended there, at alpha 1.0
+    # and NRMSE 8e-6, while alpha was a logit coordinate (d alpha/du ~2e-22)
     true = FoSlsParams(k0=3.000530308811749, k1=1.0, b1=1.0, alpha=0.9921875)
     code, result = synth_and_fit(tmp_path, true, ("creep",))
     assert code == 0
