@@ -143,9 +143,10 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--t", type=float, default=0.001, help="sampling period [s]")
 
 
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+def _add_output_flags(sub: argparse.ArgumentParser, plot: bool = True) -> None:
     sub.add_argument("-o", "--output", help="output path (default stdout)")
-    sub.add_argument("--gnuplot", action="store_true", help="also emit a .gp plot script (CSV outputs with -o)")
+    if plot:  # bound and fit write only JSON, which has nothing to plot
+        sub.add_argument("--gnuplot", action="store_true", help="also emit a .gp plot script (with -o)")
 
 
 def _count(args: argparse.Namespace, name: str, upper: int) -> int:
@@ -213,6 +214,8 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.what == "f" and args.form != "finite":
+        raise ValueError(f"--what f has only the finite form, got --form {args.form}")
     params = _params_from(args)
     points = _count(args, "points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
@@ -330,11 +333,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
         proto = fitting.CreepProtocol(
             f_hold=args.f_hold, t_hold=args.t_hold, f_recover=args.f_recover, t_recover=t_rec
         )
-        experiments.append(fitting.ExperimentData("creep", t, v, proto))
+        experiments.append(fitting.ExperimentData(t, v, proto))
     if args.relax:
         t, v = _read_series_csv(args.relax)
         proto = fitting.RelaxationProtocol(x0=args.x0, duration=float(t[-1]))
-        experiments.append(fitting.ExperimentData("relaxation", t, v, proto))
+        experiments.append(fitting.ExperimentData(t, v, proto))
     if not experiments:
         raise ValueError("supply at least one of --creep/--relax")
     config = fitting.FitConfig(args.b_plant, args.max_evals)
@@ -404,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--b-plant", type=float, default=None, help="available plant damping [N*s/mm]")
     p.add_argument("--grid-points", type=int, default=8192)
-    _add_output_flags(p)
+    _add_output_flags(p, plot=False)
     p.set_defaults(handler=cmd_bound)
 
     p = subs.add_parser("region", help="(B1, K1) admissible-region boundary at k0=0")
@@ -458,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-hold", type=float, default=3.0)
     p.add_argument("--f-recover", type=float, default=0.5)
     p.add_argument("--x0", type=float, default=5.0)
-    _add_output_flags(p)
+    _add_output_flags(p, plot=False)
     p.set_defaults(handler=cmd_fit)
 
     p = subs.add_parser("synth", help="synthesize a protocol record from parameters")

@@ -39,13 +39,10 @@ from .models import (
     _creep_force,
     _creep_sensitivities,
     _fir,
-    _law_filter,
     _lfilter,
     _poles_outside,
     _relaxation_filter,
     _relaxation_sensitivities,
-    creep_response,
-    relaxation_response,
 )
 from .passivity import _nyquist_value, bound_closed_form
 from .util import _check_finite
@@ -112,21 +109,16 @@ class RelaxationProtocol:
 
 @dataclass(frozen=True)
 class ExperimentData:
-    """One recorded protocol: displacement [mm] for creep, force [N] for
-    relaxation, on a strictly increasing uniform time grid."""
+    """One recorded protocol: displacement [mm] under a CreepProtocol, force
+    [N] under a RelaxationProtocol, on a strictly increasing uniform time grid."""
 
-    kind: str  # 'creep' | 'relaxation'
     time: np.ndarray  # s
     values: np.ndarray
     stimulus: CreepProtocol | RelaxationProtocol
 
     def __post_init__(self):
-        if self.kind not in ("creep", "relaxation"):
-            raise ValueError(f"kind must be 'creep' or 'relaxation', got {self.kind!r}")
-        protocol = CreepProtocol if self.kind == "creep" else RelaxationProtocol
-        if not isinstance(self.stimulus, protocol):
-            name = type(self.stimulus).__name__
-            raise ValueError(f"a {self.kind} record needs a {protocol.__name__} stimulus, got {name}")
+        if not isinstance(self.stimulus, (CreepProtocol, RelaxationProtocol)):
+            raise ValueError(f"unknown protocol {self.stimulus!r}")
         t = np.asarray(self.time, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two samples")
@@ -139,6 +131,10 @@ class ExperimentData:
             raise ValueError("time grid must be uniform")
         if len(self.values) != t.size:
             raise ValueError("time and value lengths differ")
+
+    @property
+    def kind(self) -> str:
+        return "creep" if isinstance(self.stimulus, CreepProtocol) else "relaxation"
 
     @property
     def t_samp(self) -> float:
@@ -184,16 +180,6 @@ def _scale(measured: np.ndarray) -> float:
     return scale
 
 
-def _response(params: FoSlsParams, kernel, protocol) -> tuple[np.ndarray, np.ndarray]:
-    """(t, record) of the law under a protocol: displacement for creep, force for relaxation."""
-    p = protocol
-    if isinstance(p, RelaxationProtocol):
-        return relaxation_response(params, kernel, p.x0, p.duration)
-    if isinstance(p, CreepProtocol):
-        return creep_response(params, kernel, p.f_hold, p.t_hold, p.f_recover, p.t_recover)
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def synth_experiment(
     params: FoSlsParams,
     kernel,
@@ -208,15 +194,15 @@ def synth_experiment(
     """
     if not (0.0 <= noise_sd < math.inf):
         raise ValueError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
-    t, values = _response(params, kernel, protocol)
-    kind = "creep" if isinstance(protocol, CreepProtocol) else "relaxation"
-    unstable = kind == "creep" and _poles_outside(_law_filter(params, kernel)[0])
+    b, a, u, offset = _record_filter(params, kernel, protocol)
+    unstable = isinstance(protocol, CreepProtocol) and _poles_outside(a)  # a is the law's num
     if unstable:
         msg = f"the force law's inverse has {unstable} pole(s) outside the unit circle"
         raise ValueError(f"the creep record diverges: {msg}")
+    values = offset + _lfilter(b, a, u)
     if noise_sd > 0.0:
         values = values + np.random.default_rng(seed).normal(0.0, noise_sd, size=values.size)
-    return ExperimentData(kind=kind, time=t, values=values, stimulus=protocol)
+    return ExperimentData(time=np.arange(u.size) * kernel.t_samp, values=values, stimulus=protocol)
 
 
 def _passive_params(
@@ -258,21 +244,23 @@ def _passive_map_jacobian(params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -
     ])
 
 
-def _record_filter(params: FoSlsParams, kernel, exp: ExperimentData):
-    """(b, a, input, offset) of a record's prediction offset + lfilter(b, a, input),
-    the protocol's input cut to the record's length (the filter is causal)."""
-    s = exp.stimulus
-    if exp.kind == "relaxation":
-        b, a, u, offset = _relaxation_filter(params, kernel, s.x0, s.duration)
+def _record_filter(params: FoSlsParams, kernel, protocol, size=None):
+    """(b, a, input, offset) of a protocol's record offset + lfilter(b, a, input), displacement
+    for creep, force for relaxation; the input cut to size samples (the filter is causal)."""
+    p = protocol
+    if isinstance(p, RelaxationProtocol):
+        b, a, u, offset = _relaxation_filter(params, kernel, p.x0, p.duration)
+    elif isinstance(p, CreepProtocol):
+        b, a, u, offset = _creep_filter(params, kernel, p.f_hold, p.t_hold, p.f_recover, p.t_recover)
     else:
-        b, a, u, offset = _creep_filter(params, kernel, s.f_hold, s.t_hold, s.f_recover, s.t_recover)
-    if u.size < exp.values.size:  # a length that depends only on the protocol and T
-        raise ValueError(f"{exp.kind} protocol shorter than the measured record")
-    return b, a, u[: exp.values.size], offset
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if size is not None and u.size < size:  # a length that depends only on the protocol and T
+        raise ValueError(f"{type(p).__name__} shorter than the measured record")
+    return b, a, u[:size], offset
 
 
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
-    b, a, u, offset = _record_filter(params, kernel, exp)
+    b, a, u, offset = _record_filter(params, kernel, exp.stimulus, exp.values.size)
     return offset + _lfilter(b, a, u)
 
 
@@ -311,7 +299,7 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
 
     def model(theta):
         params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
-        return params, kern, [_record_filter(params, kern, exp) for exp in experiments]
+        return params, kern, [_record_filter(params, kern, e.stimulus, e.values.size) for e in experiments]
 
     def weigh(r: np.ndarray, part: slice, pred: np.ndarray) -> None:
         """r[part] = the weighted residuals of pred, NaN and beyond the wall put on it."""
@@ -587,7 +575,7 @@ def fit(
     fallback = [0.0, 0.0, 0.0, 0.505]  # K1 = B1 = 1, K0 at its cap
     probe = _passive_params(fallback, n_mem, t_samp, config.b_plant)
     for exp in experiments:  # refuses a protocol shorter than its record
-        _record_filter(*probe, exp)
+        _record_filter(*probe, exp.stimulus, exp.values.size)
 
     residuals, jacobian, score = _objective(experiments, n_mem, config)
     (start_score, _, x0), scored = _scan(experiments, n_mem, config, score)

@@ -84,11 +84,8 @@ def build_kernel(alpha: float, n_mem: int, t_samp: float) -> GLKernel:
     alpha = _check_alpha(alpha)
     n_mem = _check_n_mem(n_mem)
     t_samp = _check_t_samp(t_samp)
-    if n_mem == 0:
-        coeffs = np.ones(1)
-    else:
-        i = np.arange(1, n_mem + 1, dtype=float)
-        coeffs = np.concatenate(([1.0], np.cumprod((i - alpha - 1.0) / i)))
+    i = np.arange(1, n_mem + 1, dtype=float)
+    coeffs = np.concatenate(([1.0], np.cumprod((i - alpha - 1.0) / i)))
     coeffs.setflags(write=False)
     return GLKernel(alpha=alpha, n_mem=n_mem, t_samp=t_samp, coeffs=coeffs)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .glkernel import GLKernel
-from .models import DiscreteVE, FoSlsParams, _check_order, _fir, _law_filter
+from .models import DiscreteVE, FoSlsParams, _check_order, _fir, _law_filter, _lfilter
 from .util import _check_finite, n_samples
 
 __all__ = [
@@ -254,15 +254,13 @@ def simulate(
     if steps > 1:
         drive[1] += g_x * v0
 
-    from scipy.signal import lfilter  # imported here: see models._lfilter
-
     def respond(u):
         # position den/loop_den u and rendered force num/loop_den u, sharing one pass
-        w = lfilter([1.0], loop_den, u)
+        w = _lfilter([1.0], loop_den, u)
         return _fir(den, w), _fir(num, w)
 
     def velocity(f_net):
-        return lfilter([0.0, g_f], [1.0, -d], f_net, zi=[v0])[0]
+        return _lfilter([0.0, g_f], [1.0, -d], f_net, zi=[v0])[0]
 
     with np.errstate(all="ignore"):
         x, force = respond(drive)
@@ -331,7 +329,7 @@ def energy_observer(trace: SimTrace) -> ObserverReport:
 
 
 def is_unstable(trace: SimTrace) -> bool:
-    """Instability verdict: observer violation, divergence, or envelope growth.
+    """Instability verdict: observer violation (a diverged run is one) or envelope growth.
 
     Envelope growth compares max|x| over the final fifth of the
     post-excitation window against the fifth starting at 20% of it.  The
@@ -339,8 +337,6 @@ def is_unstable(trace: SimTrace) -> bool:
     so its fixed thresholds only have to clear roundoff (the energy drift and
     the envelope floor) and the ripple of a settling loop (5% growth).
     """
-    if trace.diverged:
-        return True
     if energy_observer(trace).violation:
         return True
     mask = trace.t >= trace.excite_end - 1e-12

@@ -251,6 +251,17 @@ class TestSweep:
         _, rows, _ = read_csv(out)
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("form, code", [("finite", 0), ("asymptotic", 3), ("lowfreq", 3)])
+    def test_f_has_only_the_finite_form(self, tmp_path, capsys, form, code):
+        # the asymptotic and lowfreq forms once wrote the finite-memory f, exit 0
+        out = tmp_path / "f.csv"
+        assert dispatch(["sweep", "--what", "f", "--form", form, "--k1", "1", "--b1", "1", "--alpha", "0.5",
+                         "--n", "51", "--points", "8", "-o", str(out)]) == code
+        err = capsys.readouterr().err
+        assert out.exists() == (code == 0)
+        if code:
+            assert err == f"fovisc: error: --what f has only the finite form, got --form {form}\n"
+
 
 class TestSimulate:
     def test_trace_csv(self, tmp_path):
@@ -615,6 +626,18 @@ class TestGnuplot:
         assert code == 0
         script = (tmp_path / "c.csv.gp").read_text()
         assert "plot" in script and "c.csv" in script
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5"],
+        ["fit", "--relax", "{r}"],
+    ], ids=["bound", "fit"])
+    def test_json_only_commands_take_no_plot_flag(self, short_records, tmp_path, capsys, argv):
+        # both once exited 0 and wrote no script
+        out = tmp_path / "out.json"
+        argv = [a.format(r=short_records / "r.csv") for a in argv]
+        assert dispatch([*argv, "-o", str(out), "--gnuplot"]) == 2
+        assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.json.gp").exists()
 
 
 def _f12(x):

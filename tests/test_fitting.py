@@ -3,7 +3,7 @@
 import argparse
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,6 +65,7 @@ class TestSynth:
         a = synth_experiment(MATERIAL_N101, kern, CreepProtocol())
         b = synth_experiment(MATERIAL_N101, kern, CreepProtocol(), noise_sd=0.0, seed=5)
         assert np.array_equal(a.values, b.values)
+        assert np.array_equal(fitting._predict(MATERIAL_N101, kern, a), a.values)  # fit's forward filter
 
     def test_noise_has_the_requested_sd(self):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
@@ -80,24 +81,29 @@ class TestSynth:
         assert exp.values[-1] < exp.values[0]
 
     def test_experiment_validation(self):
+        assert [f.name for f in fields(ExperimentData)] == ["time", "values", "stimulus"]
         with pytest.raises(ValueError):
-            ExperimentData("creep", np.array([0.0, 0.0, 1.0]), np.zeros(3), CreepProtocol())
-        with pytest.raises(ValueError):
-            ExperimentData("wrong", np.array([0.0, 1.0]), np.zeros(2), CreepProtocol())
-        # a stimulus of the other kind: fit would read a field it does not have
-        with pytest.raises(ValueError, match="creep record needs a CreepProtocol stimulus, got Relax"):
-            ExperimentData("creep", np.arange(3) * T, np.zeros(3), RelaxationProtocol())
-        with pytest.raises(ValueError, match="relaxation record needs a RelaxationProtocol .*got Creep"):
-            ExperimentData("relaxation", np.arange(3) * T, np.zeros(3), CreepProtocol())
+            ExperimentData(np.array([0.0, 0.0, 1.0]), np.zeros(3), CreepProtocol())
+        # the protocol is the record's kind: anything else names none
+        for stimulus in ("creep", None, CreepProtocol):
+            with pytest.raises(ValueError, match="unknown protocol"):
+                ExperimentData(np.arange(3) * T, np.zeros(3), stimulus)
+        assert ExperimentData(np.arange(3) * T, np.zeros(3), CreepProtocol()).kind == "creep"
+        assert ExperimentData(np.arange(3) * T, np.zeros(3), RelaxationProtocol()).kind == "relaxation"
+
+    def test_an_unknown_protocol_is_refused(self):
+        kern = build_kernel(MATERIAL_N101.alpha, 101, T)
+        with pytest.raises(ValueError, match="unknown protocol"):
+            synth_experiment(MATERIAL_N101, kern, "relaxation")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_records(self, bad):
         t = np.arange(4) * T
         values = np.array([1.0, bad, 2.0, 3.0])
         with pytest.raises(ValueError, match="finite"):
-            ExperimentData("relaxation", t, values, RelaxationProtocol())
+            ExperimentData(t, values, RelaxationProtocol())
         with pytest.raises(ValueError, match="finite"):
-            ExperimentData("relaxation", np.append(t[:3], bad), np.ones(4), RelaxationProtocol())
+            ExperimentData(np.append(t[:3], bad), np.ones(4), RelaxationProtocol())
 
 
 class TestFitConfig:
@@ -357,7 +363,7 @@ class TestFit:
     def test_short_protocol_fails_before_the_search(self, monkeypatch):
         kern = build_kernel(0.5, 51, T)
         exp = synth_experiment(FoSlsParams(0.0, 1.0, 1.0, 0.5), kern, RelaxationProtocol(duration=1.0))
-        short = ExperimentData("relaxation", exp.time, exp.values, RelaxationProtocol(duration=0.5))
+        short = ExperimentData(exp.time, exp.values, RelaxationProtocol(duration=0.5))
         monkeypatch.setattr(fitting, "least_squares", lambda *a, **k: pytest.fail("search ran"))
         with pytest.raises(ValueError, match="shorter than the measured record"):
             fit(short, 51, QUICK)
@@ -456,7 +462,7 @@ def scan_records(true, n_gen, kinds, csv_path=None, seconds=1.0):
     out = argparse.Namespace(output=str(csv_path), gnuplot=False)
     for i, exp in enumerate(data):
         cli._write_csv(out, ["time_s", "value"], [exp.time, exp.values])
-        data[i] = ExperimentData(exp.kind, *cli._read_series_csv(str(csv_path)), exp.stimulus)
+        data[i] = ExperimentData(*cli._read_series_csv(str(csv_path)), exp.stimulus)
     return data
 
 
