@@ -8,11 +8,9 @@ observer, and passivity-constrained parameter identification.  Units are
 """
 
 from .fitting import (
-    CreepProtocol,
     ExperimentData,
     FitConfig,
     FitResult,
-    RelaxationProtocol,
     fit,
     nrmse,
     synth_experiment,
@@ -36,8 +34,10 @@ from .impedance import (
     special_case_es_ed,
 )
 from .models import (
+    CreepProtocol,
     DiscreteVE,
     FoSlsParams,
+    RelaxationProtocol,
     creep_response,
     freq_response,
     relaxation_response,

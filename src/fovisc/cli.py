@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -23,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import fitting, glkernel, impedance, models, passivity, simloop, util
+from . import fitting, glkernel, impedance, models, passivity, simloop
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,15 +64,16 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return out
 
 
-class _PathError(Exception):
-    """An input or output path that cannot be opened: a usage error."""
+class _UsageError(Exception):
+    """A usage error the parser cannot see: an input or output path that
+    cannot be opened, or a flag the chosen output cannot honour."""
 
 
 def _open(path: str, mode: str = "r"):
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise _PathError(exc) from exc
+        raise _UsageError(exc) from exc
 
 
 @contextlib.contextmanager
@@ -323,20 +325,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
         t, v = _read_series_csv(args.creep)
         # recovery sized from the record's sample count, not from float times
         t_samp = float(t[1] - t[0])
-        n_hold = util.n_samples(args.t_hold, t_samp) + 1
+        hold = models.CreepProtocol(args.f_hold, args.t_hold, args.f_recover, t_recover=0.0)
+        n_hold = hold.stimulus(t_samp).size
         if n_hold > t.size:
             raise ValueError(
                 f"--t-hold {args.t_hold} s spans {n_hold} samples, "
                 f"but the creep record has only {t.size} rows"
             )
-        t_rec = (t.size - n_hold) * t_samp
-        proto = fitting.CreepProtocol(
-            f_hold=args.f_hold, t_hold=args.t_hold, f_recover=args.f_recover, t_recover=t_rec
-        )
+        proto = dataclasses.replace(hold, t_recover=(t.size - n_hold) * t_samp)
         experiments.append(fitting.ExperimentData(t, v, proto))
     if args.relax:
         t, v = _read_series_csv(args.relax)
-        proto = fitting.RelaxationProtocol(x0=args.x0, duration=float(t[-1]))
+        proto = models.RelaxationProtocol(x0=args.x0, duration=float(t[-1]))
         experiments.append(fitting.ExperimentData(t, v, proto))
     if not experiments:
         raise ValueError("supply at least one of --creep/--relax")
@@ -365,14 +365,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     params = _params_from(args)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     if args.protocol == "creep":
-        proto = fitting.CreepProtocol(
+        proto = models.CreepProtocol(
             f_hold=args.f_hold,
             t_hold=args.t_hold,
             f_recover=args.f_recover,
             t_recover=args.t_recover,
         )
     else:
-        proto = fitting.RelaxationProtocol(x0=args.x0, duration=args.duration)
+        proto = models.RelaxationProtocol(x0=args.x0, duration=args.duration)
     exp = fitting.synth_experiment(params, kern, proto, noise_sd=args.noise, seed=args.seed)
     _write_csv(args, ["time_s", "value"], [exp.time, exp.values])
     return EXIT_OK
@@ -508,9 +508,13 @@ def dispatch(argv: list[str]) -> int:
         # file itself is opened only when the output is ready
         output = getattr(args, "output", None)
         if output and not os.path.isdir(os.path.dirname(output) or "."):
-            raise _PathError(f"cannot write {output}: no directory {os.path.dirname(output)}")
+            raise _UsageError(f"cannot write {output}: no directory {os.path.dirname(output)}")
+        # JSON has nothing to plot: bound and fit take no --gnuplot, and these modes write JSON
+        mode = next((f"--{flag}" for flag in ("json", "boundary") if getattr(args, flag, False)), None)
+        if mode and getattr(args, "gnuplot", False):
+            raise _UsageError(f"{args.command} {mode} writes JSON, which --gnuplot cannot plot")
         return args.handler(args)
-    except _PathError as exc:
+    except _UsageError as exc:
         print(f"fovisc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -1,5 +1,12 @@
 """Passivity-constrained identification from creep and relaxation records.
 
+A record is an ExperimentData: its samples and the protocol of ``models``
+that produced them.  The protocol gives everything the fit knows of the
+record besides its samples: the stimulus the start scan reads, and the
+record filter and sensitivities (models._record_filter and
+_record_sensitivities) that synth_experiment, the residuals and the
+Jacobian run.
+
 The odd-memory closed-form bound b_min = K0*T/2 + branch(K1, B1, alpha) is
 affine in K0, so the search never leaves the passive set: it varies
 (slack >= 0, log K1, log B1, alpha) and takes
@@ -34,25 +41,22 @@ import numpy as np
 
 from .glkernel import GLKernel, _coeffs_dalpha, build_kernel, delta_p
 from .models import (
+    CreepProtocol,
     FoSlsParams,
-    _creep_filter,
-    _creep_force,
-    _creep_sensitivities,
+    RelaxationProtocol,
     _fir,
     _lfilter,
     _poles_outside,
-    _relaxation_filter,
-    _relaxation_sensitivities,
+    _record_filter,
+    _record_sensitivities,
+    _steps_through,
 )
 from .passivity import _nyquist_value, bound_closed_form
-from .util import _check_finite
 
 __all__ = [
     "ExperimentData",
     "FitResult",
     "FitConfig",
-    "CreepProtocol",
-    "RelaxationProtocol",
     "nrmse",
     "fit",
     "synth_experiment",
@@ -84,30 +88,6 @@ _WALL = 1e3
 
 
 @dataclass(frozen=True)
-class CreepProtocol:
-    """Held force then partial unload, displacement observed throughout."""
-
-    f_hold: float = 3.0  # N
-    t_hold: float = 3.0  # s
-    f_recover: float = 0.5  # N
-    t_recover: float = 3.0  # s
-
-    def __post_init__(self):
-        _check_finite(self)
-
-
-@dataclass(frozen=True)
-class RelaxationProtocol:
-    """Held deformation, force observed."""
-
-    x0: float = 5.0  # mm
-    duration: float = 3.0  # s
-
-    def __post_init__(self):
-        _check_finite(self)
-
-
-@dataclass(frozen=True)
 class ExperimentData:
     """One recorded protocol: displacement [mm] under a CreepProtocol, force
     [N] under a RelaxationProtocol, on a strictly increasing uniform time grid."""
@@ -119,17 +99,19 @@ class ExperimentData:
     def __post_init__(self):
         if not isinstance(self.stimulus, (CreepProtocol, RelaxationProtocol)):
             raise ValueError(f"unknown protocol {self.stimulus!r}")
-        t = np.asarray(self.time, dtype=float)
+        t, values = np.asarray(self.time, dtype=float), np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "time", t)
+        object.__setattr__(self, "values", values)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(self.values))):
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(values))):
             raise ValueError("time and values must be finite (no NaN or inf)")
         dt = np.diff(t)
         if np.any(dt <= 0.0):
             raise ValueError("time stamps must be strictly increasing")
         if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
             raise ValueError("time grid must be uniform")
-        if len(self.values) != t.size:
+        if values.shape != t.shape:
             raise ValueError("time and value lengths differ")
 
     @property
@@ -244,32 +226,9 @@ def _passive_map_jacobian(params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -
     ])
 
 
-def _record_filter(params: FoSlsParams, kernel, protocol, size=None):
-    """(b, a, input, offset) of a protocol's record offset + lfilter(b, a, input), displacement
-    for creep, force for relaxation; the input cut to size samples (the filter is causal)."""
-    p = protocol
-    if isinstance(p, RelaxationProtocol):
-        b, a, u, offset = _relaxation_filter(params, kernel, p.x0, p.duration)
-    elif isinstance(p, CreepProtocol):
-        b, a, u, offset = _creep_filter(params, kernel, p.f_hold, p.t_hold, p.f_recover, p.t_recover)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if size is not None and u.size < size:  # a length that depends only on the protocol and T
-        raise ValueError(f"{type(p).__name__} shorter than the measured record")
-    return b, a, u[:size], offset
-
-
 def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
     b, a, u, offset = _record_filter(params, kernel, exp.stimulus, exp.values.size)
     return offset + _lfilter(b, a, u)
-
-
-def _sensitivities(params: FoSlsParams, kernel, dc, exp: ExperimentData, pred) -> np.ndarray:
-    """Rows d pred/d(K0, K1, B1, alpha) of one record, from its prediction pred."""
-    s = exp.stimulus
-    if exp.kind == "relaxation":
-        return _relaxation_sensitivities(params, kernel, dc, s.x0, pred)
-    return _creep_sensitivities(params, kernel, dc, s.f_hold, s.t_hold, s.f_recover, pred)
 
 
 def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig):
@@ -357,7 +316,7 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
             if np.any(np.abs(last["r"][block]) >= _WALL):
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = chain @ (_sensitivities(params, kern, dc, exp, pred) * weight[block])
+                rows = chain @ (_record_sensitivities(params, kern, dc, exp.stimulus, pred) * weight[block])
             if np.all(np.isfinite(rows)):
                 jac[:, block] = rows
         return jac.T
@@ -371,15 +330,6 @@ def least_squares(*args, **kwargs):
     from scipy.optimize import least_squares as solve
 
     return solve(*args, **kwargs)
-
-
-def _steps_through(response: np.ndarray, at: np.ndarray, heights: np.ndarray, m: int) -> np.ndarray:
-    """First m samples of the steps (at, heights) through a filter whose unit
-    step response is response (at least m long)."""
-    out = np.zeros(m)
-    for j, h in zip(at, heights):
-        out[j:] += h * response[: m - j]
-    return out
 
 
 def _null_vector(columns: np.ndarray) -> tuple[np.ndarray, float]:
@@ -468,13 +418,12 @@ def _equation_error_starts(experiments: list[ExperimentData], n_mem: int, config
     prefiltered = np.empty_like(columns)  # the same of the prefiltered records
     records = []  # (creep?, rows, stimulus, its steps (at, height), measured series), over the record's scale
     for exp, lo, hi in zip(experiments, edges[:-1], edges[1:]):
-        s, scale, creep = exp.stimulus, _scale(exp.values), exp.kind == "creep"
+        scale, creep = _scale(exp.values), exp.kind == "creep"
         series = exp.values / scale
+        stimulus = exp.stimulus.stimulus(t_samp)[: hi - lo] / scale
         if creep:
-            stimulus = _creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[: hi - lo] / scale
             columns[lo:hi, 1], columns[lo:hi, 3] = stimulus, -series
         else:
-            stimulus = np.full(hi - lo, float(s.x0) / scale)
             columns[lo:hi, 1], columns[lo:hi, 3] = series, -stimulus
         steps = np.diff(stimulus, prepend=0.0)
         at = np.flatnonzero(steps)

@@ -13,8 +13,15 @@ F = (num/den) x in z^-1 (see _law_filter), with s = B1/T^a,
 
     den = s*c + K1,    num = (K0 + K1)*s*c + K0*K1,
 
-and zero-padded history before startup (system at rest for t < 0): force
-records run it forward, creep records run its inverse den/num.
+and zero-padded history before startup (system at rest for t < 0).
+
+A record is its protocol: CreepProtocol and RelaxationProtocol check their
+own fields and give their input samples at a period (stimulus), and
+_record_filter turns a protocol into its record's filter.  Relaxation
+records run the law forward, creep records its inverse den/num.
+relaxation_response, creep_response, fitting's synth_experiment and the fit
+all run that one filter, and _record_sensitivities differentiates the record
+it gives.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ from .glkernel import (
     _shaped,
     delta_p,
 )
-from .util import n_samples
+from .util import _check_finite, n_samples
 
 __all__ = [
     "FoSlsParams",
     "DiscreteVE",
+    "CreepProtocol",
+    "RelaxationProtocol",
     "freq_response",
     "relaxation_response",
     "creep_response",
@@ -199,6 +208,45 @@ class DiscreteVE:
         return f
 
 
+@dataclass(frozen=True)
+class CreepProtocol:
+    """Held force then partial unload, displacement observed throughout."""
+
+    f_hold: float = 3.0  # N
+    t_hold: float = 3.0  # s
+    f_recover: float = 0.5  # N
+    t_recover: float = 3.0  # s
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.t_hold <= 0.0 or self.t_recover < 0.0:
+            raise ValueError("hold duration must be positive and recovery nonnegative")
+
+    def stimulus(self, t_samp: float) -> np.ndarray:
+        """The force [N] at period t_samp: f_hold from t = 0 through t_hold, then f_recover."""
+        n_hold, n_rec = n_samples(self.t_hold, t_samp) + 1, n_samples(self.t_recover, t_samp)
+        return np.concatenate([np.full(n_hold, float(self.f_hold)), np.full(n_rec, float(self.f_recover))])
+
+
+@dataclass(frozen=True)
+class RelaxationProtocol:
+    """Held deformation, force observed."""
+
+    x0: float = 5.0  # mm
+    duration: float = 3.0  # s
+
+    def __post_init__(self):
+        _check_finite(self)
+        if self.x0 == 0.0:
+            raise ValueError("step displacement must be nonzero")
+        if self.duration <= 0.0:
+            raise ValueError("duration must be positive")
+
+    def stimulus(self, t_samp: float) -> np.ndarray:
+        """The displacement [mm] at period t_samp: x0 from t = 0 through duration."""
+        return np.full(n_samples(self.duration, t_samp) + 1, float(self.x0))
+
+
 def relaxation_response(
     params: FoSlsParams, kernel: GLKernel, x0: float, duration: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,24 +256,7 @@ def relaxation_response(
     instantaneous response x0*(K0 + K1*B1/(B1 + K1*T^a)); the tail settles
     toward x0 times the DC stiffness.
     """
-    b, a, x, offset = _relaxation_filter(params, kernel, x0, duration)
-    return np.arange(x.size) * kernel.t_samp, offset + _lfilter(b, a, x)
-
-
-def _relaxation_filter(params: FoSlsParams, kernel: GLKernel, x0: float, duration: float):
-    """(b, a, input, offset) of relaxation_response: force = offset + lfilter(b, a, input).
-
-    K0*x0 stays outside the filter, which keeps it exact for the fit's
-    y = F/x0 - K0.
-    """
-    _check_order(params.alpha, kernel)
-    if x0 == 0.0:
-        raise ValueError("step displacement must be nonzero")
-    if duration <= 0.0:
-        raise ValueError("duration must be positive")
-    n = n_samples(duration, kernel.t_samp) + 1
-    num, den = _law_filter(replace(params, k0=0.0), kernel)
-    return num, den, np.full(n, float(x0)), params.k0 * float(x0)
+    return _response(params, kernel, RelaxationProtocol(x0, duration))
 
 
 def creep_response(
@@ -242,29 +273,44 @@ def creep_response(
     (see _law_filter); it needs the instantaneous stiffness
     num[0]/den[0] to be nonzero.
     """
-    b, a, force, _ = _creep_filter(params, kernel, f_hold, t_hold, f_recover, t_recover)
-    return np.arange(force.size) * kernel.t_samp, _lfilter(b, a, force)
+    return _response(params, kernel, CreepProtocol(f_hold, t_hold, f_recover, t_recover))
 
 
-def _creep_filter(
-    params: FoSlsParams, kernel: GLKernel, f_hold: float, t_hold: float, f_recover: float, t_recover: float
-):
-    """(b, a, input, offset) of creep_response: displacement = offset + lfilter(b, a, input),
-    with offset 0."""
+def _response(params: FoSlsParams, kernel: GLKernel, protocol) -> tuple[np.ndarray, np.ndarray]:
+    b, a, u, offset = _record_filter(params, kernel, protocol)
+    return np.arange(u.size) * kernel.t_samp, offset + _lfilter(b, a, u)
+
+
+def _record_filter(params: FoSlsParams, kernel: GLKernel, protocol, size=None):
+    """(b, a, input, offset) of a protocol's record offset + lfilter(b, a, input),
+    the input cut to size samples (the filter is causal).
+
+    A relaxation record is the force through the law's filter at K0 = 0, with
+    K0*x0 outside the filter, which keeps it exact for the fit's y = F/x0 - K0.
+    A creep record is the displacement through the law's filter inverted.
+    """
+    if not isinstance(protocol, (CreepProtocol, RelaxationProtocol)):
+        raise ValueError(f"unknown protocol {protocol!r}")
     _check_order(params.alpha, kernel)
-    force = _creep_force(f_hold, t_hold, f_recover, t_recover, kernel.t_samp)
+    u = protocol.stimulus(kernel.t_samp)
+    if size is not None and u.size < size:  # a length that depends only on the protocol and T
+        raise ValueError(f"{type(protocol).__name__} shorter than the measured record")
+    if isinstance(protocol, RelaxationProtocol):
+        num, den = _law_filter(replace(params, k0=0.0), kernel)
+        return num, den, u[:size], params.k0 * float(protocol.x0)
     num, den = _law_filter(params, kernel)
     if abs(num[0]) < 1e-300:
         raise ValueError("zero instantaneous stiffness: force cannot be inverted for position")
-    return den, num, force, 0.0
+    return den, num, u[:size], 0.0
 
 
-def _creep_force(f_hold: float, t_hold: float, f_recover: float, t_recover: float, t_samp: float):
-    """The creep protocol's force [N]: f_hold from t = 0 through t_hold, then f_recover."""
-    if t_hold <= 0.0 or t_recover < 0.0:
-        raise ValueError("hold duration must be positive and recovery nonnegative")
-    n_hold, n_rec = n_samples(t_hold, t_samp) + 1, n_samples(t_recover, t_samp)
-    return np.concatenate([np.full(n_hold, float(f_hold)), np.full(n_rec, float(f_recover))])
+def _steps_through(response: np.ndarray, at: np.ndarray, heights: np.ndarray, m: int) -> np.ndarray:
+    """First m samples (along the last axis) of the steps (at, heights) through
+    a filter whose unit step response is response (at least m long)."""
+    out = np.zeros(response.shape[:-1] + (m,))
+    for j, h in zip(at, heights):
+        out[..., j:] += h * response[..., : m - j]
+    return out
 
 
 def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -345,63 +391,54 @@ def _squared_products(params: FoSlsParams, kernel: GLKernel, dc: np.ndarray, h: 
     return out * np.exp(log_rho * np.arange(m)) if log_rho else out
 
 
-def _relaxation_sensitivities(
-    params: FoSlsParams, kernel: GLKernel, dc: np.ndarray, x0: float, force: np.ndarray
+def _record_sensitivities(
+    params: FoSlsParams, kernel: GLKernel, dc: np.ndarray, protocol, record: np.ndarray
 ) -> np.ndarray:
-    """Rows dF/dK0, dF/dK1, dF/dB1, dF/dalpha of a relaxation record.
+    """Rows d record/d(K0, K1, B1, alpha) of a protocol's record at params.
 
-    force is relaxation_response's record at params (any leading part of it);
-    dc the order derivatives of the weights.  With F = x0*(K0 + y), y the unit
-    step response of the branch, the law's filter num/den at K0 = 0
-    (den = s*c + K1, num = K1*s*c):
+    record is the protocol's record at params (any leading part of it); dc
+    the order derivatives of the weights.  A relaxation record is F = x0*(K0 +
+    y), y the unit step response of the branch, the law's filter num/den at
+    K0 = 0 (den = s*c + K1, num = K1*s*c):
 
         dy/dK1 = (s*c)^2 / den^2,   dy/dalpha = K1^2 d(s*c)/dalpha / den^2,
 
     dy/dB1 from Euler's relation K1*dy/dK1 + B1*dy/dB1 = y (num/den is
     homogeneous of degree 1), and 1/den from the record: num/den = K1 - K1^2/den.
-    """
-    k1 = params.k1
-    y = force / x0 - params.k0
-    inv_den = np.diff((k1 - y) / k1**2, prepend=0.0)
-    products = _squared_products(params, kernel, dc, inv_den, lambda s, ds: [s**2, k1**2 * ds])
-    y_k1, y_alpha = np.cumsum(products, axis=1)
-    y_b1 = (y - k1 * y_k1) / params.b1
-    return x0 * np.array([np.ones_like(y), y_k1, y_b1, y_alpha])
 
-
-def _creep_sensitivities(
-    params: FoSlsParams,
-    kernel: GLKernel,
-    dc: np.ndarray,
-    f_hold: float,
-    t_hold: float,
-    f_recover: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Rows dx/dK0, dx/dK1, dx/dB1, dx/dalpha of a creep record.
-
-    x is creep_response's record at params (any leading part of it); dc the
-    order derivatives of the weights.  With x = (den/num) F, the law's filter
-    inverted (den = s*c + K1, num = (K0+K1)*s*c + K0*K1):
+    A creep record is x = (den/num) F, the law's filter inverted (den = s*c +
+    K1, num = (K0+K1)*s*c + K0*K1):
 
         d(den/num)/dK0 = -den^2/num^2,   d(den/num)/dK1 = -(s*c)^2/num^2,
         d(den/num)/dalpha = -K1^2 d(s*c)/dalpha / num^2,
 
-    dx/dB1 from Euler's relation K0*x_K0 + K1*x_K1 + B1*x_B1 = -x (degree
-    -1).  Since (K0+K1)*(den/num) - 1 = K1^2/num, the impulse response of 1/num
-    comes from the unit step response of den/num, which the record gives once
-    the two-level force is undone block by block; with no hold force it takes
-    one filter pass instead.
+    each row the force's steps through the unit step response of these
+    filters, and dx/dB1 from Euler's relation K0*x_K0 + K1*x_K1 + B1*x_B1 = -x
+    (degree -1).  Since (K0+K1)*(den/num) - 1 = K1^2/num, the impulse
+    response of 1/num comes from the unit step response of den/num, which
+    the record gives once the two-level force is undone block by block; with
+    no hold force it takes one filter pass instead.
     """
     k0, k1 = params.k0, params.k1
-    m = x.size
-    n_hold = n_samples(t_hold, kernel.t_samp) + 1
-    jump = float(f_recover) - float(f_hold)
+    if isinstance(protocol, RelaxationProtocol):
+        x0 = protocol.x0
+        y = record / x0 - k0
+        inv_den = np.diff((k1 - y) / k1**2, prepend=0.0)
+        products = _squared_products(params, kernel, dc, inv_den, lambda s, ds: [s**2, k1**2 * ds])
+        y_k1, y_alpha = np.cumsum(products, axis=1)
+        y_b1 = (y - k1 * y_k1) / params.b1
+        return x0 * np.array([np.ones_like(y), y_k1, y_b1, y_alpha])
+    m = record.size
+    steps = np.diff(protocol.stimulus(kernel.t_samp)[:m], prepend=0.0)
+    at = np.flatnonzero(steps)
+    f_hold = float(protocol.f_hold)
     if f_hold != 0.0:
-        step = x / f_hold
-        for lo in range(n_hold, m, n_hold):
-            hi = min(lo + n_hold, m)
-            step[lo:hi] -= jump / f_hold * step[lo - n_hold : hi - n_hold]
+        step = record / f_hold
+        if at.size > 1:  # the recovery step, n_hold samples in
+            n_hold, jump = at[1], steps[at[1]]
+            for lo in range(n_hold, m, n_hold):
+                hi = min(lo + n_hold, m)
+                step[lo:hi] -= jump / f_hold * step[lo - n_hold : hi - n_hold]
         inv_num = np.diff(((k0 + k1) * step - 1.0) / k1**2, prepend=0.0)
     else:
         impulse = np.zeros(m)
@@ -410,10 +447,6 @@ def _creep_sensitivities(
     products = _squared_products(
         params, kernel, dc, inv_num, lambda s, ds: [(s + k1) ** 2, s**2, k1**2 * ds]
     )
-    unit = np.cumsum(products, axis=1)
-    response = -float(f_hold) * unit
-    if n_hold < m:
-        response[:, n_hold:] -= jump * unit[:, : m - n_hold]
-    x_k0, x_k1, x_alpha = response
-    x_b1 = (-x - k0 * x_k0 - k1 * x_k1) / params.b1
+    x_k0, x_k1, x_alpha = _steps_through(np.cumsum(products, axis=1), at, -steps[at], m)
+    x_b1 = (-record - k0 * x_k0 - k1 * x_k1) / params.b1
     return np.array([x_k0, x_k1, x_b1, x_alpha])

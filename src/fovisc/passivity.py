@@ -94,16 +94,6 @@ def _nyquist_value(kind: str, params: FoSlsParams, t_samp: float, dp: float) -> 
     return t_samp / 2.0 * float(_reduced_impedance(kind, params, t_samp, dp))
 
 
-def _nyquist_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> float:
-    """Minimum damping of one kind as its Nyquist value, where that is the bound:
-    io_* kinds at any N >= 1 (spectrum 2 at pi/T), fo_* kinds at odd N only
-    (even N moves the maximum of f inside the band, above this value)."""
-    p, _, dp = _kind_rules(kind, params, kernel)
-    if kind.startswith("fo_") and kernel.n_mem % 2 == 0:
-        raise ValueError(f"{kind} bound requires an odd memory length; use max_passivity for even N")
-    return _nyquist_value(kind, p, kernel.t_samp, dp)
-
-
 def _margin_ok(b_plant: float | None, b_min: float) -> bool | None:
     """Whether a plant damping, if one is given, exceeds b_min; nan is refused."""
     if b_plant is not None and math.isnan(b_plant):
@@ -183,7 +173,7 @@ def max_passivity(
             w, b_min = float(w_star[0]), float(f_star[0])
         return PassivityResult(b_min, w, "grid", _margin_ok(b_plant, b_min))
     f_grid = float(values[i])
-    f_nyq = _nyquist_bound("fo_sls", params, kernel)
+    f_nyq = special_case_bound("fo_sls", params, kernel)
     slack = 1e-9 * max(1.0, abs(f_nyq))
     if f_grid > f_nyq + slack:
         raise AssertionError(
@@ -201,7 +191,7 @@ def bound_closed_form(
     use max_passivity instead.  So is a kernel of another order than params,
     and a nan b_plant.
     """
-    b_min = _nyquist_bound("fo_sls", params, kernel)
+    b_min = special_case_bound("fo_sls", params, kernel)
     return PassivityResult(b_min, kernel.nyquist, "closed_form_odd_n", _margin_ok(b_plant, b_min))
 
 
@@ -219,7 +209,7 @@ def bound_variants(params: FoSlsParams, kernel: GLKernel) -> dict[str, float]:
 
 
 def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> float:
-    """Minimum damping for one of the classical reductions.
+    """Minimum damping of one kind as its Nyquist value, where that is the bound.
 
     The Nyquist value of the reduced impedance.  Kelvin-Voigt kinds use the
     dedicated infinite-branch-stiffness formula; integer-order kinds are exact
@@ -227,7 +217,10 @@ def special_case_bound(kind: str, params: FoSlsParams, kernel: GLKernel) -> floa
     alternating sum from the kernel, so its order must match params.alpha, and
     are refused at even N, where the Nyquist value is below the bound.
     """
-    return _nyquist_bound(kind, params, kernel)
+    p, _, dp = _kind_rules(kind, params, kernel)
+    if kind.startswith("fo_") and kernel.n_mem % 2 == 0:
+        raise ValueError(f"{kind} bound requires an odd memory length; use max_passivity for even N")
+    return _nyquist_value(kind, p, kernel.t_samp, dp)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ def n_samples(duration: float, t_samp: float) -> int:
 
     A duration within a relative 1e-9 of a whole multiple of T counts as that
     multiple (0.7/0.001 evaluates to 699.999..., not 700); any other
-    duration is floored.  A non-finite duration, or one spanning a
-    non-finite number of periods, is refused.
+    duration is floored.  A period that is not positive, a non-finite
+    duration, or one spanning a non-finite number of periods, is refused.
     """
+    if not t_samp > 0.0:
+        raise ValueError(f"sampling period must be positive, got {t_samp}")
     q = duration / t_samp
     if not math.isfinite(q):
         raise ValueError(f"duration {duration} s at period {t_samp} s is not a finite number of samples")

@@ -549,6 +549,14 @@ class TestRefusedInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_a_creep_record_running_backwards_is_refused(self, short_records, tmp_path, capsys):
+        # the hold is sized at the record's period before the record is checked
+        header, *rows = (short_records / "c.csv").read_text().splitlines()
+        backwards = tmp_path / "b.csv"
+        backwards.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        assert dispatch(["fit", "--creep", str(backwards), "--t-hold", "0.5"]) == 3
+        assert "sampling period must be positive, got -0.001" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["--relax", "{d}/missing.csv"], ["--relax", "{r}", "-o", "{d}/no/dir/x.json"]],
                              ids=["missing-input", "output-in-missing-directory"])
     def test_a_path_that_cannot_be_opened_is_a_usage_error(self, short_records, tmp_path, capsys, argv):
@@ -627,16 +635,22 @@ class TestGnuplot:
         script = (tmp_path / "c.csv.gp").read_text()
         assert "plot" in script and "c.csv" in script
 
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5"],
-        ["fit", "--relax", "{r}"],
-    ], ids=["bound", "fit"])
-    def test_json_only_commands_take_no_plot_flag(self, short_records, tmp_path, capsys, argv):
-        # both once exited 0 and wrote no script
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--k1", "1", "--b1", "1", "--alpha", "0.5"], "unrecognized arguments: --gnuplot"),
+        (["fit", "--relax", "{r}"], "unrecognized arguments: --gnuplot"),
+        (["coeffs", "--alpha", "0.5", "--n", "5", "--t", "0.001", "--json"],
+         "fovisc: error: coeffs --json writes JSON, which --gnuplot cannot plot\n"),
+        (["simulate", "--boundary", "--alpha", "0.5", "--b1", "100"],
+         "fovisc: error: simulate --boundary writes JSON, which --gnuplot cannot plot\n"),
+    ], ids=["bound", "fit", "coeffs-json", "simulate-boundary"])
+    def test_json_only_commands_take_no_plot_flag(self, short_records, tmp_path, capsys, monkeypatch, argv, message):
+        # each once exited 0 and wrote no script
+        monkeypatch.setattr(glkernel, "build_kernel", lambda *a: pytest.fail("the work ran"))
         out = tmp_path / "out.json"
         argv = [a.format(r=short_records / "r.csv") for a in argv]
         assert dispatch([*argv, "-o", str(out), "--gnuplot"]) == 2
-        assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("error:") == 1
         assert not out.exists() and not (tmp_path / "out.json.gp").exists()
 
 

@@ -24,7 +24,7 @@ from fovisc.fitting import (
     synth_experiment,
 )
 from fovisc.glkernel import build_kernel
-from fovisc.models import FoSlsParams, _law_filter, _poles_outside, creep_response
+from fovisc.models import FoSlsParams, _law_filter, _poles_outside, creep_response, relaxation_response
 from fovisc.passivity import bound_closed_form
 
 T = 0.001
@@ -95,6 +95,41 @@ class TestSynth:
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
         with pytest.raises(ValueError, match="unknown protocol"):
             synth_experiment(MATERIAL_N101, kern, "relaxation")
+
+    @given(
+        theta=st.tuples(st.floats(0.0, 20.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 1.0)),
+        n_mem=st.sampled_from([1, 7, 51]),
+        f_hold=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+        f_recover=st.floats(-5.0, 5.0),
+        hold=st.floats(0.001, 0.3),
+        recover=st.floats(0.0, 0.3),
+        x0=st.floats(0.1, 5.0),
+    )
+    @example(theta=(1.0, 0.0, 0.0, 0.5), n_mem=7, f_hold=0.0, f_recover=1.0, hold=0.0105, recover=0.0205, x0=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_responses_are_the_synthesized_records(self, theta, n_mem, f_hold, f_recover, hold, recover, x0):
+        # durations off the period grid: the protocol alone sizes the record
+        params, kern = _passive_params(theta, n_mem, T, 0.0025)
+        relaxation = RelaxationProtocol(x0=x0, duration=hold)
+        t, force = relaxation_response(params, kern, x0, hold)
+        exp = synth_experiment(params, kern, relaxation)
+        assert force.tobytes() == exp.values.tobytes() and t.tobytes() == exp.time.tobytes()
+        assert relaxation.stimulus(T).size == exp.values.size
+        creep = CreepProtocol(f_hold=f_hold, t_hold=hold, f_recover=f_recover, t_recover=recover)
+        t, x = creep_response(params, kern, f_hold, hold, f_recover, recover)
+        try:
+            exp = synth_experiment(params, kern, creep)
+        except ValueError:  # the law has no stable inverse
+            assume(False)
+        assert x.tobytes() == exp.values.tobytes() and t.tobytes() == exp.time.tobytes()
+        assert creep.stimulus(T).size == exp.values.size
+
+    def test_list_inputs_fit_as_arrays(self):
+        time, values = [0.0, 0.001, 0.002, 0.003], [1.0, 0.9, 0.85, 0.8]
+        protocol = RelaxationProtocol(duration=0.003)
+        listed = ExperimentData(time, values, protocol)
+        assert isinstance(listed.time, np.ndarray) and isinstance(listed.values, np.ndarray)
+        assert fit(listed, 51) == fit(ExperimentData(np.array(time), np.array(values), protocol), 51)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_records(self, bad):
@@ -404,7 +439,7 @@ def reference_starts(experiments, n_mem, config, passes=1):
     for exp in experiments:
         m, s, scale = exp.values.size, exp.stimulus, fitting._scale(exp.values)
         if exp.kind == "creep":
-            f, x = fitting._creep_force(s.f_hold, s.t_hold, s.f_recover, s.t_recover, t_samp)[:m], exp.values
+            f, x = s.stimulus(t_samp)[:m], exp.values
         else:
             f, x = exp.values, np.full(m, float(s.x0))
         series.append((exp.kind, f / scale, x / scale))

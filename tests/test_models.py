@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from fovisc import CreepProtocol, RelaxationProtocol
 from fovisc.glkernel import build_kernel, delta_p, delta_s
 from fovisc.impedance import es_ed_lowfreq
 from fovisc.models import (
@@ -264,6 +265,32 @@ class TestSampleCounts:
     def test_non_finite_sample_counts_are_refused(self, duration, t_samp):
         with pytest.raises(ValueError, match=re.escape(f"duration {duration} s")):
             n_samples(duration, t_samp)
+
+
+class TestProtocols:
+    @pytest.mark.parametrize("protocol, field, message", [
+        (CreepProtocol, {"f_hold": math.nan}, "f_hold nan is not finite"),
+        (CreepProtocol, {"t_recover": math.inf}, "t_recover inf is not finite"),
+        (RelaxationProtocol, {"x0": -math.inf}, "x0 -inf is not finite"),
+        (CreepProtocol, {"t_hold": 0.0}, "hold duration must be positive and recovery nonnegative"),
+        (CreepProtocol, {"t_recover": -0.001}, "hold duration must be positive and recovery nonnegative"),
+        (RelaxationProtocol, {"x0": 0.0}, "step displacement must be nonzero"),
+        (RelaxationProtocol, {"duration": 0.0}, "duration must be positive"),
+        (RelaxationProtocol, {"duration": -1.0}, "duration must be positive"),
+    ])
+    def test_fields_are_checked_when_the_protocol_is_built(self, protocol, field, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            protocol(**field)
+
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_the_stimulus_holds_each_level_for_its_duration(self, period):
+        t_samp = float(period)
+        force = CreepProtocol(2.0, 0.7, -0.5, 0.3).stimulus(t_samp)
+        n_hold = n_samples(0.7, t_samp) + 1
+        assert force.size == n_hold + n_samples(0.3, t_samp)
+        assert np.all(force[:n_hold] == 2.0) and np.all(force[n_hold:] == -0.5)
+        x = RelaxationProtocol(1.5, 0.7).stimulus(t_samp)
+        assert x.size == n_hold and np.all(x == 1.5)
 
 
 class TestCreep:
