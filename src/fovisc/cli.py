@@ -36,7 +36,8 @@ _CSV_BLOCK_ROWS = 4096
 
 # Upper limits of the count flags, checked before anything is sized by them:
 # far past any plot's resolution, and small enough that a run stays within
-# memory and time (an even-N region pass takes --steps x 2048 roots).
+# memory (an even-N region pass takes --steps x max(2048, ~4(N+1)) roots:
+# ~4e10, hours of work, at both caps).
 _MAX_POINTS = 10**6  # sweep/reduce --points, bound --grid-points
 _MAX_STEPS = 10**4  # region --steps
 _MAX_N = 10**6  # --n of every subcommand: a kernel holds N+1 weights
@@ -143,6 +144,13 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, required=True, help="derivative order in (0,1]")
     sub.add_argument("--n", type=int, default=101, help="memory length N")
     sub.add_argument("--t", type=float, default=0.001, help="sampling period [s]")
+
+
+def _add_protocol_flags(sub: argparse.ArgumentParser) -> None:  # fit's and synth's
+    sub.add_argument("--f-hold", type=float, default=3.0)
+    sub.add_argument("--t-hold", type=float, default=3.0)
+    sub.add_argument("--f-recover", type=float, default=0.5)
+    sub.add_argument("--x0", type=float, default=5.0)
 
 
 def _add_output_flags(sub: argparse.ArgumentParser, plot: bool = True) -> None:
@@ -457,10 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", "--starts", type=int, dest="ignored", metavar="N",
                    help="ignored (older command lines still run): the start comes from the records")
     p.add_argument("--max-evals", type=int, default=20000)
-    p.add_argument("--f-hold", type=float, default=3.0)
-    p.add_argument("--t-hold", type=float, default=3.0)
-    p.add_argument("--f-recover", type=float, default=0.5)
-    p.add_argument("--x0", type=float, default=5.0)
+    _add_protocol_flags(p)
     _add_output_flags(p, plot=False)
     p.set_defaults(handler=cmd_fit)
 
@@ -469,11 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("creep", "relaxation"), required=True)
     p.add_argument("--noise", type=float, default=0.0, help="additive noise sd")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--f-hold", type=float, default=3.0)
-    p.add_argument("--t-hold", type=float, default=3.0)
-    p.add_argument("--f-recover", type=float, default=0.5)
+    _add_protocol_flags(p)
     p.add_argument("--t-recover", type=float, default=3.0)
-    p.add_argument("--x0", type=float, default=5.0)
     p.add_argument("--duration", type=float, default=3.0)
     _add_output_flags(p)
     p.set_defaults(handler=cmd_synth)

@@ -25,11 +25,13 @@ best so far is dropped there.  The candidate whose forward records fit best
 starts one trust-region-reflective least-squares solve on the residuals of
 all experiments, each scaled by its NRMSE scale; its box bounds, alpha's
 [_ALPHA_LO, 1] among them, are kept exactly.  The fit is the better of the
-start and the solve's end.  The Jacobian is exact: the record sensitivities
-of ``models``, built from the forward records the residual has just
-computed, chained through the passive map.  An evaluation is one residual, one
-Jacobian or one scored candidate, stopped early or not; the budget caps the
-solve's.  The returned set is re-verified against the bound afterwards.
+start and the solve's end.  A residual, a start's score and the reported
+NRMSE are each one run of the records through their filters (_record_run),
+which a score stops once the candidate cannot win.  The Jacobian is exact:
+the record sensitivities of ``models``, built from the predictions of the
+last residual run, chained through the passive map.  An evaluation is one
+residual, one Jacobian or one scored candidate, stopped early or not; the
+budget caps the solve's.  The returned set is re-verified against the bound.
 """
 
 from __future__ import annotations
@@ -226,97 +228,91 @@ def _passive_map_jacobian(params: FoSlsParams, kern: GLKernel, dc: np.ndarray) -
     ])
 
 
-def _predict(params: FoSlsParams, kernel, exp: ExperimentData) -> np.ndarray:
-    b, a, u, offset = _record_filter(params, kernel, exp.stimulus, exp.values.size)
-    return offset + _lfilter(b, a, u)
+def _record_run(experiments: list[ExperimentData], n_mem: int, config: FitConfig):
+    """(run, records): the one forward pass of a fit's records, and each
+    record's (data, slice of r, weight): r's squared norm sums the squared NRMSEs.
+
+    run(theta, best=inf) is (r, model): theta's weighted residuals, NaN and
+    any beyond the wall put on it, and model = (params, kernel, predictions),
+    None when the candidate is refused (e.g. zero instantaneous stiffness:
+    creep has no inverse; every residual then sits on the wall) or the run
+    stops.  A record runs in blocks, _FIRST_BLOCK samples and each next twice
+    as long (one block when best is inf), the filter state carried, which
+    gives the samples of one pass.  Once a leading part sums past
+    best*(1 + 2n*eps), the complete sum exceeds best (a computed sum of n
+    nonnegative terms is within a relative (n-1)*eps/2 of the exact one), so
+    the run stops, its residuals inf from that block on.
+    """
+    t_samp = experiments[0].t_samp
+    edges = np.cumsum([0] + [e.values.size for e in experiments])
+    records = [(e, slice(lo, hi), 1.0 / (_scale(e.values) * e.values.size**0.5))
+               for e, lo, hi in zip(experiments, edges[:-1], edges[1:])]
+    rounding = 1.0 + 2.0 * edges[-1] * np.finfo(float).eps
+
+    def run(theta, best=math.inf):
+        r = np.full(edges[-1], _WALL)
+        try:
+            params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
+            filters = [_record_filter(params, kern, e.stimulus, e.values.size) for e in experiments]
+        except ValueError:
+            return r, None
+        preds, prefix = [], 0.0
+        for (b, a, u, offset), (exp, block, weight) in zip(filters, records):
+            pred, state = np.empty(u.size), np.zeros(a.size - 1)
+            lo, size = 0, _FIRST_BLOCK if best < math.inf else u.size
+            while lo < u.size:
+                part, hi = r[block][lo : lo + size], min(lo + size, u.size)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y, state = _lfilter(b, a, u[lo:hi], state)
+                    np.subtract(np.add(offset, y, out=pred[lo:hi]), exp.values[lo:hi], out=part)
+                    part *= weight
+                np.fmax(np.fmin(part, _WALL, out=part), -_WALL, out=part)  # fmin takes NaN to the wall
+                prefix += float(np.sum(part**2))
+                if prefix > best * rounding:
+                    r[block.start + lo :] = math.inf
+                    return r, None
+                lo, size = hi, 2 * size
+            preds.append(pred)
+        return r, (params, kern, preds)
+
+    return run, records
 
 
 def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig):
-    """(residuals, jacobian, score) in theta of the weighted residuals of all records.
-
-    The Jacobian reuses the forward records of the last residual evaluation,
-    which is where trust-region-reflective asks for it; at any other theta it
-    evaluates the residual first.  A record whose residuals touch the wall,
-    or whose sensitivities are not finite, gives zero rows.
-
-    score(theta, best) is float(np.sum(residuals(theta) ** 2)), bit for bit,
-    or inf once a leading part of the records sums past best*(1 + 2n*eps):
-    a computed sum of n nonnegative terms is within a relative (n-1)*eps/2 of
-    the exact one, so the complete sum would have exceeded best.  The
-    records run through their filters in growing blocks, the filter state
-    carried, which gives the samples of one pass.
+    """(residuals, jacobian, score) in theta of the weighted residuals of all
+    records.  residuals(theta) is run(theta) of _record_run, and score(theta,
+    best) the sum of squares of run(theta, best): float(np.sum(residuals(theta)
+    ** 2)) bit for bit, or inf once the run stops.  The Jacobian reuses the
+    predictions of the last residual run, which is where trust-region-
+    reflective asks for it; at any other theta it runs the residual first.  A
+    record whose residuals touch the wall, or whose sensitivities are not
+    finite, gives zero rows.
     """
-    t_samp = experiments[0].t_samp
-    measured = np.concatenate([exp.values for exp in experiments])
-    # 1 / (scale * sqrt(n)): the squared residual norm sums the squared NRMSEs
-    scales = [_scale(e.values) * e.values.size**0.5 for e in experiments]
-    weight = np.repeat(1.0 / np.array(scales), [e.values.size for e in experiments])
-    edges = np.cumsum([0] + [e.values.size for e in experiments])
-    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    rounding = 1.0 + 2.0 * measured.size * np.finfo(float).eps
+    run, records = _record_run(experiments, n_mem, config)
     last = {}
 
-    def model(theta):
-        params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
-        return params, kern, [_record_filter(params, kern, e.stimulus, e.values.size) for e in experiments]
-
-    def weigh(r: np.ndarray, part: slice, pred: np.ndarray) -> None:
-        """r[part] = the weighted residuals of pred, NaN and beyond the wall put on it."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(pred, measured[part], out=r[part])
-            r[part] *= weight[part]
-        np.fmax(np.fmin(r[part], _WALL, out=r[part]), -_WALL, out=r[part])  # fmin takes NaN to the wall
-
     def residuals(theta: np.ndarray) -> np.ndarray:
-        r = np.empty(measured.size)
-        last.update(theta=np.array(theta, dtype=float), r=r, model=None)
-        try:
-            params, kern, filters = model(theta)
-            with np.errstate(over="ignore", invalid="ignore"):
-                preds = [offset + _lfilter(b, a, u) for b, a, u, offset in filters]
-        except ValueError:  # e.g. zero instantaneous stiffness: creep has no inverse
-            r.fill(_WALL)
-            return r
-        for block, pred in zip(blocks, preds):
-            weigh(r, block, pred)
-        last["model"] = params, kern, preds
+        r, model = run(theta)
+        last.update(theta=np.array(theta, dtype=float), r=r, model=model)
         return r
 
     def score(theta: np.ndarray, best: float) -> float:
-        r = np.full(measured.size, _WALL)
-        try:
-            filters = model(theta)[2]
-        except ValueError:
-            filters = []
-        prefix = 0.0
-        for (b, a, u, offset), block in zip(filters, blocks):
-            state = np.zeros(a.size - 1)
-            lo, size = 0, _FIRST_BLOCK
-            while lo < u.size:
-                part = slice(block.start + lo, block.start + min(lo + size, u.size))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y, state = _lfilter(b, a, u[lo : lo + size], state)
-                    weigh(r, part, offset + y)
-                prefix += float(np.sum(r[part] ** 2))
-                if prefix > best * rounding:
-                    return math.inf
-                lo, size = lo + size, 2 * size
-        return float(np.sum(r**2))
+        return float(np.sum(run(theta, best)[0] ** 2))
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         if not np.array_equal(theta, last.get("theta")):
             residuals(theta)
-        jac = np.zeros((4, measured.size))
+        jac = np.zeros((4, last["r"].size))
         if last["model"] is None:
             return jac.T
         params, kern, preds = last["model"]
         dc = _coeffs_dalpha(kern)
         chain = _passive_map_jacobian(params, kern, dc).T
-        for block, exp, pred in zip(blocks, experiments, preds):
+        for (exp, block, weight), pred in zip(records, preds):
             if np.any(np.abs(last["r"][block]) >= _WALL):
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = chain @ (_record_sensitivities(params, kern, dc, exp.stimulus, pred) * weight[block])
+                rows = chain @ (_record_sensitivities(params, kern, dc, exp.stimulus, pred) * weight)
             if np.all(np.isfinite(rows)):
                 jac[:, block] = rows
         return jac.T
@@ -510,7 +506,8 @@ def fit(
     candidate, the returned one included, satisfies the closed-form bound at
     config.b_plant.  objective_evals counts the solve's residuals and
     Jacobians, and one per scored start, whether or not its scoring stopped
-    early.
+    early.  A protocol shorter than its record is refused before the scan;
+    the NRMSE comes from one record run (see _record_run) at the returned set.
     """
     experiments = [data] if isinstance(data, ExperimentData) else list(data)
     if not experiments:
@@ -521,15 +518,15 @@ def fit(
     for exp in experiments[1:]:
         if abs(exp.t_samp - t_samp) > 1e-9 * t_samp:
             raise ValueError("experiments must share one sampling period")
-    fallback = [0.0, 0.0, 0.0, 0.505]  # K1 = B1 = 1, K0 at its cap
-    probe = _passive_params(fallback, n_mem, t_samp, config.b_plant)
-    for exp in experiments:  # refuses a protocol shorter than its record
-        _record_filter(*probe, exp.stimulus, exp.values.size)
+    for exp in experiments:  # the filter is causal, so only a longer protocol can be cut
+        if exp.stimulus.stimulus(t_samp).size < exp.values.size:
+            raise ValueError(f"{type(exp.stimulus).__name__} shorter than the measured record")
 
     residuals, jacobian, score = _objective(experiments, n_mem, config)
     (start_score, _, x0), scored = _scan(experiments, n_mem, config, score)
-    if x0 is None:  # the slack that takes K0 to 0
-        x0 = np.clip([probe[0].k0, *fallback[1:]], *_BOUNDS)
+    if x0 is None:  # K1 = B1 = 1, and the slack that takes K0 from its cap to 0
+        fallback = [0.0, 0.0, 0.0, 0.505]
+        x0 = np.clip([_passive_params(fallback, n_mem, t_samp, config.b_plant)[0].k0, *fallback[1:]], *_BOUNDS)
     # each step costs one residual, and each accepted one a Jacobian too; the
     # gradient test sits at roundoff, since a start near a zero residual meets 1e-8
     res = least_squares(residuals, x0, jac=jacobian, bounds=tuple(_BOUNDS), method="trf", gtol=1e-15,
@@ -538,8 +535,9 @@ def fit(
     # solve can end worse than it began; the scan has scored the start already
     theta = x0 if start_score <= 2.0 * res.cost else res.x
 
-    params, kern = _passive_params(theta, n_mem, t_samp, config.b_plant)
-    errs = [nrmse(_predict(params, kern, e), e.values) for e in experiments]
+    run = _record_run(experiments, n_mem, config)[0]
+    params, kern, preds = run(theta)[1]
+    errs = [nrmse(pred, e.values) for pred, e in zip(preds, experiments)]
     return FitResult(
         params=params,
         n_mem=n_mem,

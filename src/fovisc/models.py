@@ -75,10 +75,7 @@ class FoSlsParams:
     alpha: float
 
     def __post_init__(self):
-        for name in ("k0", "k1", "b1", "alpha"):
-            v = getattr(self, name)
-            if not math.isfinite(float(v)):
-                raise ValueError(f"{name} must be finite, got {v}")
+        _check_finite(self)
         if self.k1 <= 0.0:
             raise ValueError(f"branch stiffness k1 must be positive, got {self.k1}")
         if self.b1 <= 0.0:
@@ -293,8 +290,6 @@ def _record_filter(params: FoSlsParams, kernel: GLKernel, protocol, size=None):
         raise ValueError(f"unknown protocol {protocol!r}")
     _check_order(params.alpha, kernel)
     u = protocol.stimulus(kernel.t_samp)
-    if size is not None and u.size < size:  # a length that depends only on the protocol and T
-        raise ValueError(f"{type(protocol).__name__} shorter than the measured record")
     if isinstance(protocol, RelaxationProtocol):
         num, den = _law_filter(replace(params, k0=0.0), kernel)
         return num, den, u[:size], params.k0 * float(protocol.x0)

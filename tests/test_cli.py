@@ -526,7 +526,7 @@ class TestRefusedInputs:
     @pytest.mark.parametrize(
         "argv, quantity",
         [
-            # "k0 must be finite", exit 3
+            # "k0 nan is not finite", exit 3
             (["fit", "--relax", "{r}", "--b-plant", "nan"], "b_plant"),
             (["fit", "--relax", "{r}", "--b-plant", "inf"], "b_plant"),
             # exit 0 with passivity_ok true, NRMSE 1574 and K0 = -2000

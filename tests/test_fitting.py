@@ -65,7 +65,8 @@ class TestSynth:
         a = synth_experiment(MATERIAL_N101, kern, CreepProtocol())
         b = synth_experiment(MATERIAL_N101, kern, CreepProtocol(), noise_sd=0.0, seed=5)
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(fitting._predict(MATERIAL_N101, kern, a), a.values)  # fit's forward filter
+        num, den, u, offset = fitting._record_filter(MATERIAL_N101, kern, a.stimulus, a.values.size)
+        assert np.array_equal(offset + lfilter(num, den, u), a.values)  # fit's forward filter
 
     def test_noise_has_the_requested_sd(self):
         kern = build_kernel(MATERIAL_N101.alpha, 101, T)
@@ -388,11 +389,11 @@ class TestFit:
         # an evaluation is a residual (one model run), a Jacobian (none: it
         # reuses the residual's record) or a scored start (one model run, stopped
         # early or not), one per valid order the scan visits: 15 of the 30; plus
-        # the up-front length check and the final report.  The budget caps the solve.
+        # the final report.  The budget caps the solve.
         assert len(fitting._equation_error_starts([data], 51, FitConfig())) == 30
         assert calls["jacobian"] and calls["score"] == 15
         assert sum(calls.values()) == result.objective_evals
-        assert len(runs) + calls["jacobian"] == result.objective_evals + 2
+        assert len(runs) + calls["jacobian"] == result.objective_evals + 1
         assert result.objective_evals <= len(fitting._START_ALPHAS) + 40
 
     def test_short_protocol_fails_before_the_search(self, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovisc import passivity
+from fovisc import models, passivity
 from fovisc.glkernel import build_kernel, delta_p
 from fovisc.impedance import es_ed_finite
 from fovisc.models import KINDS, FoSlsParams, freq_response
@@ -36,6 +36,15 @@ def random_admissible(rng, odd_n=True, n_max=400):
     )
     n = int(rng.integers(1, n_max // 2)) * 2 + (1 if odd_n else 2)
     return params, build_kernel(params.alpha, n, T)
+
+
+def dense_max(params, kern):
+    """Maximum of f over a 2**20-point grid (~50 points per memory term at
+    N = 20,000), taken again on 401 points across the two cells around it."""
+    omegas = np.linspace(0.0, kern.nyquist, 2**20 + 1)[1:]
+    i = int(np.argmax(passivity_function(params, kern, omegas)))
+    local = np.linspace(omegas[max(i - 1, 0)], omegas[min(i + 1, omegas.size - 1)], 401)
+    return float(np.max(passivity_function(params, kern, np.append(local, omegas[i]))))
 
 
 def scalar_grid_search(params, kern, grid):
@@ -134,7 +143,10 @@ class TestMaxPassivity:
             params, kern = random_admissible(rng, odd_n=False, n_max=300)
             grid = int(rng.choice([256, 1024, 8192]))
             result = max_passivity(params, kern, grid)
-            assert (result.omega_star, result.b_min) == scalar_grid_search(params, kern, grid)
+            # the search grid is never coarser than 4(N+1) points
+            points = passivity._grid(kern, grid).size
+            assert points == max(grid, models._fft_len(4 * (kern.n_mem + 1)))
+            assert (result.omega_star, result.b_min) == scalar_grid_search(params, kern, points)
 
     def test_rows_refined_together_end_as_rows_refined_alone(self):
         # at alpha 0.5, N = 10 some maxima sit in the last grid cell and some
@@ -171,6 +183,14 @@ class TestMaxPassivity:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             max_passivity(UNIT_FM, build_kernel(0.5, 10, T), 128)
+
+    def test_long_even_memory_finds_the_dense_maximum(self):
+        # f ripples once per memory term: at N = 20,000 the default 8,192
+        # points are under half a point per term, and land on a lobe 5.7e-9
+        # (relative) below the peak
+        params = FoSlsParams(0.0, 1.0, 1.0, 0.3)
+        kern = build_kernel(0.3, 20000, T)
+        assert max_passivity(params, kern).b_min == pytest.approx(dense_max(params, kern), rel=1e-12)
 
 
 class TestClosedFormBound:
@@ -572,6 +592,13 @@ class TestRegionScan:
             assert bound(k1 * (1.0 + 1e-6)) > b_plant
         for fraction in (1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999999):
             assert bound(fraction * k1) <= b_plant
+
+    def test_long_even_memory_boundary_is_admissible(self):
+        # the default 2,048 points alone put the boundary at K1 = 6.44003586,
+        # where f exceeds b_plant by 2.9e-8 (relative) near wT = 3.14129
+        kern = build_kernel(0.5, 10000, T)
+        k1 = float(region_scan(0.5, kern, 0.0025, [0.5], 1000.0).k1[0])
+        assert dense_max(FoSlsParams(0.0, k1, 0.5, 0.5), kern) <= 0.0025
 
     def test_even_memory_pass_holds_at_most_2_20_values(self, monkeypatch):
         # one (columns x grid) pass of 2,000 columns at G = 2048 peaked at
