@@ -414,7 +414,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bound", help="minimum interface damping for passivity")
     _add_model_flags(p)
     p.add_argument("--b-plant", type=float, default=None, help="available plant damping [N*s/mm]")
-    p.add_argument("--grid-points", type=int, default=8192)
+    p.add_argument(
+        "--grid-points", type=int, default=8192,
+        help="search grid points, raised to at least 4(N+1) and rounded up to a 5-smooth count",
+    )
     _add_output_flags(p, plot=False)
     p.set_defaults(handler=cmd_bound)
 

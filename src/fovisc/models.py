@@ -27,7 +27,10 @@ it gives.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -314,12 +317,59 @@ def _fir(h: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _lfilter(b, a, x, zi=None):
-    """scipy.signal.lfilter, imported on first use: the package takes longer to
-    import than the subcommands without a time-domain record take to run.
-    With a state zi it returns (output, final state), as lfilter does."""
-    from scipy.signal import lfilter
+    """scipy.signal.lfilter(b, a, x, zi=zi) along the last axis, bit for bit,
+    without importing scipy.signal: that package loads scipy.stats,
+    scipy.interpolate and more, which takes longer than a time-domain
+    subcommand takes to run.  With a state zi it returns (output, final
+    state), as lfilter does.
 
-    return lfilter(b, a, x, zi=zi)
+    A denominator of two or more taps runs SciPy's compiled _linear_filter,
+    the routine lfilter itself calls there (see _linear_filter), and lfilter
+    only when that routine cannot be loaded.  A single tap is lfilter's own
+    FIR branch: b/a[0] convolved, zi added to the head of the output.
+    """
+    b, a, x = np.atleast_1d(b), np.atleast_1d(a), np.asarray(x)
+    zi = None if zi is None else np.asarray(zi)
+    if a.size > 1:
+        run = _linear_filter()
+        if run is None:
+            from scipy.signal import lfilter
+
+            return lfilter(b, a, x, zi=zi)
+        return run(b, a, x, -1) if zi is None else run(b, a, x, -1, zi)
+    dtype = np.result_type(b, a, x, *([] if zi is None else [zi]))
+    b = np.array(b, dtype=dtype)
+    b /= a.astype(dtype)[0]
+    full = np.apply_along_axis(lambda y: np.convolve(b, y), -1, x.astype(dtype, copy=False))
+    if zi is None:
+        return full[..., : x.shape[-1]]
+    full[..., : zi.shape[-1]] += zi
+    return full[..., : x.shape[-1]], full[..., x.shape[-1] :]
+
+
+@functools.cache
+def _linear_filter():
+    """SciPy's compiled _linear_filter(b, a, x, axis[, zi]), loaded once from
+    the extension file scipy/signal/_sigtools alone, so that
+    scipy/signal/__init__.py does not run; None when the file cannot be
+    found or loaded or lacks the routine (a private name, not a stable API)."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        return None
+    folder = os.path.join(scipy.submodule_search_locations[0], "signal")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_sigtools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location("_sigtools", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        return None
+    return getattr(module, "_linear_filter", None)
 
 
 def _poles_outside(den: np.ndarray) -> int:

@@ -147,13 +147,13 @@ def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
     """The uniform search grid w_j = j*pi/(G*T), j = 1..G, whose spectrum is an FFT.
 
     G is grid_points but at least 4(N+1), rounded up to a 5-smooth count (a
-    fast FFT): f ripples once per memory term, and a coarser grid can put its
-    maximum or least root on the wrong lobe, which refinement in its cell
-    cannot leave.
+    fast FFT, also for a requested count with a large prime factor): f
+    ripples once per memory term, and a coarser grid can put its maximum or
+    least root on the wrong lobe, which refinement in its cell cannot leave.
     """
     if grid_points < 256:
         raise ValueError(f"grid_points must be at least 256, got {grid_points}")
-    points = max(grid_points, _fft_len(4 * (kernel.n_mem + 1)))
+    points = _fft_len(max(grid_points, 4 * (kernel.n_mem + 1)))
     return np.linspace(0.0, kernel.nyquist, points + 1)[1:]
 
 
@@ -165,7 +165,8 @@ def max_passivity(
     Odd memory length: the maximum is at Nyquist; the grid is still swept and
     required to agree.  Even memory length: grid maximum followed by local
     golden-section refinement.  The grid has grid_points points, but never
-    fewer than 4(N+1).  margin_ok compares b_plant, if given (not nan).
+    fewer than 4(N+1), rounded up to a 5-smooth count (see _grid).
+    margin_ok compares b_plant, if given (not nan).
     """
     _check_order(params.alpha, kernel)
     omegas = _grid(kernel, grid_points)
@@ -298,12 +299,13 @@ def region_scan(
     Odd memory length inverts the closed form exactly.  Even memory length
     inverts f = b_plant per frequency (see _boundary_k1): a column's boundary
     is the smallest positive root over the band, on a grid of grid_points
-    points but never fewer than 4(N+1).  One (columns x grid) pass over the
-    grid spectrum, computed once per call and taken in blocks of at most
-    2**20 values (512 columns at G = 2048, one column past G = 2**20), finds
-    each column's least grid root; a golden section on the root curve inside
-    that grid cell, all columns stepping together, refines it, and the column
-    keeps the smaller of the two, reported one part in 1e12 below it.  Up to
+    points but never fewer than 4(N+1), rounded up to a 5-smooth count (see
+    _grid).  One (columns x grid) pass over the grid spectrum, computed once
+    per call and taken in blocks of at most 2**20 values (512 columns at
+    G = 2048, one column past G = 2**20), finds each column's least grid
+    root; a golden section on the root curve inside that grid cell, all
+    columns stepping together, refines it, and the column keeps the smaller
+    of the two, reported one part in 1e12 below it.  Up to
     that K1 no grid or refined frequency has f above b_plant.  Columns whose
     boundary is at or past k1_max are capped.  k1_max and the b1 values must
     be positive and finite, and b_plant not nan.

@@ -862,34 +862,59 @@ class TestWriteCsv:
         assert capsys.readouterr().out == expected
 
 
+def cold_modules(runs, out_dir):
+    """Which of scipy.signal and scipy.optimize a fresh interpreter has
+    imported after dispatching runs (each writing into out_dir)."""
+    script = (
+        "import json, os, sys\n"
+        "from fovisc.cli import dispatch\n"
+        "os.chdir(sys.argv[2])\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert dispatch(argv) == 0, argv\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), str(out_dir)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 class TestColdStart:
     def test_commands_without_records_leave_scipy_signal_and_optimize_unimported(self, tmp_path):
         readme_runs = [
-            ["coeffs", "--alpha", "0.5", "--n", "101", "--t", "0.001", "--json"],
+            ["coeffs", "--alpha", "0.5", "--n", "101", "--t", "0.001", "--json", "-o", "out0"],
             ["bound", "--k0", "0", "--k1", "1", "--b1", "1", "--alpha", "0.5", "--n", "101",
-             "--t", "0.001", "--b-plant", "0.0025"],
+             "--t", "0.001", "--b-plant", "0.0025", "-o", "out1"],
             ["region", "--alpha", "0.5", "--b-plant", "0.0025", "--b1-min", "0.05", "--b1-max", "2",
-             "--steps", "40"],
+             "--steps", "40", "-o", "out2"],
             ["sweep", "--what", "f", "--k0", "0", "--k1", "1", "--b1", "1", "--alpha", "0.5",
-             "--n", "101", "--t", "0.001"],
+             "--n", "101", "--t", "0.001", "-o", "out3"],
             ["reduce", "--kind", "io_kv", "--k0", "10", "--k1", "1", "--b1", "0.01", "--alpha", "1",
-             "--n", "5", "--t", "0.001"],
+             "--n", "5", "--t", "0.001", "-o", "out4"],
         ]
-        script = (
-            "import json, sys\n"
-            "from fovisc.cli import dispatch\n"
-            "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
-            "    assert dispatch([*argv, '-o', f'{sys.argv[2]}/out{i}']) == 0, argv\n"
-            "print(sorted(m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(readme_runs), str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=subprocess_env(),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]"]
+        assert cold_modules(readme_runs, tmp_path) == ["[]"]
+
+    def test_time_domain_commands_leave_scipy_signal_unimported(self, tmp_path):
+        # the records and the loop run SciPy's compiled filter without its
+        # package; only fit imports scipy.optimize, for its solver
+        material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203"]
+        readme_runs = [
+            ["synth", *material, "--protocol", "creep", "-o", "creep.csv"],
+            ["synth", *material, "--protocol", "relaxation", "-o", "relax.csv"],
+            ["synth", *material, "--n", "0", "--protocol", "creep", "-o", "creep0.csv"],
+            ["simulate", "--k1", "2", "--b1", "100", "--alpha", "0.5", "--excite", "impulse:0.01",
+             "--duration", "10", "-o", "trace.csv"],
+            ["simulate", "--boundary", "--alpha", "0.5", "--b1", "100", "--plant-m", "7.34e-5",
+             "--plant-b", "0.0025", "-o", "boundary.json"],
+        ]
+        assert cold_modules(readme_runs, tmp_path) == ["[]"]
+        fit = ["fit", "--creep", "creep.csv", "--relax", "relax.csv", "--n", "101", "--b-plant", "0.0025",
+               "-o", "fit.json"]
+        assert cold_modules([fit], tmp_path) == ["['scipy.optimize']"]
 
 
 class TestReadme:

@@ -1,16 +1,24 @@
 """Discrete viscoelastic law: filter behavior, responses, reductions."""
 
+import importlib.machinery
+import importlib.util
+import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.signal
 from scipy.signal import lfilter
 
-from fovisc import CreepProtocol, RelaxationProtocol
+from fovisc import CreepProtocol, RelaxationProtocol, fitting, models, simloop
 from fovisc.glkernel import build_kernel, delta_p, delta_s
 from fovisc.impedance import es_ed_lowfreq
 from fovisc.models import (
@@ -18,7 +26,9 @@ from fovisc.models import (
     FoSlsParams,
     KINDS,
     _law_filter,
+    _lfilter,
     _poles_outside,
+    _record_filter,
     creep_response,
     freq_response,
     relaxation_response,
@@ -419,3 +429,128 @@ class TestReduceModel:
         message = f"unsupported kind 'zener'; expected one of {KINDS}"
         with pytest.raises(ValueError, match=re.escape(message)):
             freq_response("zener", FoSlsParams(0.0, 1.0, 1.0, 0.5), build_kernel(0.5, 3, T), 1.0)
+
+
+@pytest.fixture(scope="module")
+def library_filters():
+    """(b, a, x, zi) of every filter pass the library runs while it synthesizes
+    records at N = 0, 7 and 101, fits those at N = 101 (the start scan's
+    prefilters and blocked runs, the solve and the final report), fits a creep
+    record without a hold force and simulates a loop; plus
+    the creep filter of a candidate whose force law has an unstable inverse."""
+    calls = []
+
+    def spy(b, a, x, zi=None):
+        calls.append(tuple(None if v is None else np.array(v) for v in (b, a, x, zi)))
+        return _lfilter(b, a, x, zi)
+
+    creep, relax = CreepProtocol(3.0, 0.3, 0.5, 0.3), RelaxationProtocol(5.0, 0.4)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (models, fitting, simloop):
+            mp.setattr(module, "_lfilter", spy)
+        for n_mem in (0, 7, 101):
+            kern = build_kernel(MATERIAL_N101.alpha, n_mem, T)
+            records = [fitting.synth_experiment(MATERIAL_N101, kern, p) for p in (creep, relax)]
+        fitting.fit(records, 101, fitting.FitConfig(max_evals=60))
+        fitting.fit(fitting.synth_experiment(MATERIAL_N101, kern, CreepProtocol(0.0, 0.3, 0.5, 0.3)), 101,
+                    fitting.FitConfig(max_evals=20))
+        ve = DiscreteVE(FoSlsParams(0.0, 2.0, 100.0, 0.5), build_kernel(0.5, 101, T))
+        simloop.simulate(simloop.PlantParams(7.34e-5, 0.0025), ve, simloop.Impulse(0.01), 0.5)
+        b, a, u, _ = _record_filter(FoSlsParams(-1.0, 5.0, 0.05, 0.5), build_kernel(0.5, 7, T),
+                                    CreepProtocol(1.0, 2.0, 0.0, 1.0))
+        assert _poles_outside(a)
+        with np.errstate(all="ignore"):
+            models._lfilter(b, a, u)
+    return calls
+
+
+def same_bits(got, want):
+    got, want = (got, want) if isinstance(want, tuple) else ((got,), (want,))
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+    )
+
+
+class TestLfilter:
+    def test_the_library_filters_cover_every_form(self, library_filters):
+        kinds = {
+            "single tap": any(a.size == 1 for b, a, x, zi in library_filters),
+            "a[0] != 1": any(a[0] != 1.0 for b, a, x, zi in library_filters),
+            "records in rows": any(x.ndim == 2 for b, a, x, zi in library_filters),
+            "state carried": any(zi is not None and zi.any() and a.size > 2 for b, a, x, zi in library_filters),
+            "velocity with zi": any(zi is not None and a.size == 2 for b, a, x, zi in library_filters),
+            "overflow": any(not np.isfinite(lfilter(b, a, x)).all() for b, a, x, zi in library_filters),
+        }
+        assert all(kinds.values()), kinds
+
+    def test_direct_route_is_lfilter_bit_for_bit(self, library_filters):
+        assert models._linear_filter() is not None
+        with np.errstate(all="ignore"):
+            for b, a, x, zi in library_filters:
+                assert same_bits(_lfilter(b, a, x, zi), lfilter(b, a, x, zi=zi)), (b, a)
+
+    @pytest.mark.parametrize("shape", [(9,), (2, 9)])
+    def test_single_tap_with_state_is_lfilter_bit_for_bit(self, shape):
+        # lfilter's FIR branch, which no library filter runs with a state
+        rng = np.random.default_rng(3)
+        b, a, x = rng.normal(size=4), [0.7], rng.normal(size=shape)
+        zi = rng.normal(size=shape[:-1] + (3,))
+        assert same_bits(_lfilter(b, a, x, zi), lfilter(b, a, x, zi=zi))
+        assert same_bits(_lfilter(b, a, x), lfilter(b, a, x))
+
+    def test_direct_route_runs_before_and_agrees_after_scipy_signal(self, library_filters, tmp_path):
+        # a fresh interpreter filters before scipy.signal is imported, then
+        # imports it and filters again through both routes
+        cases = tmp_path / "cases.pkl"
+        cases.write_bytes(pickle.dumps(library_filters))
+        script = (
+            "import pickle, sys\n"
+            "import numpy as np\n"
+            "from fovisc import models\n"
+            "cases = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "np.seterr(all='ignore')\n"
+            "first = [models._lfilter(b, a, x, zi) for b, a, x, zi in cases]\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "from scipy.signal import lfilter\n"
+            "def bits(r):\n"
+            "    return [(v.dtype.str, v.shape, v.tobytes()) for v in (r if isinstance(r, tuple) else (r,))]\n"
+            "for (b, a, x, zi), got in zip(cases, first):\n"
+            "    assert bits(got) == bits(lfilter(b, a, x, zi=zi)) == bits(models._lfilter(b, a, x, zi))\n"
+            "print(len(first))\n"
+        )
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, str(cases)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len(library_filters))]
+
+    @pytest.mark.parametrize("failure", ["no file", "load fails", "no routine"])
+    def test_falls_back_to_lfilter_when_the_routine_cannot_be_loaded(self, failure, library_filters,
+                                                                    monkeypatch, tmp_path):
+        if failure == "no file":
+            monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        elif failure == "load fails":
+            def refuse(*args, **kwargs):
+                raise ImportError("cannot load")
+            monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+        else:  # a module that loads but has no _linear_filter
+            empty = tmp_path / "empty.py"
+            empty.write_text("")
+            load = importlib.util.spec_from_file_location
+            monkeypatch.setattr(importlib.util, "spec_from_file_location", lambda name, path: load(name, empty))
+        fallbacks = []
+
+        def counted(*args, **kwargs):
+            fallbacks.append(args)
+            return lfilter(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.signal, "lfilter", counted)
+        models._linear_filter.cache_clear()
+        try:
+            assert models._linear_filter() is None
+            with np.errstate(all="ignore"):
+                for b, a, x, zi in library_filters:
+                    assert same_bits(_lfilter(b, a, x, zi), lfilter(b, a, x, zi=zi)), (b, a)
+        finally:
+            models._linear_filter.cache_clear()
+        assert len(fallbacks) == sum(a.size > 1 for b, a, x, zi in library_filters)

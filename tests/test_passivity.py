@@ -145,7 +145,7 @@ class TestMaxPassivity:
             result = max_passivity(params, kern, grid)
             # the search grid is never coarser than 4(N+1) points
             points = passivity._grid(kern, grid).size
-            assert points == max(grid, models._fft_len(4 * (kern.n_mem + 1)))
+            assert points == models._fft_len(max(grid, 4 * (kern.n_mem + 1)))
             assert (result.omega_star, result.b_min) == scalar_grid_search(params, kern, points)
 
     def test_rows_refined_together_end_as_rows_refined_alone(self):
@@ -183,6 +183,18 @@ class TestMaxPassivity:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
             max_passivity(UNIT_FM, build_kernel(0.5, 10, T), 128)
+
+    @pytest.mark.parametrize(
+        "grid, n_mem, points",
+        [(8192, 100, 8192), (2048, 100, 2048), (8191, 100, 8192), (257, 10, 270),
+         (999983, 1000, 10**6), (256, 2000, 8100)],
+    )
+    def test_grid_is_a_five_smooth_count(self, grid, n_mem, points):
+        # a requested count with a large prime factor is rounded up like the
+        # 4(N+1) floor, so the grid spectrum's FFT stays fast
+        omegas = passivity._grid(build_kernel(0.5, n_mem, T), grid)
+        assert omegas.size == points
+        assert omegas[-1] == math.pi / T and omegas[0] == omegas[-1] / points
 
     def test_long_even_memory_finds_the_dense_maximum(self):
         # f ripples once per memory term: at N = 20,000 the default 8,192
