@@ -86,13 +86,19 @@ def _output(args: argparse.Namespace):
         yield sys.stdout
 
 
-def _write_csv(args: argparse.Namespace, header: list[str], columns, comments: dict | None = None):
+def _write_csv(
+    args: argparse.Namespace, header: list[str], columns, comments: dict | None = None, finite: bool = False
+):
     """Write one row per index of the equal-length 1-D ``columns``, one per header name.
 
     Beside float columns an integer column passes through float64, which is
-    exact below 2**53.
+    exact below 2**53.  With finite, a column holding NaN or inf is refused,
+    by name, before the output is opened.
     """
     columns = [np.asarray(c) for c in columns]
+    bad = [name for name, c in zip(header, columns) if finite and not np.isfinite(c).all()]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} not finite: the rows would hold NaN or inf")
     row = ",".join("%d" if np.issubdtype(c.dtype, np.integer) else "%.12g" for c in columns) + "\n"
     with _output(args) as fh:
         fh.write(",".join(header) + "\n")
@@ -195,12 +201,13 @@ def cmd_bound(args: argparse.Namespace) -> int:
     params = _params_from(args)
     grid_points = _count(args, "grid_points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
-    if args.n % 2 == 1:
-        result = passivity.bound_closed_form(params, kern, args.b_plant)
-        variants = {k: _f12(v) for k, v in passivity.bound_variants(params, kern).items()}
-    else:
-        result = passivity.max_passivity(params, kern, grid_points, args.b_plant)
-        variants = None
+    with np.errstate(all="ignore"):  # an overflow gives NaN or inf, refused by _write_json
+        if args.n % 2 == 1:
+            result = passivity.bound_closed_form(params, kern, args.b_plant)
+            variants = {k: _f12(v) for k, v in passivity.bound_variants(params, kern).items()}
+        else:
+            result = passivity.max_passivity(params, kern, grid_points, args.b_plant)
+            variants = None
     payload = {
         "b_min": _f12(result.b_min),
         "omega_star": _f12(result.omega_star),
@@ -230,19 +237,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = _count(args, "points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     omegas = np.linspace(0.0, kern.nyquist, points + 1)[1:]
-    if args.what == "f":
-        values = passivity.passivity_function(params, kern, omegas)
-        _write_csv(args, ["omega_t", "f"], [omegas * args.t, values])
-        return EXIT_OK
-    if args.form == "lowfreq":
-        # one row at w = 0, where ED is only defined as the limit
-        es, ed = impedance.es_ed_lowfreq(params, kern)
-        omegas, es, ed = [0.0], [es], [ed]
-    elif args.form == "finite":
-        es, ed = impedance.es_ed_finite(params, kern, omegas)
-    else:
-        es, ed = impedance.es_ed_asymptotic(params, omegas, kern.t_samp)
-    _write_csv(args, ["omega", args.what], [omegas, es if args.what == "es" else ed])
+    with np.errstate(all="ignore"):  # an overflow gives NaN or inf, refused by _write_csv
+        if args.what == "f":
+            header, columns = ["omega_t", "f"], [omegas * args.t, passivity.passivity_function(params, kern, omegas)]
+        else:
+            if args.form == "lowfreq":
+                # one row at w = 0, where ED is only defined as the limit
+                es, ed = impedance.es_ed_lowfreq(params, kern)
+                omegas, es, ed = [0.0], [es], [ed]
+            elif args.form == "finite":
+                es, ed = impedance.es_ed_finite(params, kern, omegas)
+            else:
+                es, ed = impedance.es_ed_asymptotic(params, omegas, kern.t_samp)
+            header, columns = ["omega", args.what], [omegas, es if args.what == "es" else ed]
+    _write_csv(args, header, columns, finite=True)
     return EXIT_OK
 
 
@@ -391,8 +399,9 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     points = _count(args, "points", _MAX_POINTS)
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     omegas = np.linspace(0.0, kern.nyquist, points + 1)[1:]
-    h = models.freq_response(args.kind, params, kern, omegas)
-    _write_csv(args, ["omega", "re_H", "im_H"], [omegas, h.real, h.imag])
+    with np.errstate(all="ignore"):  # an overflow gives NaN or inf, refused by _write_csv
+        h = models.freq_response(args.kind, params, kern, omegas)
+    _write_csv(args, ["omega", "re_H", "im_H"], [omegas, h.real, h.imag], finite=True)
     return EXIT_OK
 
 
@@ -524,6 +533,9 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"fovisc: error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError:  # closed forms on Python floats raise where NumPy gives inf
+        print("fovisc: error: a result overflows at these inputs", file=sys.stderr)
         return EXIT_DOMAIN
     except AssertionError as exc:
         print(f"fovisc: inconsistency: {exc}", file=sys.stderr)

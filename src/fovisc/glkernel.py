@@ -259,3 +259,48 @@ def _s_conj_values(kernel: GLKernel, omegas: np.ndarray) -> np.ndarray:
         rows = np.exp(-1j * ((w * kernel.t_samp)[:, None] * k))[:, None, :]
         out[lo : lo + chunk] = (rows @ kernel.coeffs)[:, 0]
     return out
+
+
+def _taylor_terms(reach: float) -> int:
+    """Terms the spectrum's Taylor series needs out to |x| = reach (see
+    _s_conj_taylor): the first count whose next term is at most 2^-56 of
+    sum|c_k|, which leaves the tail below roundoff.  At most 18 for
+    reach <= pi/4: one cell of a grid of at least 4(N+1) points, the
+    farthest the even-N searches go from the grid point expanded about."""
+    terms, term = 1, reach
+    while term > 2.0**-56:
+        terms += 1
+        term *= reach / terms
+    return terms
+
+
+def _s_conj_taylor(kernel: GLKernel, omega: float, terms: int) -> np.ndarray:
+    """Taylor coefficients a_0..a_{terms-1} of the spectrum about one frequency omega.
+
+    With u_k = k/(N+1) < 1 and x = (w - omega) T (N+1),
+
+        sum_k c_k e^{-ik w T} = sum_m a_m (-ix)^m,   a_m = sum_k u_k^m c_k e^{-ik omega T} / m!,
+
+    so |a_m| <= sum|c_k| / m!.  Each a_m is a sum over the N + 1 weights
+    for this omega alone: the coefficients do not depend on any other
+    frequency being expanded.
+    """
+    k = np.arange(kernel.n_mem + 1, dtype=float)
+    u = k / (kernel.n_mem + 1)
+    weighted = kernel.coeffs * np.exp(-1j * ((omega * kernel.t_samp) * k))
+    a = np.empty(terms, dtype=complex)
+    factorial = 1.0
+    for m in range(terms):
+        a[m] = weighted.sum() / factorial
+        weighted *= u
+        factorial *= m + 1
+    return a
+
+
+def _taylor_values(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m a[..., m] (-ix)^m by Horner's rule in real arithmetic; the
+    coefficient rows a[..., m] broadcast against x."""
+    re, im = a[..., -1].real, a[..., -1].imag
+    for m in range(a.shape[-1] - 2, -1, -1):
+        re, im = x * im + a[..., m].real, a[..., m].imag - x * re
+    return re + 1j * im

@@ -18,7 +18,10 @@ local refinement, never by the Nyquist shortcut.
 At k0 = 0 and a fixed frequency, f = b is a quadratic in K1, so the even-N
 region inverts the bound per frequency: a column's boundary is the smallest
 positive root over the band, located on the grid and refined by the same
-golden section that refines the maximum of f.
+parabolic search that refines the maximum of f.  Both searches evaluate the
+spectrum near a grid point from its Taylor expansion about that point,
+computed once per distinct point, not from a direct sum over the N + 1
+weights per frequency.
 """
 
 from __future__ import annotations
@@ -31,8 +34,11 @@ import numpy as np
 from .glkernel import (
     GLKernel,
     _flat_omegas,
+    _s_conj_taylor,
     _s_conj_values,
     _shaped,
+    _taylor_terms,
+    _taylor_values,
     delta_p,
     delta_p_asymptotic,
     delta_p_sufficient,
@@ -56,7 +62,8 @@ __all__ = [
     "region_scan",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN = np.linspace(0.0, 1.0, 65)  # _parabolic_max's first pass across a bracket
+_STENCIL = np.array([-1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -102,45 +109,64 @@ def _margin_ok(b_plant: float | None, b_min: float) -> bool | None:
     return None if b_plant is None else bool(b_plant > b_min)
 
 
-def _golden_max(value, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """(x, value) arrays at the golden-section maximum of value(rows, x), one
-    per row on its own bracket [lo, hi]; value maps an index array of rows and
-    one abscissa per row to their values.
+def _parabolic_max(value, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """(x, value) arrays at the maximum of value(rows, x) inside [lo, hi], one
+    row per bracket; value maps an index array of rows and a (rows, k) array
+    of abscissas, k per row, to their values.
 
-    The rows step together, one evaluation each per step; a row leaves once
-    its own bracket is at most tol wide, so it takes exactly the steps of a
-    search run for it alone.
+    A row scans its bracket at 65 points, then takes parabolic steps
+    (Brent, Algorithms for Minimization without Derivatives, 1973) from the
+    best of them: the vertex of the parabola through a stencil of three
+    points h apart, kept within the stencil, or the best of the three where
+    they are not concave.  The vertex misses the maximum by O(h^2), so the
+    stencil, centred on the new point inside the bracket, shrinks from the
+    scan spacing h0 as h -> h^2/(10 h0), until it is at most tol wide.  The
+    rows step together, one value call each per step, and a row's
+    arithmetic is elementwise, so it ends where a search run for it alone
+    ends.
     """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
     live = np.arange(lo.size)
-    fc, fd = value(live, c), value(live, d)
-    a_end, b_end = np.empty_like(lo), np.empty_like(hi)
-    span = b - a
+    x = lo[:, None] + (hi - lo)[:, None] * _SCAN
+    h0 = (hi - lo) / (_SCAN.size - 1)
+    p, h = x[live, np.argmax(value(live, x), axis=1)], h0
+    x_end = np.empty_like(lo)
     while live.size:
-        go = span > tol
-        if not go.all():
-            a_end[live[~go]], b_end[live[~go]] = a[~go], b[~go]
-            live, a, b, c, d, fc, fd, span = (v[go] for v in (live, a, b, c, d, fc, fd, span))
-            continue
-        up = fc < fd  # the maximum lies in [c, b]: a moves up to c, else b down to d
-        a, b = np.where(up, c, a), np.where(up, b, d)
-        span = b - a
-        step = _GOLDEN * span
-        x = np.where(up, a + step, b - step)  # the new d where a moved, else the new c
-        c, d = np.where(up, d, x), np.where(up, x, c)
-        f_new = value(live, x)
-        fc, fd = np.where(up, fd, f_new), np.where(up, f_new, fc)
-    x = 0.5 * (a_end + b_end)
-    return x, value(np.arange(lo.size), x)
+        p = np.clip(p, lo + h, hi - h)
+        x = p[:, None] + h[:, None] * _STENCIL
+        f = value(live, x)
+        f_lo, f_mid, f_hi = f.T
+        bend = f_lo - 2.0 * f_mid + f_hi
+        concave = np.isfinite(bend) & (bend < 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(h * (f_lo - f_hi) / (2.0 * bend), -h, h)
+        p = np.where(concave, p + step, x[np.arange(live.size), np.argmax(f, axis=1)])
+        h = h * (h / (10.0 * h0))
+        done = 2.0 * h <= tol
+        x_end[live[done]] = np.clip(p[done], lo[done], hi[done])
+        live, p, h, h0, lo, hi = (v[~done] for v in (live, p, h, h0, lo, hi))
+    return x_end, value(np.arange(x_end.size), x_end[:, None])[:, 0]
 
 
 def _cell(omegas: np.ndarray, i) -> tuple:
-    """The two grid cells around grid index i as a bracket, and its golden-section tolerance."""
+    """The two grid cells around grid index i as a bracket, and the search tolerance, 1e-6 of a cell."""
     lo = omegas[np.maximum(i - 1, 0)]
     hi = omegas[np.minimum(i + 1, omegas.size - 1)]
     return lo, hi, (omegas[1] - omegas[0]) * 1e-6
+
+
+def _cell_spectrum(kernel: GLKernel, omegas: np.ndarray, i: np.ndarray):
+    """The spectrum s(rows, x) near grid points omegas[i], one row each: one
+    Taylor expansion (_s_conj_taylor) per distinct grid point, computed once
+    here and evaluated in O(terms) per abscissa, whatever N is."""
+    centres, row_cell = np.unique(i, return_inverse=True)
+    scale = kernel.t_samp * (kernel.n_mem + 1)
+    terms = _taylor_terms((omegas[1] - omegas[0]) * scale)
+    taylor = np.array([_s_conj_taylor(kernel, omegas[j], terms) for j in centres]).reshape(-1, terms)[row_cell]
+
+    def spectrum(rows, x):
+        return _taylor_values(taylor[rows, None, :], (x - omegas[i[rows], None]) * scale)
+
+    return spectrum
 
 
 def _grid(kernel: GLKernel, grid_points: int) -> np.ndarray:
@@ -163,9 +189,11 @@ def max_passivity(
     """Maximum of f over (0, pi/T], located by parity-aware search.
 
     Odd memory length: the maximum is at Nyquist; the grid is still swept and
-    required to agree.  Even memory length: grid maximum followed by local
-    golden-section refinement.  The grid has grid_points points, but never
-    fewer than 4(N+1), rounded up to a 5-smooth count (see _grid).
+    required to agree.  Even memory length: grid maximum followed by a
+    parabolic search in the two cells around it (_parabolic_max), on the
+    spectrum's Taylor expansion about the grid point (_cell_spectrum); b_min
+    is never below the grid maximum.  The grid has grid_points points, but
+    never fewer than 4(N+1), rounded up to a 5-smooth count (see _grid).
     margin_ok compares b_plant, if given (not nan).
     """
     _check_order(params.alpha, kernel)
@@ -175,9 +203,10 @@ def max_passivity(
     if kernel.n_mem % 2 == 0:
         w, b_min = float(omegas[i]), float(values[i])
         # f oscillates under truncation, so refinement stays inside the best grid cell
-        w_star, f_star = _golden_max(
-            lambda _, x: _f_values(params, kernel.t_samp, x, _s_conj_values(kernel, x)),
-            *_cell(omegas, np.array([i])),
+        cell = np.array([i])
+        spectrum = _cell_spectrum(kernel, omegas, cell)
+        w_star, f_star = _parabolic_max(
+            lambda rows, x: _f_values(params, kernel.t_samp, x, spectrum(rows, x)), *_cell(omegas, cell)
         )
         if not f_star[0] < b_min:
             w, b_min = float(w_star[0]), float(f_star[0])
@@ -303,12 +332,14 @@ def region_scan(
     _grid).  One (columns x grid) pass over the grid spectrum, computed once
     per call and taken in blocks of at most 2**20 values (512 columns at
     G = 2048, one column past G = 2**20), finds each column's least grid
-    root; a golden section on the root curve inside that grid cell, all
-    columns stepping together, refines it, and the column keeps the smaller
-    of the two, reported one part in 1e12 below it.  Up to
-    that K1 no grid or refined frequency has f above b_plant.  Columns whose
-    boundary is at or past k1_max are capped.  k1_max and the b1 values must
-    be positive and finite, and b_plant not nan.
+    root.  A parabolic search on the root curve in the two cells around it
+    (_parabolic_max), all columns stepping together, refines it on the
+    spectrum's Taylor expansion about that grid point, one expansion per
+    distinct point however many columns share it (_cell_spectrum).  The
+    column keeps the smaller of the two roots, reported one part in 1e12
+    below it.  Up to that K1 no grid or refined frequency has f above
+    b_plant.  Columns whose boundary is at or past k1_max are capped.  k1_max
+    and the b1 values must be positive and finite, and b_plant not nan.
     """
     _check_order(alpha, kernel)
     if not (math.isfinite(k1_max) and k1_max > 0.0):
@@ -344,11 +375,12 @@ def region_scan(
         i_best[part] = np.argmin(roots, axis=1)
         k1[part] = roots[np.arange(roots.shape[0]), i_best[part]]
     cols = np.flatnonzero(np.isfinite(k1))  # a column with no grid root is refined nowhere
+    spectrum = _cell_spectrum(kernel, omegas, i_best[cols])
 
     def neg_root(rows, x):
-        return -_boundary_k1(b1_grid[cols[rows]], alpha, T, b_plant, x, _s_conj_values(kernel, x))
+        return -_boundary_k1(b1_grid[cols[rows], None], alpha, T, b_plant, x, spectrum(rows, x))
 
-    k1[cols] = np.minimum(k1[cols], -_golden_max(neg_root, *_cell(omegas, i_best[cols]))[1])
+    k1[cols] = np.minimum(k1[cols], -_parabolic_max(neg_root, *_cell(omegas, i_best[cols]))[1])
     capped = ~(k1 < k1_max)
     # f at a root is b_plant only up to its roundoff, on either side: one part
     # in 1e12 below the root, f is below b_plant

@@ -221,6 +221,33 @@ class TestDegenerateSizes:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("sweep --what f --n 100", "f not finite"),
+            ("sweep --what es --n 100", "es not finite"),
+            ("sweep --what ed --n 10001", "ed not finite"),
+            ("sweep --what es --form asymptotic --n 100", "a result overflows at these inputs"),
+            ("sweep --what ed --form lowfreq --n 100", "a result overflows at these inputs"),
+            ("reduce --kind io_sls --n 101", "re_H, im_H not finite"),
+            ("bound --n 100", "b_min not finite"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_is_refused(self, tmp_path, capsys, command, message):
+        # K1*B1*D overflows in the branch impedance: sweep and reduce wrote
+        # nan and inf rows and exited 0, and all three printed RuntimeWarnings
+        # (which pytest would capture from stderr, so they raise here)
+        out = tmp_path / "out"
+        argv = [*command.split(), "--k1", "1e200", "--b1", "1e200", "--alpha", "0.5", "-o", str(out)]
+        if argv[0] != "bound":
+            argv += ["--points", "8"]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert "Traceback" not in err and "Warning" not in err
+
 
 class TestSweep:
     def test_passivity_sweep_matches_module(self, tmp_path):

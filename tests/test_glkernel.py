@@ -363,3 +363,37 @@ class TestFftSpectrum:
         got = _s_conj_values(k, off)
         want = direct_spectrum(k, off)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestTaylorSpectrum:
+    """The spectrum's Taylor expansion about a grid point, which the even-N
+    searches evaluate in place of the direct sum."""
+
+    @given(
+        alpha=st.floats(0.01, 1.0),
+        decade=st.integers(0, 6),
+        mantissa=st.floats(1.0, 10.0),
+        where=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=0.5, decade=6, mantissa=1.0, where=1.0, seed=0)
+    @example(alpha=0.05, decade=6, mantissa=1.0, where=0.0, seed=1)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_direct_sum_within_a_cell(self, alpha, decade, mantissa, where, seed):
+        # even N up to 10^6 on the coarsest grid the searches use, 4(N+1)
+        # points, where a cell reaches |x| = pi/4.  The bound is the direct
+        # sum's own roundoff: its BLAS accumulation over 10^6 terms drifted by
+        # 1.9e-14 sum|c_k| from the exactly rounded sum of its terms (alpha
+        # 0.125), where the expansion's pairwise sums stayed within 3e-16
+        n_mem = min(10**6, 2 * round(mantissa * 10**decade / 2))
+        k = build_kernel(alpha, n_mem, 0.001)
+        g = 4 * (n_mem + 1)
+        cell = k.nyquist / g
+        centre = uniform_grid(k, g)[round(where * (g - 1))]
+        offsets = np.random.default_rng(seed).uniform(-1.0, 1.0, 8) * cell
+        points = np.clip(centre + offsets, cell, k.nyquist)
+        scale = k.t_samp * (n_mem + 1)
+        terms = glkernel._taylor_terms(cell * scale)
+        assert terms <= 18
+        got = glkernel._taylor_values(glkernel._s_conj_taylor(k, centre, terms), (points - centre) * scale)
+        assert np.max(np.abs(got - _s_conj_values(k, points))) <= 3e-14 * np.sum(np.abs(k.coeffs))

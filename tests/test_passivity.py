@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fovisc import models, passivity
+from fovisc import glkernel, models, passivity
 from fovisc.glkernel import build_kernel, delta_p
 from fovisc.impedance import es_ed_finite
 from fovisc.models import KINDS, FoSlsParams, freq_response
@@ -45,6 +45,45 @@ def dense_max(params, kern):
     i = int(np.argmax(passivity_function(params, kern, omegas)))
     local = np.linspace(omegas[max(i - 1, 0)], omegas[min(i + 1, omegas.size - 1)], 401)
     return float(np.max(passivity_function(params, kern, np.append(local, omegas[i]))))
+
+
+def scalar_parabolic_search(params, kern, grid):
+    """The even-N search one frequency at a time: grid maximum of f, a
+    65-point scan of the two cells around it, then parabolic steps whose
+    stencil shrinks from the scan spacing h0 as h -> h^2/(10 h0) down to
+    1e-6 of a cell, on the spectrum's Taylor expansion about the grid point;
+    it never ends below the grid maximum."""
+    omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
+    values = passivity_function(params, kern, omegas)
+    i = int(np.argmax(values))
+    centre, scale = omegas[i], T * (kern.n_mem + 1)
+    taylor = glkernel._s_conj_taylor(kern, centre, glkernel._taylor_terms((omegas[1] - omegas[0]) * scale))
+
+    def f(x):
+        s = glkernel._taylor_values(taylor, np.array([(x - centre) * scale]))
+        return float(passivity._f_values(params, T, np.array([x]), s)[0])
+
+    lo, hi = omegas[max(i - 1, 0)], omegas[min(i + 1, grid - 1)]
+    tol = (omegas[1] - omegas[0]) * 1e-6
+    scan = [lo + (hi - lo) * float(u) for u in np.linspace(0.0, 1.0, 65)]
+    scanned = [f(x) for x in scan]
+    p, h = scan[scanned.index(max(scanned))], (hi - lo) / 64
+    h0 = h
+    while True:
+        p = min(max(p, lo + h), hi - h)
+        x = [p - h, p, p + h]
+        f_lo, f_mid, f_hi = (f(v) for v in x)
+        bend = f_lo - 2.0 * f_mid + f_hi
+        if math.isfinite(bend) and bend < 0.0:
+            p = p + min(max(h * (f_lo - f_hi) / (2.0 * bend), -h), h)
+        else:
+            p = x[[f_lo, f_mid, f_hi].index(max(f_lo, f_mid, f_hi))]
+        h = h * (h / (10.0 * h0))
+        if 2.0 * h <= tol:
+            break
+    x = min(max(p, lo), hi)
+    f_star = f(x)
+    return (omegas[i], values[i]) if f_star < values[i] else (x, f_star)
 
 
 def scalar_grid_search(params, kern, grid):
@@ -135,9 +174,10 @@ class TestMaxPassivity:
         asym = (UNIT_FM.k1 * T / 2.0) * UNIT_FM.b1 * dp_inf / (UNIT_FM.b1 * dp_inf + UNIT_FM.k1 * T**0.5)
         assert passivity_function(UNIT_FM, kern, kern.nyquist) < asym
 
-    def test_one_row_search_is_the_scalar_golden_section(self):
+    def test_one_row_search_is_the_scalar_parabolic_search(self):
         # max_passivity runs the array search with one row; it must take the
-        # arithmetic of a search run one frequency at a time, to the bit
+        # arithmetic of a search run one frequency at a time, to the bit, and
+        # find the maximum the golden section on direct sums found
         rng = np.random.default_rng(13)
         for _ in range(12):
             params, kern = random_admissible(rng, odd_n=False, n_max=300)
@@ -146,13 +186,17 @@ class TestMaxPassivity:
             # the search grid is never coarser than 4(N+1) points
             points = passivity._grid(kern, grid).size
             assert points == models._fft_len(max(grid, 4 * (kern.n_mem + 1)))
-            assert (result.omega_star, result.b_min) == scalar_grid_search(params, kern, points)
+            assert (result.omega_star, result.b_min) == scalar_parabolic_search(params, kern, points)
+            grid_max = float(np.max(passivity_function(params, kern, passivity._grid(kern, grid))))
+            assert result.b_min >= grid_max
+            assert result.b_min == pytest.approx(scalar_grid_search(params, kern, points)[1], rel=1e-13)
 
     def test_rows_refined_together_end_as_rows_refined_alone(self):
         # at alpha 0.5, N = 10 some maxima sit in the last grid cell and some
-        # inside, so a golden section of many rows (as region_scan runs one on
-        # its columns) carries brackets of two widths that stop at different
-        # steps; each row must end where the one-row search of max_passivity ends
+        # inside, so a search of many rows (as region_scan runs one on its
+        # columns) carries brackets of two widths and spectra expanded about
+        # different grid points; each row must end where the one-row search
+        # of max_passivity ends
         kern = build_kernel(0.5, 10, T)
         grid = 256
         omegas = np.linspace(0.0, kern.nyquist, grid + 1)[1:]
@@ -160,13 +204,13 @@ class TestMaxPassivity:
         params = [FoSlsParams(0.0, float(k), float(b), 0.5) for k, b in zip(k1, b1)]
         values = [passivity_function(p, kern, omegas) for p in params]
         i_best = np.array([int(np.argmax(v)) for v in values])
+        spectrum = passivity._cell_spectrum(kern, omegas, i_best)
 
         def f(rows, x):
-            columns = SimpleNamespace(k0=0.0, k1=k1[rows], b1=b1[rows], alpha=0.5)
-            return passivity._f_values(columns, T, x, passivity._s_conj_values(kern, x))
+            columns = SimpleNamespace(k0=0.0, k1=k1[rows, None], b1=b1[rows, None], alpha=0.5)
+            return passivity._f_values(columns, T, x, spectrum(rows, x))
 
-        lo, hi = omegas[np.maximum(i_best - 1, 0)], omegas[np.minimum(i_best + 1, grid - 1)]
-        w, f_star = passivity._golden_max(f, lo, hi, (omegas[1] - omegas[0]) * 1e-6)
+        w, f_star = passivity._parabolic_max(f, *passivity._cell(omegas, i_best))
         for j, p in enumerate(params):
             i = i_best[j]
             together = (omegas[i], values[j][i]) if f_star[j] < values[j][i] else (w[j], f_star[j])
@@ -636,20 +680,34 @@ class TestRegionScan:
         assert np.array_equal(np.concatenate(pieces), region.k1)
 
     def test_even_memory_spectrum_computed_once(self, monkeypatch):
-        sizes = []
-        spectrum = passivity._s_conj_values
+        # the grid spectrum is one call; refinement makes no direct-sum call
+        # and expands the spectrum once about each distinct grid cell
+        sizes, centres = [], []
+        spectrum, taylor = passivity._s_conj_values, passivity._s_conj_taylor
 
         def counted(kernel, omegas):
             sizes.append(np.size(omegas))
             return spectrum(kernel, omegas)
 
+        def expanded(kernel, omega, terms):
+            centres.append(omega)
+            return taylor(kernel, omega, terms)
+
         monkeypatch.setattr(passivity, "_s_conj_values", counted)
+        monkeypatch.setattr(passivity, "_s_conj_taylor", expanded)
         kern = build_kernel(0.5, 100, T)
-        b1_grid = [0.05, 0.5, 2.0]
-        region_scan(0.5, kern, 0.0025, b1_grid, 1000.0, grid_points=512)
-        assert sizes[0] == 512 and sizes.count(512) == 1
-        # the rest are golden-section steps: one frequency per column refined together
-        assert len(sizes) > 1 and max(sizes[1:]) <= len(b1_grid)
+        b1_grid = np.linspace(0.05, 2.0, 40)
+        region_scan(0.5, kern, 0.0025, b1_grid, 1000.0)
+        assert sizes == [2048]
+        omegas = passivity._grid(kern, 2048)
+        roots = passivity._boundary_k1(b1_grid[:, None], 0.5, T, 0.0025, omegas, spectrum(kern, omegas))
+        cells = np.unique(np.argmin(roots[np.isfinite(roots).any(axis=1)], axis=1))
+        # the bench's 40 columns share 2 cells
+        assert centres == omegas[cells].tolist() and len(centres) == 2
         sizes.clear()
+        centres.clear()
+        result = max_passivity(UNIT_FM, kern)
+        assert sizes == [8192] and len(centres) == 1
+        assert abs(centres[0] - result.omega_star) <= kern.nyquist / 8192  # within a cell of it
         region_scan(0.5, build_kernel(0.5, 101, T), 0.0025, [0.05, 0.5, 2.0], 1000.0)
-        assert sizes == []  # odd N: closed form, no spectrum at all
+        assert sizes == [8192] and len(centres) == 1  # odd N: closed form, no spectrum at all
