@@ -315,6 +315,23 @@ def direct_spectrum(kernel, omegas, rows=128):
     )
 
 
+def exact_spectrum(kernel, omegas):
+    """Oracle: sum_k c_k e^{-ik w T} from exact phases, each part summed exactly
+    (math.fsum).  w T = hi + lo with hi on 32 significant bits, so k hi is exact
+    for k < 2^21 and k lo is below 2^-31 w T; e^{-ik w T} is e^{-ik hi} e^{-ik lo}."""
+    assert kernel.n_mem < 2**21
+    k = np.arange(kernel.n_mem + 1, dtype=float)
+    out = []
+    for wt in np.asarray(omegas) * kernel.t_samp:
+        mantissa, exponent = math.frexp(wt)
+        hi = math.ldexp(math.floor(mantissa * 2**32), exponent - 32)
+        c_hi, s_hi, c_lo, s_lo = np.cos(k * hi), np.sin(k * hi), np.cos(k * (wt - hi)), np.sin(k * (wt - hi))
+        re = math.fsum(np.concatenate([kernel.coeffs * c_hi * c_lo, -kernel.coeffs * s_hi * s_lo]))
+        im = -math.fsum(np.concatenate([kernel.coeffs * s_hi * c_lo, kernel.coeffs * c_hi * s_lo]))
+        out.append(complex(re, im))
+    return np.array(out)
+
+
 def uniform_grid(kernel, g):
     return np.linspace(0.0, kernel.nyquist, g + 1)[1:]
 
@@ -378,13 +395,18 @@ class TestTaylorSpectrum:
     )
     @example(alpha=0.5, decade=6, mantissa=1.0, where=1.0, seed=0)
     @example(alpha=0.05, decade=6, mantissa=1.0, where=0.0, seed=1)
+    @example(alpha=0.99999, decade=6, mantissa=1.0, where=0.0, seed=0)
+    @example(alpha=0.125, decade=4, mantissa=9.371121435576399, where=0.4327998701124035, seed=893)
     @settings(max_examples=20, deadline=None)
     def test_matches_the_direct_sum_within_a_cell(self, alpha, decade, mantissa, where, seed):
         # even N up to 10^6 on the coarsest grid the searches use, 4(N+1)
-        # points, where a cell reaches |x| = pi/4.  The bound is the direct
-        # sum's own roundoff: its BLAS accumulation over 10^6 terms drifted by
-        # 1.9e-14 sum|c_k| from the exactly rounded sum of its terms (alpha
-        # 0.125), where the expansion's pairwise sums stayed within 3e-16
+        # points, where a cell reaches |x| = pi/4.  The reference is the
+        # exact series (exact_spectrum), not _s_conj_values: its BLAS
+        # accumulation over 10^6 terms drifts by up to 2.2e-13 sum|c_k|
+        # (alpha 0.99999 at the first grid point), and its rounded phases
+        # k (w T) by 3.8e-15 (alpha 0.125, N = 93712).  The bound is the worst
+        # case of the expansion's pairwise sums, log2(10^6) 2^-53 ~ 2.2e-15 of
+        # sum|c_k|, with margin; they stayed within 5e-16 in 80 sampled cases
         n_mem = min(10**6, 2 * round(mantissa * 10**decade / 2))
         k = build_kernel(alpha, n_mem, 0.001)
         g = 4 * (n_mem + 1)
@@ -396,4 +418,4 @@ class TestTaylorSpectrum:
         terms = glkernel._taylor_terms(cell * scale)
         assert terms <= 18
         got = glkernel._taylor_values(glkernel._s_conj_taylor(k, centre, terms), (points - centre) * scale)
-        assert np.max(np.abs(got - _s_conj_values(k, points))) <= 3e-14 * np.sum(np.abs(k.coeffs))
+        assert np.max(np.abs(got - exact_spectrum(k, points))) <= 4e-15 * np.sum(np.abs(k.coeffs))
