@@ -22,16 +22,19 @@ and alpha = 1 first, then the orders between the best coarse one's
 neighbours.  The candidates are scored best-first by their estimate's
 equation error, and one whose leading samples already fit worse than the
 best so far is dropped there.  The candidate whose forward records fit best
-starts one trust-region-reflective least-squares solve on the residuals of
-all experiments, each scaled by its NRMSE scale; its box bounds, alpha's
-[_ALPHA_LO, 1] among them, are kept exactly.  The fit is the better of the
-start and the solve's end.  A residual, a start's score and the reported
-NRMSE are each one run of the records through their filters (_record_run),
-which a score stops once the candidate cannot win.  The Jacobian is exact:
-the record sensitivities of ``models``, built from the predictions of the
-last residual run, chained through the passive map.  An evaluation is one
-residual, one Jacobian or one scored candidate, stopped early or not; the
-budget caps the solve's.  The returned set is re-verified against the bound.
+starts one box-bounded trust-region Levenberg-Marquardt solve
+(_levenberg_marquardt) on the residuals of all experiments, each scaled by
+its NRMSE scale.  It starts at the candidate itself, keeps the box (alpha's
+[_ALPHA_LO, 1] among it) exactly, and takes only steps that lower the cost,
+so the fit is never worse than its start.  A residual, a start's score and
+the reported NRMSE are each one run of the records through their filters
+(_record_run), which a score stops once the candidate cannot win.  The
+Jacobian is exact: the record sensitivities of ``models``, built from the
+predictions of the last residual run, chained through the passive map.  An
+evaluation is one residual, one Jacobian or one scored candidate, stopped
+early or not; the budget caps the solve's.  SciPy's optimizers are not
+used, so a fit does not import scipy.optimize.  The returned set is
+re-verified against the bound.
 """
 
 from __future__ import annotations
@@ -85,8 +88,12 @@ _FIRST_BLOCK = 128
 
 # Cap on a single residual.  Unstable creep inverse filters and undefined
 # predictions land on it; a record that touches it gives zero Jacobian rows,
-# so the matrix handed to the SVD stays finite.
+# so the matrix handed to the QR stays finite.
 _WALL = 1e3
+
+# Relative tolerance of the solve's stopping tests on the cost and the step
+# (ftol = xtol of MINPACK's lmder)
+_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ class FitConfig:
     def __post_init__(self):
         if not (0.0 <= self.b_plant < math.inf):  # as simloop.PlantParams requires
             raise ValueError(f"plant damping b_plant must be finite and nonnegative, got {self.b_plant}")
-        if self.max_evals < 2:  # one residual and one Jacobian
-            raise ValueError("max_evals must be at least 2")
+        if self.max_evals < 3:  # one residual, one Jacobian and one step
+            raise ValueError("max_evals must be at least 3")
 
 
 def nrmse(predicted, measured) -> float:
@@ -283,8 +290,8 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
     records.  residuals(theta) is run(theta) of _record_run, and score(theta,
     best) the sum of squares of run(theta, best): float(np.sum(residuals(theta)
     ** 2)) bit for bit, or inf once the run stops.  The Jacobian reuses the
-    predictions of the last residual run, which is where trust-region-
-    reflective asks for it; at any other theta it runs the residual first.  A
+    predictions of the last residual run, which is where the solve asks for
+    it; at any other theta it runs the residual first.  A
     record whose residuals touch the wall, or whose sensitivities are not
     finite, gives zero rows.
     """
@@ -320,12 +327,130 @@ def _objective(experiments: list[ExperimentData], n_mem: int, config: FitConfig)
     return residuals, jacobian, score
 
 
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on first use: the package takes
-    longer to import than most subcommands take to run."""
-    from scipy.optimize import least_squares as solve
+def _lm_step(r_free: np.ndarray, qtr: np.ndarray, d: np.ndarray, delta: float, lam: float):
+    """(p, lam): the step p minimising ||R p + qtr||^2 + lam ||D p||^2 whose
+    ||D p|| is delta within 10%, or the Gauss-Newton step when that is shorter.
 
-    return solve(*args, **kwargs)
+    R (4 x k, the free columns of the Jacobian's R) scaled by D has the SVD
+    U S V^T, so ||D p(lam)|| = ||c / (s^2 + lam)|| with c = S U^T qtr, and lam
+    comes from Newton's method on 1/||D p|| = 1/delta, safeguarded between
+    Newton's lower bound from 0 and ||c||/delta, from the last lam on (More,
+    LNM 630, 1978).
+    """
+    u, s, vt = np.linalg.svd(r_free / d, full_matrices=False)
+    rank = s > s[0] * s.size * np.finfo(float).eps  # directions below roundoff take no step
+    c, s2 = (s * (u.T @ qtr))[rank], (s * s)[rank]
+
+    def step(lam):
+        w = c / (s2 + lam)
+        return -(vt[rank].T @ w) / d, float(np.linalg.norm(w)), float(np.sum(w * w / (s2 + lam)))
+
+    p, norm, slope = step(0.0)
+    if norm <= 1.1 * delta:
+        return p, 0.0
+    # Newton on 1/||D p||, whose ||D p|| falls with lam at the rate slope/||D p||
+    lower = (norm - delta) / delta * norm**2 / slope if np.all(rank) else 0.0
+    upper = float(np.linalg.norm(c)) / delta
+    for _ in range(10):
+        if not lower < lam < upper:
+            lam = max(1e-3 * upper, math.sqrt(lower * upper))
+        p, norm, slope = step(lam)
+        if abs(norm - delta) <= 0.1 * delta:
+            break
+        if norm > delta:
+            lower = lam
+        else:
+            upper = lam
+        lam += (norm - delta) / delta * norm**2 / slope
+    return p, lam
+
+
+def _levenberg_marquardt(residuals, jacobian, x0, bounds, max_evals: int):
+    """(x, cost, nfev, njev, converged) of a box-bounded trust-region
+    Levenberg-Marquardt solve of min 0.5 ||residuals(x)||^2 from x0.
+
+    More's (LNM 630, 1978) as in MINPACK's lmder: D is the running maximum of
+    the Jacobian's column norms, the radius starts at 100 ||D x0|| and is cut
+    to the first step's length.  A step whose ratio rho of actual to
+    predicted reduction is below 0.25 cuts the radius to a quarter of the
+    shorter of it and the step, one above 0.75 widens it to at least twice
+    the step, and one above 1e-4 is taken.  The step and its predicted
+    reduction come from R and Q^T r of one QR of [J r] (see _lm_step), so no
+    other n-row factorisation runs.  A coordinate on a face of the box whose
+    gradient points out of it is frozen, one on a face that the step would
+    leave by is held there and the step solved again for the others, and a
+    step that would leave the box is shortened along its direction to the
+    first face it meets: every x residuals sees is inside, on a face exactly
+    when a step ends there, and x0 is taken as given.  (Clipping a step
+    coordinate by coordinate instead turns it out of a narrow valley that
+    runs into a face.)  The solve stops on a zero cost, on a zero
+    projected gradient, when the last step's actual and predicted reductions
+    are both within _TOL of the cost, or when the radius falls below
+    _TOL ||D x||; converged is False only when nfev + njev would pass
+    max_evals first.  Each step is one residual, and each taken step one
+    Jacobian, at the residual's x.
+    """
+    lo, hi = bounds
+    x = np.array(x0, dtype=float)
+    r = residuals(x)
+    cost, nfev, njev = 0.5 * float(r @ r), 1, 0
+    d = np.zeros(x.size)
+    delta = lam = None
+    while cost > 0.0:
+        if nfev + njev + 2 > max_evals:  # room for a Jacobian and a step
+            return x, cost, nfev, njev, False
+        jac = jacobian(x)
+        njev += 1
+        d = np.maximum(d, np.linalg.norm(jac, axis=0))
+        d[d == 0.0] = 1.0
+        if delta is None:
+            delta, lam = 100.0 * (float(np.linalg.norm(d * x)) or 1.0), 0.0
+        qr = np.linalg.qr(np.column_stack([jac, r]), mode="r")
+        r_mat, qtr = qr[: x.size, : x.size], qr[: x.size, x.size]
+        g = r_mat.T @ qtr  # the cost's gradient, J^T r
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        if not np.any(g[free]):
+            break
+        while True:
+            held = ~free
+            while True:  # hold each coordinate on a face that the step would leave by
+                p = np.zeros(x.size)
+                p[~held], lam = _lm_step(r_mat[:, ~held], qtr, d[~held], delta, lam)
+                out = ((x <= lo) & (p < 0.0)) | ((x >= hi) & (p > 0.0))
+                if not np.any(out):
+                    break
+                held |= out
+            with np.errstate(all="ignore"):  # a zero component has no face ahead
+                room = np.where(p > 0.0, (hi - x) / p, np.where(p < 0.0, (lo - x) / p, np.inf))
+            t = min(1.0, float(np.min(room)))
+            trial = np.clip(x + t * p, lo, hi)
+            met = room == t  # the faces the shortened step meets
+            trial[met] = np.where(p > 0.0, hi, lo)[met]
+            p = trial - x
+            step = float(np.linalg.norm(d * p))
+            if njev == 1 and nfev == 1:
+                delta = min(delta, step)
+            r_trial = residuals(trial)
+            nfev += 1
+            cost_trial = 0.5 * float(r_trial @ r_trial)
+            actual = cost - cost_trial
+            predicted = -float(g @ p) - 0.5 * float(np.sum((r_mat @ p) ** 2))
+            rho = actual / predicted if predicted > 0.0 else 0.0
+            if rho < 0.25:  # the next trial is shorter than this one
+                delta, lam = 0.25 * min(delta, step), 4.0 * lam
+            elif rho > 0.75:
+                delta, lam = max(delta, 2.0 * step), 0.5 * lam
+            small = abs(actual) <= _TOL * cost and predicted <= _TOL * cost and rho <= 2.0
+            taken = rho > 1e-4
+            if taken:
+                x, r, cost = trial, r_trial, cost_trial
+            if small or delta <= _TOL * float(np.linalg.norm(d * x)) or cost == 0.0:
+                return x, cost, nfev, njev, True
+            if taken:
+                break
+            if nfev + njev >= max_evals:
+                return x, cost, nfev, njev, False
+    return x, cost, nfev, njev, True
 
 
 def _null_vector(columns: np.ndarray) -> tuple[np.ndarray, float]:
@@ -496,13 +621,14 @@ def fit(
 ) -> FitResult:
     """Identify the constitutive parameters from one or more experiments.
 
-    Deterministic: one trust-region-reflective solve from the start whose
-    forward records fit best, among one per valid order the two-level scan
-    visits (see _scan): its equation-error estimate refined by one
-    Steiglitz-McBride pass (see _equation_error_starts).  When no order is
-    valid, the solve starts from K0 = 0, K1 = B1 = 1 and alpha = 0.505.
-    Returns the better of the start and the solve's end, the start on a tie,
-    even when the solve's budget runs out, with converged = False.  Every
+    Deterministic: one Levenberg-Marquardt solve (see _levenberg_marquardt)
+    from the start whose forward records fit best, among one per valid order
+    the two-level scan visits (see _scan): its equation-error estimate
+    refined by one Steiglitz-McBride pass (see _equation_error_starts).  When
+    no order is valid, the solve starts from K0 = 0, K1 = B1 = 1 and alpha =
+    0.505.  Returns the solve's end, which fits no worse than the start;
+    converged is False when the solve stopped on config.max_evals, which caps
+    its residuals plus Jacobians, rather than on its tests.  Every
     candidate, the returned one included, satisfies the closed-form bound at
     config.b_plant.  objective_evals counts the solve's residuals and
     Jacobians, and one per scored start, whether or not its scoring stopped
@@ -523,17 +649,11 @@ def fit(
             raise ValueError(f"{type(exp.stimulus).__name__} shorter than the measured record")
 
     residuals, jacobian, score = _objective(experiments, n_mem, config)
-    (start_score, _, x0), scored = _scan(experiments, n_mem, config, score)
+    (_, _, x0), scored = _scan(experiments, n_mem, config, score)
     if x0 is None:  # K1 = B1 = 1, and the slack that takes K0 from its cap to 0
         fallback = [0.0, 0.0, 0.0, 0.505]
         x0 = np.clip([_passive_params(fallback, n_mem, t_samp, config.b_plant)[0].k0, *fallback[1:]], *_BOUNDS)
-    # each step costs one residual, and each accepted one a Jacobian too; the
-    # gradient test sits at roundoff, since a start near a zero residual meets 1e-8
-    res = least_squares(residuals, x0, jac=jacobian, bounds=tuple(_BOUNDS), method="trf", gtol=1e-15,
-                        max_nfev=config.max_evals // 2)
-    # TRF moves a start that lies on a bound 1e-10 inside the box, so the
-    # solve can end worse than it began; the scan has scored the start already
-    theta = x0 if start_score <= 2.0 * res.cost else res.x
+    theta, _, nfev, njev, converged = _levenberg_marquardt(residuals, jacobian, x0, _BOUNDS, config.max_evals)
 
     run = _record_run(experiments, n_mem, config)[0]
     params, kern, preds = run(theta)[1]
@@ -543,6 +663,6 @@ def fit(
         n_mem=n_mem,
         nrmse=float(np.mean(errs)),
         passivity_ok=bool(bound_closed_form(params, kern).b_min <= config.b_plant),
-        objective_evals=scored + res.nfev + res.njev,
-        converged=bool(res.status > 0),
+        objective_evals=scored + nfev + njev,
+        converged=converged,
     )

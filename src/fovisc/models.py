@@ -123,13 +123,18 @@ def _law_filter(params: FoSlsParams, kernel: GLKernel) -> tuple[np.ndarray, np.n
 
     With s = B1/T^a, den = s*c + K1 is the branch's own denominator and
     num = (K0+K1)*s*c + K0*K1 = K0*den + K1*s*c.  At K0 = 0 it is the
-    branch filter alone.
+    branch filter alone.  A law whose coefficients overflow (such as K1 =
+    B1 = 1e200) is refused, naming its parameters.
     """
     scale = params.b1 / kernel.t_samp**params.alpha
-    den = scale * kernel.coeffs
-    den[0] += params.k1
-    num = (params.k0 + params.k1) * scale * kernel.coeffs
-    num[0] += params.k0 * params.k1
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        den = scale * kernel.coeffs
+        den[0] += params.k1
+        num = (params.k0 + params.k1) * scale * kernel.coeffs
+        num[0] += params.k0 * params.k1
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise ValueError(f"the force law of K0 {params.k0:g}, K1 {params.k1:g}, B1 {params.b1:g}, "
+                         f"alpha {params.alpha:g} overflows: its filter coefficients are not finite")
     return num, den
 
 
@@ -381,8 +386,11 @@ def _poles_outside(den: np.ndarray) -> int:
     with eight points per coefficient, where np.roots would take ~16 ms at
     degree ~100.  A grid on which p turns by pi/2 or more between two points
     may miss a zero near the circle, so it doubles until no step does (up to
-    2^10 times; a zero on the circle may be counted either way).
+    2^10 times; a zero on the circle may be counted either way).  den is
+    first scaled to a largest magnitude of 1, which moves no zero, so that
+    the products of neighbouring values neither overflow nor underflow.
     """
+    den = den / np.max(np.abs(den))
     size = 4 * den.size
     while True:
         p = np.fft.rfft(den, 2 * _fft_len(size))  # p(e^{-i theta})

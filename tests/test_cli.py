@@ -610,6 +610,32 @@ class TestRefusedInputs:
         assert not (tmp_path / "no").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # a NumPy RuntimeWarning, then "cannot convert float NaN to integer"
+        ["synth", "--protocol", "creep", "--k1", "1e200", "--b1", "1e200", "--alpha", "0.5"],
+        # exit 0, and a row of NaN
+        ["simulate", "--k1", "1e200", "--b1", "1e200", "--alpha", "0.5", "--duration", "1"],
+    ], ids=["synth", "simulate"])
+    def test_a_law_that_overflows_is_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert dispatch([*argv, "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("fovisc: error: the force law of K0 0, K1 1e+200, B1 1e+200, alpha 0.5 overflows")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_creep_record_of_a_huge_stiffness_is_written(self, tmp_path, capsys):
+        # once refused with "-108 pole(s) outside the unit circle": the pole
+        # count overflowed, and every pole lies inside (np.roots: 0.9916 at most)
+        out = tmp_path / "c.csv"
+        assert dispatch(["synth", "--protocol", "creep", "--k1", "1e300", "--b1", "1", "--alpha", "0.5",
+                         "-o", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data.shape == (6001, 2) and np.all(np.isfinite(data))
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_json_is_refused_and_not_written(self, short_records, tmp_path, capsys):
         # the fit's NRMSE overflows to inf, once written as "nrmse": Infinity,
         # which is not JSON
@@ -927,7 +953,7 @@ class TestColdStart:
 
     def test_time_domain_commands_leave_scipy_signal_unimported(self, tmp_path):
         # the records and the loop run SciPy's compiled filter without its
-        # package; only fit imports scipy.optimize, for its solver
+        # package, and fit runs its own solver
         material = ["--k0", "-2.89", "--k1", "5.7", "--b1", "5.89", "--alpha", "0.203"]
         readme_runs = [
             ["synth", *material, "--protocol", "creep", "-o", "creep.csv"],
@@ -941,7 +967,7 @@ class TestColdStart:
         assert cold_modules(readme_runs, tmp_path) == ["[]"]
         fit = ["fit", "--creep", "creep.csv", "--relax", "relax.csv", "--n", "101", "--b-plant", "0.0025",
                "-o", "fit.json"]
-        assert cold_modules([fit], tmp_path) == ["['scipy.optimize']"]
+        assert cold_modules([fit], tmp_path) == ["[]"]
 
 
 class TestReadme:

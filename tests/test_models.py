@@ -363,6 +363,23 @@ class TestPolesOutside:
         assert _poles_outside(num) == unstable
         assert (np.sum(num) < 0.0) == bool(unstable)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_the_count_does_not_depend_on_the_scale(self, scale):
+        # the creep filter of K1 = 1e300 once counted -108 poles: the products
+        # of neighbouring spectrum values overflowed, where np.roots puts
+        # every pole inside the circle (largest modulus 0.9916)
+        rng = np.random.default_rng(3)
+        for params in [FoSlsParams(0.0, 1e300, 1.0, 0.5), MATERIAL_N101,
+                       FoSlsParams(0.0, 1.0, 1.0, 0.5), FoSlsParams(2.0, 0.5, 3.0, 0.8)]:
+            num, _ = _law_filter(params, build_kernel(params.alpha, 101, T))
+            unit = num / np.max(np.abs(num))
+            assert _poles_outside(unit * scale) == _poles_outside(unit) == 0
+        for _ in range(50):
+            den = rng.standard_normal(rng.integers(2, 40))
+            expected = int(np.sum(np.abs(np.roots(den[::-1])) < 1.0))  # zeros of sum den[k] w^k inside
+            assert _poles_outside(den * scale) == _poles_outside(den) == expected
+
 
 class TestLawFilter:
     @pytest.mark.parametrize(
@@ -380,6 +397,15 @@ class TestLawFilter:
         got = (z_inv @ num) / (z_inv @ den)
         want = freq_response("fo_sls", params, kern, omegas)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params", [FoSlsParams(0.0, 1e200, 1e200, 0.5), FoSlsParams(1e300, 1e300, 1.0, 0.5)],
+                             ids=["k1-b1", "k0-k1"])
+    def test_coefficients_that_overflow_are_refused(self, params):
+        # K1*B1*c once passed through as inf and NaN coefficients, which the
+        # creep record turned into "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match=r"K0 .*, K1 .*, B1 .*, alpha 0\.5 overflows"):
+            _law_filter(params, build_kernel(params.alpha, 101, T))
 
 
 class TestReduceModel:
