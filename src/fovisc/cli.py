@@ -5,10 +5,11 @@ echoed, so a run is reproducible from its flag set plus seed.  A CSV has a
 mandatory header row and a comma delimiter; integer columns print as ``%d``,
 every other value as ``%.12g``, and trailing comment lines as
 ``# key = value``.  CSV is formatted and written a block of rows at a time,
-so memory stays bounded for long traces.  Exit codes: 0 success, 2 usage
-error (a bad flag, or an input or output path that cannot be opened), 3
-domain/precondition error, 4 non-convergence.  dispatch builds the parser
-once per process and reuses it.
+so memory stays bounded for long traces.  A JSON output is the library's
+result as it is, its floats rounded to 12 significant digits in the writer.
+Exit codes: 0 success, 2 usage error (a bad flag, or an input or output path
+that cannot be opened), 3 domain/precondition error, 4 non-convergence.
+dispatch builds the parser once per process and reuses it.
 """
 
 from __future__ import annotations
@@ -43,26 +44,10 @@ _MAX_STEPS = 10**4  # region --steps
 _MAX_N = 10**6  # --n of every subcommand: a kernel holds N+1 weights
 
 
-def _f12(x: float) -> float:
-    """Round-trip through 12 significant digits for stable output."""
-    return float(f"{float(x):.12g}")
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key in ("handler", "output", "gnuplot", "ignored"):
-            continue
-        if isinstance(value, float):
-            value = _f12(value)
-        out[key] = value
-    return out
 
 
 class _UsageError(Exception):
@@ -123,19 +108,27 @@ def _write_gnuplot(csv_path: str, header: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _non_finite(value, key: str) -> list[str]:
-    """Keys (dotted) of the NaN and infinite floats in a JSON payload."""
+def _rounded(value, key: str, bad: list[str]):
+    """value with every float rounded to 12 significant digits, for stable
+    output; the dotted keys of its NaN and infinite floats are added to bad."""
     if isinstance(value, dict):
-        return [bad for k, v in value.items() for bad in _non_finite(v, f"{key}.{k}" if key else k)]
+        return {k: _rounded(v, f"{key}.{k}" if key else k, bad) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [bad for v in value for bad in _non_finite(v, key)]
-    return [key] if isinstance(value, float) and not math.isfinite(value) else []
+        return [_rounded(v, key, bad) for v in value]
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            bad.append(key)
+        return float(f"{value:.12g}")
+    return value
 
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
-    """Write strict JSON, refusing NaN and inf before the output is opened."""
-    payload = {"config": _config_echo(args), **payload}
-    bad = _non_finite(payload, "")
+    """Write strict JSON of the flags (the config echo) and payload, every
+    float at 12 significant digits; NaN and inf are refused, by dotted key,
+    before the output is opened."""
+    config = {k: v for k, v in vars(args).items() if k not in ("handler", "output", "gnuplot", "ignored")}
+    bad = []
+    payload = _rounded({"config": config, **payload}, "", bad)
     if bad:
         raise ValueError(f"{', '.join(dict.fromkeys(bad))} not finite: JSON has no NaN or inf")
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -184,13 +177,13 @@ def _params_from(args: argparse.Namespace) -> models.FoSlsParams:
 def cmd_coeffs(args: argparse.Namespace) -> int:
     kern = glkernel.build_kernel(args.alpha, args.n, args.t)
     summary = {
-        "delta_p": _f12(glkernel.delta_p(kern)),
-        "delta_s": _f12(glkernel.delta_s(args.alpha, args.n)),
-        "delta_d": _f12(glkernel.delta_d(args.alpha, args.n)) if args.n >= 1 else None,
-        "delta_p_asymptotic": _f12(glkernel.delta_p_asymptotic(args.alpha)),
+        "delta_p": glkernel.delta_p(kern),
+        "delta_s": glkernel.delta_s(args.alpha, args.n),
+        "delta_d": glkernel.delta_d(args.alpha, args.n) if args.n >= 1 else None,
+        "delta_p_asymptotic": glkernel.delta_p_asymptotic(args.alpha),
     }
     if args.json:
-        _write_json(args, {"coefficients": [_f12(c) for c in kern.coeffs], "summary": summary})
+        _write_json(args, {"coefficients": kern.coeffs.tolist(), "summary": summary})
     else:
         index = np.arange(kern.coeffs.size)
         _write_csv(args, ["index", "coefficient"], [index, kern.coeffs], comments=summary)
@@ -204,19 +197,11 @@ def cmd_bound(args: argparse.Namespace) -> int:
     with np.errstate(all="ignore"):  # an overflow gives NaN or inf, refused by _write_json
         if args.n % 2 == 1:
             result = passivity.bound_closed_form(params, kern, args.b_plant)
-            variants = {k: _f12(v) for k, v in passivity.bound_variants(params, kern).items()}
+            extra = {"variants": passivity.bound_variants(params, kern)}
         else:
             result = passivity.max_passivity(params, kern, grid_points, args.b_plant)
-            variants = None
-    payload = {
-        "b_min": _f12(result.b_min),
-        "omega_star": _f12(result.omega_star),
-        "method": result.method,
-        "margin_ok": result.margin_ok,
-    }
-    if variants is not None:
-        payload["variants"] = variants
-    _write_json(args, payload)
+            extra = {}
+    _write_json(args, {**dataclasses.asdict(result), **extra})
     return EXIT_OK
 
 
@@ -303,14 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             duration=args.duration,
             momentum=args.momentum,
         )
-        _write_json(
-            args,
-            {
-                "k1_star": _f12(k1_star),
-                "analytical_k1": _f12(analytical),
-                "ratio": _f12(k1_star / analytical),
-            },
-        )
+        _write_json(args, {"k1_star": k1_star, "analytical_k1": analytical, "ratio": k1_star / analytical})
         return EXIT_OK
     if args.k1 == 0.0 and args.k0 != 0.0:
         raise ValueError(f"--k0 {args.k0} needs a rendered law, but --k1 0 renders none")
@@ -358,22 +336,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise ValueError("supply at least one of --creep/--relax")
     config = fitting.FitConfig(args.b_plant, args.max_evals)
     result = fitting.fit(experiments, args.n, config)
-    _write_json(
-        args,
-        {
-            "params": {
-                "k0": _f12(result.params.k0),
-                "k1": _f12(result.params.k1),
-                "b1": _f12(result.params.b1),
-                "alpha": _f12(result.params.alpha),
-            },
-            "n_mem": result.n_mem,
-            "nrmse": _f12(result.nrmse),
-            "passivity_ok": result.passivity_ok,
-            "objective_evals": result.objective_evals,
-            "converged": result.converged,
-        },
-    )
+    _write_json(args, dataclasses.asdict(result))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

@@ -16,7 +16,6 @@ reduced parameters into the same impedance.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .models import (
     FoSlsParams,
     _branch_impedance,
     _check_order,
-    _reduced_impedance,
+    _reduced_branch,
     _reduced_params,
 )
 
@@ -51,13 +50,11 @@ _NEG_TOL = -1e-12
 
 
 def _assigned_positive(value, what: str):
-    """Clamp the physically nonnegative component(s), loudly if beyond roundoff."""
+    """Clamp the physically nonnegative component(s) at zero; a value below
+    roundoff is refused."""
     worst = np.min(value, initial=np.inf)
     if worst < _NEG_TOL:
-        msg = f"{what} = {worst:.3e} is negative beyond tolerance; sign convention violated"
-        if __debug__:
-            raise AssertionError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=4)
+        raise AssertionError(f"{what} = {worst:.3e} is negative beyond tolerance; sign convention violated")
     return np.maximum(value, 0.0)
 
 
@@ -153,9 +150,10 @@ def special_case_es_ed(kind: str, params: FoSlsParams, omegas, t_samp: float):
 
     The reduced impedance: Kelvin-Voigt kinds are the dedicated
     infinite-branch-stiffness formulas; Maxwell kinds drop k0; integer-order
-    kinds fix alpha = 1.  'fo_sls' selects the unreduced compact form.
+    kinds fix alpha = 1.  'fo_sls' selects the unreduced compact form, which
+    es_ed_asymptotic also cross-checks against the trigonometric one.
     """
     p = _reduced_params(kind, params)
     flat, shape = _flat_omegas(omegas, t_samp)
-    h = _reduced_impedance(kind, p, t_samp, _s_conj_infinite(flat, t_samp, p.alpha))
-    return _shaped(h.real, shape), _shaped(h.imag / flat, shape)
+    branch = _reduced_branch(kind, p, t_samp, _s_conj_infinite(flat, t_samp, p.alpha))
+    return _es_ed(p, branch, flat, shape)

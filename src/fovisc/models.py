@@ -109,13 +109,19 @@ def _reduced_params(kind: str, params: FoSlsParams) -> FoSlsParams:
     return params
 
 
-def _reduced_impedance(kind: str, params: FoSlsParams, t_samp: float, s):
-    """Rendered impedance at spectrum S: K0 + branch(S), or K0 + B1*S/T^a for the
+def _reduced_branch(kind: str, params: FoSlsParams, t_samp: float, s):
+    """A kind's branch impedance at spectrum S: branch(S), or B1*S/T^a for the
     Kelvin-Voigt kinds (infinite branch stiffness as its own formula, never a
-    large-K1 substitution).  Every special case is this with reduced params."""
+    large-K1 substitution)."""
     if kind.endswith("_kv"):
-        return params.k0 + params.b1 * (s / t_samp**params.alpha)
-    return params.k0 + _branch_impedance(params, t_samp, s)
+        return params.b1 * (s / t_samp**params.alpha)
+    return _branch_impedance(params, t_samp, s)
+
+
+def _reduced_impedance(kind: str, params: FoSlsParams, t_samp: float, s):
+    """Rendered impedance at spectrum S, K0 + _reduced_branch(S).  Every
+    special case is this with reduced params."""
+    return params.k0 + _reduced_branch(kind, params, t_samp, s)
 
 
 def _law_filter(params: FoSlsParams, kernel: GLKernel) -> tuple[np.ndarray, np.ndarray]:

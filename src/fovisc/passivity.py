@@ -339,7 +339,8 @@ def region_scan(
     column keeps the smaller of the two roots, reported one part in 1e12
     below it.  Up to that K1 no grid or refined frequency has f above
     b_plant.  Columns whose boundary is at or past k1_max are capped.  k1_max
-    and the b1 values must be positive and finite, and b_plant not nan.
+    and the b1 values must be positive and finite, and b_plant finite; a
+    nonpositive b_plant admits no K1 (feasible is False).
     """
     _check_order(alpha, kernel)
     if not (math.isfinite(k1_max) and k1_max > 0.0):
@@ -348,6 +349,8 @@ def region_scan(
     bad = b1_grid[~(np.isfinite(b1_grid) & (b1_grid > 0.0))]
     if bad.size:
         raise ValueError(f"b1 grid values must be positive and finite, got {bad[0]}")
+    if math.isinf(b_plant):  # the inversions would take inf/inf and inf - inf
+        raise ValueError(f"plant damping must be finite, got {b_plant}")
     if not _margin_ok(b_plant, 0.0):
         # bound -> 0+ as K1 -> 0+, so a nonpositive budget admits nothing
         k1, capped = np.zeros(b1_grid.size), np.zeros(b1_grid.size, dtype=bool)

@@ -2,9 +2,11 @@
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +20,8 @@ from fovisc.cli import dispatch
 from fovisc.glkernel import build_kernel
 from fovisc.models import FoSlsParams
 from fovisc.passivity import passivity_function
+
+PASSIVITY_FIELDS = {f.name for f in dataclasses.fields(passivity.PassivityResult)}
 
 
 def subprocess_env():
@@ -76,6 +80,8 @@ class TestBound:
         assert payload["method"] == "closed_form_odd_n"
         assert payload["margin_ok"] is True
         assert payload["variants"]["sufficient"] >= payload["b_min"]
+        # the result's fields, and variants at odd N only
+        assert set(payload) == PASSIVITY_FIELDS | {"config", "variants"}
 
     def test_even_memory_uses_grid(self, tmp_path):
         out = tmp_path / "b.json"
@@ -87,6 +93,7 @@ class TestBound:
         payload = json.loads(out.read_text())
         assert payload["method"] == "grid"
         assert payload["omega_star"] < math.pi / 0.001
+        assert set(payload) == PASSIVITY_FIELDS | {"config"}
 
 
 class TestExitCodes:
@@ -207,19 +214,24 @@ class TestDegenerateSizes:
             ("--k1-max", "nan", "k1_max must be positive and finite, got nan"),
             ("--k1-max", "inf", "k1_max must be positive and finite, got inf"),
             ("--b-plant", "nan", "plant damping must be a number, got nan"),
+            # wrote every column capped and exited 0, after an inf - inf warning at even N
+            ("--b-plant", "inf", "plant damping must be finite, got inf"),
+            ("--b-plant", "-inf", "plant damping must be finite, got -inf"),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_region_refuses_non_finite_inputs(self, tmp_path, capsys, n_mem, flag, value, message):
         # the odd-N inversion wrote nan and inf rows for these and exited 0
         out = tmp_path / "r.csv"
         flags = {"--b1-min": "0.1", "--b1-max": "1", "--k1-max": "1000", "--b-plant": "0.0025"}
         flags[flag] = value
         argv = ["region", "--alpha", "0.5", "--steps", "3", "--n", n_mem,
-                *[item for pair in flags.items() for item in pair], "-o", str(out)]
+                *[f"{key}={item}" for key, item in flags.items()], "-o", str(out)]
         assert dispatch(argv) == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err and "Warning" not in err
+        assert err == f"fovisc: error: {message}\n" if flag == "--b-plant" else message in err
+        assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.parametrize(
         "command, message",
@@ -432,7 +444,9 @@ class TestSynthFitRoundtrip:
         payload = json.loads(out.read_text())
         assert code in (0, 4)
         assert (code == 0) == payload["converged"]
-        assert set(payload["params"]) == {"k0", "k1", "b1", "alpha"}
+        # the FitResult's fields, with params as the four of FoSlsParams
+        assert set(payload) == {f.name for f in dataclasses.fields(fitting.FitResult)} | {"config"}
+        assert list(payload["params"]) == sorted(f.name for f in dataclasses.fields(FoSlsParams))
 
     def test_non_whole_float_durations_keep_their_last_sample(self, tmp_path):
         # 0.7 / 0.001 evaluates to 699.999...; the records must not lose a sample
@@ -913,6 +927,60 @@ class TestWriteCsv:
         assert _write(tmp_path, ["index", "value"], [index, values]) == expected
         cli._write_csv(argparse.Namespace(output=None), ["index", "value"], [index, values])
         assert capsys.readouterr().out == expected
+
+
+def json_floats(value):
+    """Every float in a parsed JSON document, nested ones included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in json_floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "argv, flag, echoed",
+        [
+            (["coeffs", "--alpha", "0.3", "--n", "7", "--t", "0.00130000000000123", "--json"], "t", 0.0013),
+            (["bound", "--k0", "0.1", "--k1", "3.3", "--b1", "0.123456789012345678", "--alpha", "0.37",
+              "--n", "7", "--t", "0.0011", "--b-plant", "0.0031"], "b1", 0.123456789012),
+            (["bound", "--k1", "3.3", "--b1", "0.123456789012345678", "--alpha", "0.37",
+              "--n", "8", "--grid-points", "1024"], "b1", 0.123456789012),
+            (["simulate", "--boundary", "--alpha", "0.5", "--b1", "30", "--n", "100", "--duration", "2",
+              "--resolution", "1", "--plant-b", "0.002512345678901234"], "plant_b", 0.0025123456789),
+            (["fit", "--relax", "{r}", "--max-evals", "3", "--b-plant", "0.002512345678901234"],
+             "b_plant", 0.0025123456789),
+        ],
+        ids=["coeffs", "bound-odd", "bound-even", "simulate-boundary", "fit"],
+    )
+    def test_every_float_is_at_12_significant_digits(self, short_records, tmp_path, argv, flag, echoed):
+        out = tmp_path / "out.json"
+        argv = [a.format(r=short_records / "r.csv") for a in argv]
+        assert dispatch([*argv, "-o", str(out)]) in (0, 4)
+        payload = json.loads(out.read_text())
+        floats = json_floats(payload)
+        assert len(floats) > len(json_floats(payload["config"])) > 0
+        assert all(x == float(f"{x:.12g}") for x in floats)
+        # the config echo's too: a flag given to more digits is echoed at 12
+        assert payload["config"][flag] == echoed
+
+    def test_non_finite_values_are_refused_by_dotted_key(self, tmp_path):
+        out = tmp_path / "out.json"
+        args = argparse.Namespace(output=str(out), handler=None, t=math.inf)
+        payload = {"a": {"b": [1.0, math.nan], "ok": 2.0}, "c": -math.inf, "d": [[math.nan]]}
+        with pytest.raises(ValueError, match=re.escape("config.t, a.b, c, d not finite: JSON has no NaN or inf")):
+            cli._write_json(args, payload)
+        assert not out.exists()
+
+    def test_a_non_finite_nested_result_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        argv = ["bound", "--k1", "1e200", "--b1", "1e200", "--alpha", "0.5", "--n", "101", "-o", str(out)]
+        assert dispatch(argv) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "fovisc: error: b_min, variants.asymptotic, variants.sufficient not finite: JSON has no NaN or inf\n"
+        )
 
 
 def cold_modules(runs, out_dir):

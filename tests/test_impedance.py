@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +258,22 @@ class TestSpecialCases:
             assert es == pytest.approx(es_ref, rel=1e-13)
             assert ed == pytest.approx(ed_ref, rel=1e-13, abs=1e-13 * h_scale / w)
 
+    def test_rows_take_the_assigned_positive_rule(self):
+        # At Nyquist this set's impedance has Im H below zero by roundoff
+        # (-7.4e-15 for io_kv), which every row once returned as a negative
+        # ED; the rows clamp it as every ES/ED route does.  The fo_sls row is
+        # es_ed_asymptotic bit for bit, which adds only its trigonometric
+        # cross-check.
+        params = FoSlsParams(9.65307662031832, 2.11126628776648, 72.15470500572667, 0.5648711924861239)
+        t_samp = 0.00037743522467209215
+        w = np.linspace(0.0, math.pi / t_samp, 513)[1:]
+        for kind in KINDS:
+            assert special_case_es_ed(kind, params, w, t_samp)[1][-1] == 0.0
+        draws = [(p, T) for p in random_draws(20, np.random.default_rng(5), alphas=(0.01, 1.0))]
+        for p, t in [(params, t_samp), *draws]:
+            w = np.linspace(0.0, math.pi / t, 513)[1:]
+            assert np.array_equal(special_case_es_ed("fo_sls", p, w, t), es_ed_asymptotic(p, w, t))
+
     def test_unsupported_kind(self):
         message = f"unsupported kind 'burgers'; expected one of {KINDS}"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -343,3 +362,24 @@ class TestVectorisedSweep:
             es_ed_finite(SWEEP_PARAMS, kern, omegas)
         with pytest.raises(AssertionError, match=what):
             es_ed_finite(SWEEP_PARAMS, kern, 100.0)
+        # every kind's row takes the same rule
+        monkeypatch.setattr(impedance, "_reduced_branch", lambda kind, p, t, s: np.full(s.shape, branch))
+        for kind in KINDS:
+            with pytest.raises(AssertionError, match=what):
+                special_case_es_ed(kind, SWEEP_PARAMS, omegas, T)
+
+    def test_sign_check_fires_under_python_optimisation(self):
+        # -O drops assert statements and sets __debug__ false: the check is neither
+        script = (
+            "import numpy as np\n"
+            "from fovisc import impedance\n"
+            "try:\n"
+            "    impedance._assigned_positive(np.array([1.0, -1e-9]), 'ED')\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(impedance.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-O", "-W", "error", "-c", script],
+                             env=env, capture_output=True, text=True, check=True)
+        assert run.stdout == "ED = -1.000e-09 is negative beyond tolerance; sign convention violated\n"

@@ -539,6 +539,31 @@ class TestRegionScan:
                 back = bound_closed_form(FoSlsParams(0.0, k1_j, b1_j, alpha), kern).b_min
                 assert back == pytest.approx(b_plant, rel=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.0),
+        half_n=st.integers(0, 150),
+        b_plant=st.floats(1e-5, 0.05),
+        ratios=st.lists(st.one_of(st.floats(1e-6, 0.9), st.floats(1.1, 100.0)), min_size=1, max_size=8),
+    )
+    def test_odd_memory_inversion_is_the_nyquist_root(self, alpha, half_n, b_plant, ratios):
+        # At wT = pi the spectrum is the real dp, and _boundary_k1's quadratic
+        # factors as (kappa + D)((T/2 D - lam) kappa - lam D) = 0, with
+        # D = dp/T^a and lam = b/B1: the odd-N inverse is its positive root,
+        # and there is none where b_plant >= sup = (T/2) B1 D.  Near the cap
+        # both forms lose accuracy as 1/(1 - b/sup), so the draws keep
+        # b/sup at most 0.9 or at least 1.1.
+        kern = build_kernel(alpha, 2 * half_n + 1, T)
+        dp, t_a = delta_p(kern), T**alpha
+        b1 = 2.0 * b_plant * t_a / (T * dp * np.array(ratios))  # b_plant / sup is the ratio
+        above = b_plant >= (T / 2.0) * b1 * dp / t_a
+        assert np.array_equal(above, np.array(ratios) > 1.0)
+        region = region_scan(alpha, kern, b_plant, b1, k1_max=1e300)
+        roots = passivity._boundary_k1(b1, alpha, T, b_plant, np.array(math.pi / T), np.array(dp))
+        assert np.array_equal(region.capped, above)
+        assert np.array_equal(np.isinf(roots), above)
+        np.testing.assert_allclose(region.k1[~above], roots[~above], rtol=1e-12, atol=0.0)
+
     def test_nonpositive_damping_is_signalled(self):
         kern = build_kernel(0.5, 101, T)
         region = region_scan(0.5, kern, 0.0, [1.0, 2.0], k1_max=100.0)
