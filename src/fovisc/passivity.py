@@ -18,7 +18,9 @@ local refinement, never by the Nyquist shortcut.
 At k0 = 0 and a fixed frequency, f = b is a quadratic in K1, so the even-N
 region inverts the bound per frequency: a column's boundary is the smallest
 positive root over the band, located on the grid and refined by the same
-parabolic search that refines the maximum of f.  Both searches evaluate the
+parabolic search that refines the maximum of f.  The grid stage bounds the
+roots of each block of grid points from below and evaluates only the blocks
+whose bound can beat the column's least root.  Both searches evaluate the
 spectrum near a grid point from its Taylor expansion about that point,
 computed once per distinct point, not from a direct sum over the N + 1
 weights per frequency.
@@ -64,6 +66,8 @@ __all__ = [
 
 _SCAN = np.linspace(0.0, 1.0, 65)  # _parabolic_max's first pass across a bracket
 _STENCIL = np.array([-1.0, 0.0, 1.0])
+_BLOCK = 16  # grid points per block of the even-N root pass (_least_grid_roots)
+_MAX_VALUES = 2**20  # values per array of a (columns x grid) pass
 
 
 @dataclass(frozen=True)
@@ -277,27 +281,24 @@ class RegionBoundary:
     feasible: bool
 
 
-def _boundary_k1(b1, alpha: float, t_samp: float, b_plant: float, omegas, s) -> np.ndarray:
-    """Smallest K1 > 0 with f = b_plant at k0 = 0, per b1 and frequency in
-    (0, pi/T] whose spectrum is s, broadcast together; inf if there is none.
-
-    With D = S/T^a and w = T(1 - e^{-i wT}) / (2(1 - cos wT)), whose real part
-    is T/2 and imaginary part (T/2) cot(wT/2), f = Re{w B1 D K1 / (K1 + B1 D)};
-    in kappa = K1/B1 and lam = b/B1, f = b reads
-
-        (Re(wD) - lam) kappa^2 + (|D|^2 T/2 - 2 lam Re D) kappa - lam |D|^2 = 0.
-
-    Its roots are taken free of cancellation: 2 lam |D|^2 / (beta + sqrt(disc))
-    for a positive linear coefficient beta, else (sqrt(disc) - beta) / (2a)
-    for a positive leading one a; with neither, no root is positive.
-    """
+def _root_terms(alpha: float, t_samp: float, omegas, s) -> tuple:
+    """The per-frequency terms of _boundary_k1's quadratic at frequencies in
+    (0, pi/T] whose spectrum is s: Re D, |D|^2, Re(wD) and (T/2)|D|^2."""
     d = s / t_samp**alpha
     half = t_samp / 2.0
     m = d.real**2 + d.imag**2
+    return d.real, m, half * (d.real - d.imag / np.tan(omegas * t_samp / 2.0)), half * m
+
+
+def _root_step(b1, b_plant: float, terms) -> np.ndarray:
+    """_boundary_k1 per b1 and frequency from the frequency's _root_terms,
+    broadcast together, with correctly rounded +, -, *, / and sqrt only: a
+    root taken from the grid's terms has the bits of the full pass."""
+    re_d, m, u, half_m = terms
     lam = b_plant / b1
-    a = half * (d.real - d.imag / np.tan(omegas * t_samp / 2.0)) - lam
+    a = u - lam
     c = lam * m
-    beta = half * m - 2.0 * lam * d.real
+    beta = half_m - 2.0 * lam * re_d
     # in place from here, so that a block holds few (columns x grid) arrays at once
     disc = 4.0 * a
     disc *= c
@@ -315,6 +316,88 @@ def _boundary_k1(b1, alpha: float, t_samp: float, b_plant: float, omegas, s) -> 
     return kappa
 
 
+def _boundary_k1(b1, alpha: float, t_samp: float, b_plant: float, omegas, s) -> np.ndarray:
+    """Smallest K1 > 0 with f = b_plant at k0 = 0, per b1 and frequency in
+    (0, pi/T] whose spectrum is s, broadcast together; inf if there is none.
+
+    With D = S/T^a and w = T(1 - e^{-i wT}) / (2(1 - cos wT)), whose real part
+    is T/2 and imaginary part (T/2) cot(wT/2), f = Re{w B1 D K1 / (K1 + B1 D)};
+    in kappa = K1/B1 and lam = b/B1, f = b reads
+
+        (Re(wD) - lam) kappa^2 + (|D|^2 T/2 - 2 lam Re D) kappa - lam |D|^2 = 0.
+
+    Its roots are taken free of cancellation: 2 lam |D|^2 / (beta + sqrt(disc))
+    for a positive linear coefficient beta, else (sqrt(disc) - beta) / (2a)
+    for a positive leading one a; with neither, no root is positive.
+    """
+    return _root_step(b1, b_plant, _root_terms(alpha, t_samp, omegas, s))
+
+
+def _least_grid_roots(b1: np.ndarray, alpha: float, t_samp: float, b_plant: float, omegas, s) -> tuple:
+    """Each column's least grid root and the grid index of its first
+    occurrence, as np.argmin over the full (columns x grid) pass of
+    _boundary_k1 gives them, from the roots of a few blocks of the grid.
+
+    The grid is cut into blocks of _BLOCK points.  On the block's largest
+    Re(wD) and (T/2)|D|^2 and least Re D and |D|^2, the quadratic is at least
+    that of every frequency in the block for kappa > 0, so _root_step there
+    gives a lower bound on every root in the block, inf where none has a
+    root; computed roots keep that order up to a few roundings.  A column
+    evaluates its block of least bound, then every block whose bound, less
+    one part in 1e6, is not above that block's least root, and whose bound
+    is not inf.  A column prunes nothing where an intermediate of its roots
+    could overflow, which breaks that order.  No array holds more than
+    _MAX_VALUES values, but one column's bounds past that many blocks.
+    """
+    terms = _root_terms(alpha, t_samp, omegas, s)
+    re_d, m, u, half_m = terms
+    starts = np.arange(0, omegas.size, _BLOCK)
+    extremes = tuple(
+        reduce.reduceat(t, starts)
+        for reduce, t in zip((np.minimum, np.minimum, np.maximum, np.maximum), terms)
+    )
+    lam = b_plant / b1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # at least every intermediate of _root_step over the column, in magnitude
+        worst = 4.0 * (np.max(np.abs(u)) + lam) * (lam * np.max(m))
+        worst += (np.max(half_m) + 2.0 * lam * np.max(np.abs(re_d))) ** 2
+    prunes = worst < 1e300  # nan: nothing
+    cells, step = np.arange(_BLOCK), max(1, _MAX_VALUES // _BLOCK)
+
+    def block_minima(col, block):
+        # the least root of each (column, block) pair and its first grid index
+        k, i = np.empty(col.size), np.empty(col.size, dtype=int)
+        for lo in range(0, col.size, step):
+            part = slice(lo, lo + step)
+            # a short last block repeats the last grid point, after its first place
+            idx = np.minimum(block[part, None] * _BLOCK + cells, omegas.size - 1)
+            roots = _root_step(b1[col[part], None], b_plant, tuple(t[idx] for t in terms))
+            j = np.argmin(roots, axis=1)
+            rows = np.arange(j.size)
+            k[part], i[part] = roots[rows, j], idx[rows, j]
+        return k, i
+
+    k1, i_best = np.empty(b1.size), np.empty(b1.size, dtype=int)
+    chunk = max(1, _MAX_VALUES // starts.size)
+    for lo in range(0, b1.size, chunk):
+        cols = np.arange(lo, min(lo + chunk, b1.size))
+        bound = _root_step(b1[cols, None], b_plant, extremes)
+        first = np.argmin(bound, axis=1)
+        k, i = block_minima(cols, first)
+        pruned = prunes[cols, None] & ((bound * (1.0 - 1e-6) > k[:, None]) | (bound == np.inf))
+        pruned[np.arange(cols.size), first] = True  # evaluated already
+        row, block = np.nonzero(~pruned)
+        more = block_minima(cols[row], block)
+        col, k, i = (np.concatenate(pair) for pair in zip((cols, k, i), (cols[row], *more)))
+        # per column the least root (nan first, as np.argmin takes it), ties to the smaller index
+        order = np.lexsort((i, np.where(np.isnan(k), -np.inf, k), col))
+        head = order[np.r_[True, col[order][1:] != col[order][:-1]]]
+        k1[cols] = k[head]
+        # a column with no root anywhere is inf throughout, whose np.argmin is 0
+        i_best[cols] = np.where(k[head] == np.inf, 0, i[head])
+    return i_best, k1
+
+
 def region_scan(
     alpha: float,
     kernel: GLKernel,
@@ -329,10 +412,11 @@ def region_scan(
     inverts f = b_plant per frequency (see _boundary_k1): a column's boundary
     is the smallest positive root over the band, on a grid of grid_points
     points but never fewer than 4(N+1), rounded up to a 5-smooth count (see
-    _grid).  One (columns x grid) pass over the grid spectrum, computed once
-    per call and taken in blocks of at most 2**20 values (512 columns at
-    G = 2048, one column past G = 2**20), finds each column's least grid
-    root.  A parabolic search on the root curve in the two cells around it
+    _grid).  The grid spectrum is computed once per call, and each column's
+    least grid root comes from a lower bound per block of 16 grid points and
+    the roots of the few blocks whose bound can beat the column's best
+    (_least_grid_roots): the root and index of a full (columns x grid) pass.
+    A parabolic search on the root curve in the two cells around it
     (_parabolic_max), all columns stepping together, refines it on the
     spectrum's Taylor expansion about that grid point, one expansion per
     distinct point however many columns share it (_cell_spectrum).  The
@@ -368,15 +452,7 @@ def region_scan(
         return RegionBoundary(b1=b1_grid, k1=k1, capped=capped, feasible=True)
 
     omegas = _grid(kernel, grid_points)
-    s = _s_conj_values(kernel, omegas)
-    i_best = np.empty(b1_grid.size, dtype=int)
-    k1 = np.empty(b1_grid.size)
-    block = max(1, 2**20 // omegas.size)
-    for start in range(0, b1_grid.size, block):
-        part = slice(start, start + block)
-        roots = _boundary_k1(b1_grid[part, None], alpha, T, b_plant, omegas, s)
-        i_best[part] = np.argmin(roots, axis=1)
-        k1[part] = roots[np.arange(roots.shape[0]), i_best[part]]
+    i_best, k1 = _least_grid_roots(b1_grid, alpha, T, b_plant, omegas, _s_conj_values(kernel, omegas))
     cols = np.flatnonzero(np.isfinite(k1))  # a column with no grid root is refined nowhere
     spectrum = _cell_spectrum(kernel, omegas, i_best[cols])
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fovisc import glkernel, models, passivity
@@ -681,28 +681,91 @@ class TestRegionScan:
         k1 = float(region_scan(0.5, kern, 0.0025, [0.5], 1000.0).k1[0])
         assert dense_max(FoSlsParams(0.0, k1, 0.5, 0.5), kern) <= 0.0025
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.02, 1.0),
+        half_n=st.integers(0, 400),
+        b1=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=9),
+        b_plant=st.floats(5e-4, 0.01),
+        grid=st.sampled_from([256, 1024, 2048]),
+        t_samp=st.just(T),
+    )
+    @example(alpha=0.5, half_n=50, b1=[0.5, 0.5, 2.0, 0.5], b_plant=0.0025, grid=2048, t_samp=T)  # tied columns
+    @example(alpha=0.5, half_n=50, b1=[1e-3, 0.002, 1.0], b_plant=0.0025, grid=2048, t_samp=T)  # no root
+    @example(alpha=1.0, half_n=50, b1=[0.05, 1.0, 2.0], b_plant=0.0025, grid=256, t_samp=T)  # root in the last cell
+    @example(alpha=0.5, half_n=75, b1=[0.05, 1.0, 2.0], b_plant=0.0025, grid=256, t_samp=T)  # G = 625
+    @example(alpha=0.5, half_n=50, b1=[1e-300, 1.0, 1e300], b_plant=0.0025, grid=2048, t_samp=T)
+    # past B1 ~ 1e30 every grid root rounds to 2 b_plant / T: the first of equal roots
+    @example(alpha=0.5, half_n=1, b1=[1e40, 1e60], b_plant=0.0025, grid=256, t_samp=T)
+    # |D|^2 overflows, and every root is nan
+    @example(alpha=0.98, half_n=1, b1=[1.0, 1e-200], b_plant=1e-250, grid=256, t_samp=1e-300)
+    def test_pruned_grid_pass_is_the_full_pass(self, alpha, half_n, b1, b_plant, grid, t_samp):
+        # each column's least grid root and its first grid index, as np.argmin
+        # takes them over every root of the grid: the same bits
+        kern = build_kernel(alpha, 2 * half_n, t_samp)
+        omegas = passivity._grid(kern, grid)
+        s = glkernel._s_conj_values(kern, omegas)
+        b1 = np.array(b1)
+        with np.errstate(all="ignore"):  # B1 = 1e-300 overflows lam |D|^2
+            i_best, k1 = passivity._least_grid_roots(b1, alpha, t_samp, b_plant, omegas, s)
+            roots = passivity._boundary_k1(b1[:, None], alpha, t_samp, b_plant, omegas, s)
+        want = np.argmin(roots, axis=1)
+        assert np.array_equal(i_best, want)
+        assert np.array_equal(k1.view(np.int64), roots[np.arange(b1.size), want].view(np.int64))
+
+    @staticmethod
+    def grid_pass_shapes(monkeypatch, kern, b1_grid):
+        """region_scan's k1, and the shapes of the root arrays of its grid pass
+        (before refinement), split into the block bounds and the grid roots."""
+        g = passivity._grid(kern, 2048).size
+        blocks = -(-g // passivity._BLOCK)
+        bounds, roots, refining = [], [], []
+        root_step, cell_spectrum = passivity._root_step, passivity._cell_spectrum
+
+        def recording(b1, b_plant, terms):
+            out = root_step(b1, b_plant, terms)
+            if not refining:
+                (bounds if np.shape(terms[0]) == (blocks,) else roots).append(out.shape)
+            return out
+
+        def refine(*args):
+            refining.append(True)
+            return cell_spectrum(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(passivity, "_root_step", recording)
+            patch.setattr(passivity, "_cell_spectrum", refine)
+            k1 = region_scan(kern.alpha, kern, 0.0025, b1_grid, 1000.0).k1
+        return k1, bounds, roots
+
+    @pytest.mark.parametrize("n_mem, share", [(100, 0.25), (10000, 0.02)])
+    def test_even_memory_grid_pass_evaluates_few_roots(self, monkeypatch, n_mem, share):
+        # a count, not a timing: the bench's 40 columns evaluate 12% of the
+        # (columns x G) roots at N = 100 (G = 2048) and 0.7% at N = 10^4;
+        # the full pass evaluates them all
+        kern = build_kernel(0.5, n_mem, T)
+        b1_grid = np.linspace(0.05, 2.0, 40)
+        _, bounds, roots = self.grid_pass_shapes(monkeypatch, kern, b1_grid)
+        full = b1_grid.size * passivity._grid(kern, 2048).size
+        assert bounds and sum(math.prod(shape) for shape in roots) <= share * full
+
     def test_even_memory_pass_holds_at_most_2_20_values(self, monkeypatch):
         # one (columns x grid) pass of 2,000 columns at G = 2048 peaked at
-        # 186 MB, so the pass runs in blocks of 512 rows; blocks change no value
-        shapes = []
-        boundary_k1 = passivity._boundary_k1
-
-        def recording(b1, alpha, t_samp, b_plant, omegas, s):
-            shapes.append(np.broadcast_shapes(np.shape(b1), np.shape(omegas)))
-            return boundary_k1(b1, alpha, t_samp, b_plant, omegas, s)
-
-        monkeypatch.setattr(passivity, "_boundary_k1", recording)
+        # 186 MB, so no array of the bounds or of the grid roots holds more
+        # than 2**20 values; pieces of columns and a smaller limit change no value
         kern = build_kernel(0.5, 100, T)
         b1_grid = np.linspace(0.05, 2.0, 2000)
-        region = region_scan(0.5, kern, 0.0025, b1_grid, 1000.0)
-        passes = [shape for shape in shapes if len(shape) == 2]
-        assert (512, 2048) in passes
-        assert max(rows * g for rows, g in passes) <= 2**20
+        k1, bounds, roots = self.grid_pass_shapes(monkeypatch, kern, b1_grid)
+        assert max(math.prod(shape) for shape in bounds + roots) <= 2**20
         pieces = [
             region_scan(0.5, kern, 0.0025, b1_grid[lo : lo + 400], 1000.0).k1
             for lo in range(0, b1_grid.size, 400)
         ]
-        assert np.array_equal(np.concatenate(pieces), region.k1)
+        assert np.array_equal(np.concatenate(pieces), k1)
+        monkeypatch.setattr(passivity, "_MAX_VALUES", 4096)
+        small, bounds, roots = self.grid_pass_shapes(monkeypatch, kern, b1_grid)
+        assert max(math.prod(shape) for shape in bounds + roots) <= 4096
+        assert np.array_equal(small, k1)
 
     def test_even_memory_spectrum_computed_once(self, monkeypatch):
         # the grid spectrum is one call; refinement makes no direct-sum call
